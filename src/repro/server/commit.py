@@ -7,7 +7,9 @@ update units accumulate in the open *group*; when the group closes, a
 single ``db.commit()`` flushes every dirty page the group produced —
 one vectored ``flush_dirty``, one sync, and (with ``checkpoint_every``
 set) one checkpoint amortized over every participant, instead of one
-each per unit.
+each per unit.  The checkpoint is one appended metadata frame holding
+the directory entries the whole group moved (DESIGN.md §18), so a
+wider group writes one frame header and one fsync for all of them.
 
 What grouping defers is only page flush / sync / checkpoint.  Each
 unit's object writes drain into the storage manager at the unit's own

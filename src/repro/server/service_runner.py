@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from collections import deque
 from typing import Any, Iterable
 
 from repro.errors import (
@@ -65,6 +66,12 @@ DEFAULT_MAX_RETRIES = 8
 #: group did not resolve the conflict (i.e. another thread holds the
 #: mutex-protected state mid-change).  Grows linearly with attempts.
 DEFAULT_RETRY_BACKOFF = 0.005
+
+#: How many update units :meth:`LabFlowService.completed_units` keeps —
+#: the last N.  The log is the serial witness the property tests and the
+#: schedule fuzzer replay (hundreds of units at most); a server that
+#: runs for days must not keep every unit's arguments forever.
+COMPLETED_LOG_UNITS = 65_536
 
 _UPDATE_OPS = frozenset({"create_material", "record_step", "set_state"})
 _QUERY_OPS = frozenset(
@@ -107,7 +114,9 @@ class LabFlowService:
             else threading.RLock()
         )
         self._wakeup = threading.Condition(self._mutex)
-        self._completed: list[tuple[str, str, dict[str, object]]] = []
+        self._completed: deque[tuple[str, str, dict[str, object]]] = deque(
+            maxlen=COMPLETED_LOG_UNITS
+        )
 
     # -- introspection -------------------------------------------------------
 
@@ -124,11 +133,13 @@ class LabFlowService:
             return self._sessions.open_sessions()
 
     def completed_units(self) -> list[tuple[str, str, dict[str, object]]]:
-        """Update units in completion order: ``(session, op, args)``.
+        """The last :data:`COMPLETED_LOG_UNITS` update units in completion
+        order: ``(session, op, args)``.
 
-        Replaying exactly this sequence through a fresh service — any
-        grouping, any session layout — produces a bit-identical
-        database: the serial witness the property tests compare against.
+        While nothing has fallen off the front, replaying exactly this
+        sequence through a fresh service — any grouping, any session
+        layout — produces a bit-identical database: the serial witness
+        the property tests compare against.
         """
         with self._mutex:
             return [(s, op, dict(args)) for s, op, args in self._completed]

@@ -107,9 +107,9 @@ class PagedStorageManager(StorageManager):
         if readahead_pages < 0:
             raise ValueError("readahead_pages must be >= 0")
         self.stats = StorageStats()
-        # The codec is created before the meta blob is restored: the
-        # blob carries the attribute-name intern table the codec needs
-        # to decode fast-path records.
+        # The codec is created before the metadata is restored: it
+        # carries the attribute-name intern table the codec needs to
+        # decode fast-path records.
         self._codec = RecordCodec(codec, self.stats)
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
@@ -117,7 +117,15 @@ class PagedStorageManager(StorageManager):
         self._chunk_payload_bytes = self._compute_chunk_payload(charge_policy)
         self._readahead_pages = readahead_pages
         self._pages_flushed_since_checkpoint = False
-        self._last_checkpoint_image: bytes | None = None
+        # What the next checkpoint has to say.  Directory oids written,
+        # relocated or deleted since the last one are collected where
+        # they happen (_journal_dir); the small state is diffed by value
+        # against _checkpoint_marks, its copy as of the last checkpoint.
+        self._dirty_oids: set[int] = set()
+        self._checkpoint_marks: dict = {}
+        # State was rewound or repaired (abort, recover, vacuum): the
+        # next checkpoint rewrites the base instead of appending.
+        self._compact_next = False
         # The manager *owns* its page file: _open_disk is the single
         # place the storage stack opens one, so every write point flows
         # through the injectable disk layer below.  Backends that swap
@@ -144,18 +152,18 @@ class PagedStorageManager(StorageManager):
         self._undo_dir: dict[int, object] | None = None
         self._undo_small: dict | None = None
 
+        self._oid_alloc = OidAllocator(start=1)
+        self._page_alloc = OidAllocator(start=0)
+        # directory: oid -> (page_id, slot) for small records,
+        #            ("L", [(page_id, slot), ...]) for chunked ones.
+        self._directory: dict[int, object] = {}
+        self._roots: dict[str, int] = {}
+        self._segments: dict[str, Segment] = {}
+        self._segment_by_id: dict[int, Segment] = {}
+        self._meta_epoch = 0
         meta = self._disk.read_meta()
         if meta is None:
-            self._oid_alloc = OidAllocator(start=1)
-            self._page_alloc = OidAllocator(start=0)
-            # directory: oid -> (page_id, slot) for small records,
-            #            ("L", [(page_id, slot), ...]) for chunked ones.
-            self._directory: dict[int, object] = {}
-            self._roots: dict[str, int] = {}
-            self._segments: dict[str, Segment] = {}
-            self._segment_by_id: dict[int, Segment] = {}
             self._make_segment(DEFAULT_SEGMENT, "default placement")
-            self._meta_epoch = 0
             self._disk.epoch = 1
             if self._disk.page_count:
                 # Pages exist but no checkpoint ever landed: the store
@@ -167,16 +175,20 @@ class PagedStorageManager(StorageManager):
             else:
                 self._open_problems: list[str] = []
         else:
-            self._restore_meta(meta)
+            # The file is ``base ‖ frame*``: the base is the whole state
+            # as of some checkpoint, each frame what the next one moved.
+            self._apply_meta(meta)
+            for frame in self._disk.read_meta_frames():
+                self._apply_meta(frame)
             # Resume stamping in the epoch after the checkpointed one,
             # and record anything on disk that contradicts the
             # checkpoint: torn pages, or pages flushed by commits the
-            # checkpoint never heard of (epoch beyond the blob's).
+            # checkpoint never heard of (epoch beyond the last frame's).
             self._disk.epoch = self._meta_epoch + 1
             self._open_problems = self._disk.epoch_issues(self._meta_epoch)
             # The restored state *is* the checkpointed state: a close with
-            # no intervening writes can skip rewriting the blob.
-            self._last_checkpoint_image = self._checkpoint_image()
+            # no intervening writes has nothing to persist.
+            self._checkpoint_marks = self._marks()
         self._index_pages()
 
     def _open_disk(
@@ -198,10 +210,12 @@ class PagedStorageManager(StorageManager):
 
     # -- metadata persistence ---------------------------------------------------
 
-    def _meta(self) -> dict:
+    def _meta(self, epoch: int | None = None) -> dict:
+        """The whole state as a metadata base, stamped with the epoch
+        of the checkpoint it is (default: the one being written)."""
         return {
             "manager": self.name,
-            "epoch": self._disk.epoch,
+            "epoch": self._disk.epoch if epoch is None else epoch,
             "oid_high": self._oid_alloc.high_water,
             "page_high": self._page_alloc.high_water,
             "directory": dict(self._directory),
@@ -210,21 +224,91 @@ class PagedStorageManager(StorageManager):
             "intern": self._codec.intern_names(),
         }
 
-    def _restore_meta(self, meta: dict) -> None:
+    def _apply_meta(self, meta: dict) -> None:
+        """Replay a metadata base or delta frame onto the current state.
+
+        A base (:meth:`_meta`) applied to the empty state restores it
+        whole; a frame (:meth:`_meta_delta`) carries only the keys that
+        moved, directory entries as upserts plus a ``deleted`` list, and
+        per segment the page ids *appended* since the previous checkpoint.
+        """
         self._meta_epoch = meta.get("epoch", 0)
-        # Pre-codec meta blobs carry no intern table; an empty one is
-        # right for them (their records are all raw pickles).
-        self._codec.restore_intern(meta.get("intern", ()))
-        self._oid_alloc = OidAllocator(start=meta["oid_high"])
-        self._page_alloc = OidAllocator(start=meta["page_high"])
-        self._directory = dict(meta["directory"])
-        self._roots = dict(meta["roots"])
-        self._segments = {}
-        self._segment_by_id = {}
-        for seg_meta in meta["segments"]:
-            segment = Segment.from_meta(seg_meta)
-            self._segments[segment.name] = segment
-            self._segment_by_id[segment.segment_id] = segment
+        self._directory.update(meta.get("directory", ()))
+        for oid in meta.get("deleted", ()):
+            # May never have reached a checkpoint (born and deleted
+            # between two of them).
+            self._directory.pop(oid, None)
+        if "roots" in meta:
+            self._roots = dict(meta["roots"])
+        # Pre-codec bases carry no intern table; the fresh codec's empty
+        # one is right for them (their records are all raw pickles).
+        if "intern" in meta:
+            self._codec.restore_intern(meta["intern"])
+        if "oid_high" in meta:
+            self._oid_alloc = OidAllocator(start=meta["oid_high"])
+        if "page_high" in meta:
+            self._page_alloc = OidAllocator(start=meta["page_high"])
+        for seg_meta in meta.get("segments", ()):
+            segment = self._segment_by_id.get(seg_meta["segment_id"])
+            if segment is None:
+                segment = Segment.from_meta(seg_meta)
+                self._segments[segment.name] = segment
+                self._segment_by_id[segment.segment_id] = segment
+            else:
+                segment.page_ids.extend(seg_meta["page_ids"])
+                segment.free_candidates = set(seg_meta["free_candidates"])
+
+    def _marks(self) -> dict:
+        """The small state by value, plus how far each segment has got:
+        what :meth:`_meta_delta` diffs against the last checkpoint's."""
+        return {
+            "oid_high": self._oid_alloc.high_water,
+            "page_high": self._page_alloc.high_water,
+            "roots": dict(self._roots),
+            "intern": self._codec.intern_names(),
+            "segments": {
+                seg.segment_id: (len(seg.page_ids), sorted(seg.free_candidates))
+                for seg in self._segments.values()
+            },
+        }
+
+    def _meta_delta(self, marks: dict) -> dict:
+        """What moved since the last checkpoint; empty if nothing did.
+
+        Costs what changed plus the small state, never the directory:
+        this is what lets a store that only grows checkpoint every
+        commit.  Valid only while the directory changed through
+        :meth:`_journal_dir` and page lists only grew — anything else
+        sets ``_compact_next``.
+        """
+        delta: dict = {}
+        if self._dirty_oids:
+            directory = self._directory
+            dirty = sorted(self._dirty_oids)
+            delta["directory"] = {
+                oid: directory[oid] for oid in dirty if oid in directory
+            }
+            delta["deleted"] = [oid for oid in dirty if oid not in directory]
+        last = self._checkpoint_marks
+        for key in ("oid_high", "page_high", "roots", "intern"):
+            if marks[key] != last.get(key):
+                delta[key] = marks[key]
+        last_segments = last.get("segments", {})
+        segments = []
+        for seg in self._segments.values():
+            mark = marks["segments"][seg.segment_id]
+            last_mark = last_segments.get(seg.segment_id, (0, None))
+            if mark != last_mark:
+                segments.append({
+                    "segment_id": seg.segment_id,
+                    "name": seg.name,
+                    "description": seg.description,
+                    "page_ids": seg.page_ids[last_mark[0]:],
+                    "free_candidates": mark[1],
+                })
+        if segments:
+            delta["segments"] = segments
+        return delta
 
     # -- page plumbing -----------------------------------------------------------
 
@@ -489,7 +573,10 @@ class PagedStorageManager(StorageManager):
         self._begin_caches()
 
     def _journal_dir(self, oid: int) -> None:
-        """Record an oid's pre-transaction directory entry, once."""
+        """Called before an oid's directory entry changes: note the oid
+        for the next checkpoint's delta and, once per transaction, its
+        old entry for abort."""
+        self._dirty_oids.add(oid)
         if self._in_txn and oid not in self._undo_dir:  # type: ignore[operator]
             self._undo_dir[oid] = self._directory.get(oid, _ABSENT)  # type: ignore[index]
 
@@ -546,6 +633,7 @@ class PagedStorageManager(StorageManager):
         self._undo_dir = None
         self._undo_small = None
         self._in_txn = False
+        self._compact_next = True
         self.stats.aborts += 1
 
     def checkpoint(self) -> None:
@@ -555,49 +643,58 @@ class PagedStorageManager(StorageManager):
             raise TransactionError("checkpoint inside an open transaction")
         self._flush_all()
 
-    def _flush_all(self) -> None:
+    def _flush_all(self, compact: bool = False) -> None:
         self._pool.flush_dirty()
-        self._write_checkpoint()
+        self._write_checkpoint(compact)
 
-    def _checkpoint_image(self) -> bytes:
-        """Canonical image of the metadata, epoch excluded.
-
-        The epoch advances with every checkpoint, so comparing raw blobs
-        would never find two equal; everything *else* being unchanged is
-        what makes a checkpoint redundant.
-        """
-        probe = self._meta()
-        probe.pop("epoch", None)
-        return pickle.dumps(probe, protocol=4)
-
-    def _write_checkpoint(self) -> None:
+    def _write_checkpoint(self, compact: bool = False) -> None:
         """Persist metadata and advance the commit epoch.
 
-        The blob records the epoch its page images were stamped with;
-        subsequent page writes get the next epoch, so a later crash
-        leaves those pages detectably "from the future" relative to
-        this checkpoint.
+        The checkpoint records the epoch its page images were stamped
+        with; subsequent page writes get the next epoch, so a later
+        crash leaves those pages detectably "from the future" relative
+        to this checkpoint.
 
-        Redundant checkpoints are skipped: with ``checkpoint_every=1``
-        a read-mostly phase would otherwise re-pickle and rewrite the
-        whole blob — directory, roots, segment maps — every commit.
-        Skipping is only legal when no page was flushed since the last
-        checkpoint either; flushed pages carry the *current* epoch, and
-        a checkpoint must land to ratify it, otherwise a reopen would
-        flag them as from-the-future orphans of a checkpoint that never
-        happened.
+        Normally this appends one delta frame — what the commit changed,
+        not the directory, roots and segment maps over again.  The base
+        is rewritten instead (``compact``) at close, after an abort,
+        recover or vacuum, and whenever the frames on disk have outgrown
+        their share of it.  Either way it is one metadata write point
+        and one epoch.
+
+        Redundant checkpoints are skipped: nothing moved, and no page
+        was flushed since the last checkpoint either.  Flushed pages
+        carry the *current* epoch, and a checkpoint must land to ratify
+        it, otherwise a reopen would flag them as from-the-future
+        orphans of a checkpoint that never happened.
+
+        A close that finds nothing to checkpoint but frames on disk
+        folds them into a base *at the epoch they already describe* —
+        the same checkpoint in one piece, so a cleanly closed file is
+        the bare pickle whether or not the last commit checkpointed.
+        A store still carrying unrecovered crash evidence is left
+        exactly as the crash left it.
         """
-        image = self._checkpoint_image()
-        if (
-            image == self._last_checkpoint_image
-            and not self._pages_flushed_since_checkpoint
-        ):
+        marks = self._marks()
+        delta = self._meta_delta(marks)
+        if not delta and not self._pages_flushed_since_checkpoint:
+            if compact and self._disk.meta_frame_bytes and not self._open_problems:
+                self.stats.meta_bytes_written += self._disk.write_meta(
+                    self._meta(self._meta_epoch)
+                )
             return
-        self.stats.meta_bytes_written += self._disk.write_meta(self._meta())
+        if compact or self._compact_next or self._disk.meta_wants_base:
+            written = self._disk.write_meta(self._meta())
+        else:
+            delta["epoch"] = self._disk.epoch
+            written = self._disk.write_meta(delta, append=True)
+        self.stats.meta_bytes_written += written
         self._disk.sync()
         self._meta_epoch = self._disk.epoch
         self._disk.epoch += 1
-        self._last_checkpoint_image = image
+        self._dirty_oids.clear()
+        self._checkpoint_marks = marks
+        self._compact_next = False
         self._pages_flushed_since_checkpoint = False
 
     @property
@@ -623,8 +720,8 @@ class PagedStorageManager(StorageManager):
 
     def size_bytes(self) -> int:
         self._check_open()
-        # Allocated pages + current metadata blob, matching what the 1996
-        # size column measured: the database file(s) on disk.
+        # Allocated pages + the metadata compacted to one base, matching
+        # what the 1996 size column measured: the database file(s) on disk.
         return self._disk.size_bytes + len_meta(self)
 
     def buffer_resident_pages(self) -> int:
@@ -764,9 +861,11 @@ class PagedStorageManager(StorageManager):
         # newer epoch, and only a fresh checkpoint ratifies them (an
         # in-place overwrite leaves the directory identical, so the
         # redundancy check alone would skip it and the pages would be
-        # flagged "from the future" again at the next reopen).
+        # flagged "from the future" again at the next reopen).  A new
+        # base, not a frame: entries were dropped and pages removed
+        # behind the delta bookkeeping's back.
         self._pages_flushed_since_checkpoint = True
-        self._flush_all()
+        self._flush_all(compact=True)
         self._open_problems = []
         return {
             "dropped_objects": dropped,
@@ -797,6 +896,8 @@ class PagedStorageManager(StorageManager):
                         page.delete(slot)
                         segment.note_free_space(page_id, page.free_bytes)
                         freed += 1
+        if freed:
+            self._compact_next = True
         return freed
 
     def drop_buffer(self) -> None:
@@ -820,7 +921,7 @@ class PagedStorageManager(StorageManager):
         if self._in_txn:
             raise TransactionError("close() inside an open transaction")
         self._drain_caches()
-        self._flush_all()
+        self._flush_all(compact=True)
         # Release pool pages (and any staged read images that may view
         # the disk layer's buffers) before the disk unmaps/closes.
         self._pool.clear()
@@ -829,5 +930,5 @@ class PagedStorageManager(StorageManager):
 
 
 def len_meta(manager: PagedStorageManager) -> int:
-    """Current metadata blob size without persisting it."""
+    """Size of the metadata as one compacted base, without persisting it."""
     return len(pickle.dumps(manager._meta(), protocol=4))

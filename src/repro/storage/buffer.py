@@ -111,8 +111,9 @@ class BufferPool:
         # the pool, so entries can go stale (page dirtied after being
         # listed); _clean_lru_victim discards stale entries lazily, and
         # flush_dirty (the only event that makes pages clean in bulk)
-        # rebuilds the list.  Invariant: every clean resident page is
-        # listed; listed pages are merely *candidates*.
+        # rebuilds the list when a page it cleaned is not on it.
+        # Invariant: every clean resident page is listed; listed pages
+        # are merely *candidates*.
         self._clean: OrderedDict[int, None] = OrderedDict()
         # Dirty-page candidates, fed by the Page.dirty listener installed
         # at admission.  Entries can be stale the other way (page dropped
@@ -314,9 +315,17 @@ class BufferPool:
             for page in run:
                 page.dirty = False
         self._stats.page_writes += len(written_ids)
-        # Everything resident is clean now; rebuild the candidate list in
-        # _pages (LRU) order, dropping stale entries in one pass.
-        self._clean = OrderedDict((page_id, None) for page_id in self._pages)
+        # Everything resident is clean now, so every resident page must
+        # be listed.  Pages that were clean already are (the invariant),
+        # and listed pages move with _pages on every fetch, so if the
+        # pages just written are all still listed — updated in place
+        # after being faulted in clean, the common commit — the list is
+        # already complete and in LRU order.  Otherwise (fresh pages are
+        # born dirty and unlisted; a victim scan discards dirtied
+        # entries) rebuild it from _pages in one pass.
+        clean = self._clean
+        if not all(page_id in clean for page_id in written_ids):
+            self._clean = OrderedDict((page_id, None) for page_id in self._pages)
         self._evict_if_needed()
         return len(written_ids)
 

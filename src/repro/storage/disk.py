@@ -8,23 +8,30 @@ and by benchmark configurations that only care about fault counts, not
 real I/O latency.
 
 Metadata (object directory, segment table, roots, allocator high-water
-mark) is persisted on commit as one pickled blob in a ``.meta`` side
-file.  Real persistent stores keep this mapping in swizzled virtual
-addresses (Texas) or internal B-trees (ObjectStore); modelling it as a
-side file keeps both simulated managers identical in this respect while
-still counting the bytes toward database size.
+mark) is persisted at each checkpoint in a ``.meta`` side file laid out
+as ``base pickle ‖ delta frame*``: a checkpoint normally appends one
+small frame holding what changed, and the whole state is re-pickled as a
+fresh base only when the frames outgrow a quarter of it (and at clean
+close, so a closed file is the bare pickle).  Real persistent stores
+keep this mapping in swizzled virtual addresses (Texas) or internal
+B-trees (ObjectStore); modelling it as a side file keeps both simulated
+managers identical in this respect while still counting the bytes
+toward database size.
 
 Crash consistency
 -----------------
 
 Two mechanisms make a crash detectable instead of silently corrupting:
 
-* The metadata blob is written atomically (temp file + fsync + rename),
-  so a crash mid-write leaves either the old blob or the new one.
+* A metadata base is written atomically (temp file + fsync + rename),
+  so a crash mid-write leaves either the old file or the new one; a
+  delta frame is length-prefixed and CRC-32-checked, so a crash
+  mid-append leaves a tail that reopen recognises and ignores — the
+  previous checkpoint survives either way.
 * Every page image carries a 16-byte trailer in its zero-padding:
   a magic marker, the **commit epoch** current when the page was
   written, and a CRC-32 of the page body.  The storage manager stamps
-  the same epoch into the metadata blob at each checkpoint, so on
+  the same epoch into the metadata at each checkpoint, so on
   reopen a page "from the future" (flushed by a commit the checkpoint
   never heard of) or a torn page (checksum mismatch, e.g. half a write)
   is detected — see ``repro.storage.integrity``.
@@ -36,6 +43,7 @@ read back exactly what they wrote, trailer bytes zeroed again.
 
 from __future__ import annotations
 
+import io
 import mmap
 import os
 import pickle
@@ -60,6 +68,16 @@ _EPOCH_CRC = struct.Struct("<QI")
 
 _BODY_BYTES = PAGE_SIZE - PAGE_TRAILER_BYTES
 
+#: Delta-frame header in the ``.meta`` file: payload length, then the
+#: CRC-32 of the payload (a pickled dict).
+_META_FRAME = struct.Struct("<II")
+
+#: Frames may grow to this fraction (1/N) of the base before the next
+#: checkpoint rewrites the base.  A constant, not a knob: it caps the
+#: side file at 1.25x its compacted size, and the base bytes compaction
+#: rewrites at N per byte of frame, whatever the database size.
+META_COMPACT_DIVISOR = 4
+
 
 class PageFile:
     """Page-granular storage backed by a real file or by memory."""
@@ -72,7 +90,18 @@ class PageFile:
         #: Commit epoch stamped into the trailer of every page written.
         #: The storage manager advances it at each metadata checkpoint.
         self.epoch = 1
+        #: Memory-mode twin of the ``.meta`` file (None: never written).
+        self._mem_meta: bytearray | None = None
+        #: Bytes of the metadata base and of the valid frames after it, as
+        #: last read or written by this handle; anything in the file
+        #: beyond their sum is a torn tail.
+        self._meta_base = 0
+        self._meta_frames = 0
+        self._frames_read: list[dict] = []
         if path is not None:
+            # A compaction that died before its rename publishes nothing.
+            if os.path.exists(path + ".meta.tmp"):
+                os.remove(path + ".meta.tmp")
             # "x+b" would refuse reopening; support both create and reopen.
             mode = "r+b" if os.path.exists(path) else "w+b"
             self._file = open(path, mode)
@@ -312,67 +341,132 @@ class PageFile:
     def _meta_path(self) -> str | None:
         return None if self.path is None else self.path + ".meta"
 
-    def write_meta(self, meta: dict) -> int:
-        """Persist the metadata blob atomically; returns bytes written.
-
-        The blob is written to a ``.meta.tmp`` side file, fsync'd, then
-        renamed over the ``.meta`` file, so a crash at any point leaves
-        either the old blob or the new one — never a truncated blob that
-        would make the store look freshly created (or fail to unpickle)
-        on reopen.
-
-        A blob identical to the last one this handle wrote is skipped
-        (the durable copy is already that blob) and reported as ``0``
-        bytes written — checkpoint-heavy read-mostly periods then cost
-        no metadata I/O.  ``meta_size_bytes`` still reports the blob's
-        size either way.
-        """
+    @staticmethod
+    def _meta_bytes(meta: dict, append: bool) -> bytes:
+        """Encode a base (bare pickle) or a delta frame (header + pickle)."""
         blob = pickle.dumps(meta, protocol=4)
-        self._meta_size = len(blob)
-        if blob == getattr(self, "_last_meta_blob", None):
-            return 0
+        if append:
+            return _META_FRAME.pack(len(blob), zlib.crc32(blob)) + blob
+        return blob
+
+    def write_meta(self, meta: dict, append: bool = False) -> int:
+        """Persist metadata durably; returns bytes written.
+
+        By default ``meta`` is the whole state and becomes the new base:
+        written to a ``.meta.tmp`` side file, fsync'd, then renamed over
+        the ``.meta`` file, so a crash at any point leaves either the old
+        ``base ‖ frames`` or the new bare base — never a truncated blob
+        that would make the store look freshly created (or fail to
+        unpickle) on reopen.
+
+        With ``append`` it is a delta against the state already in the
+        file and lands as one frame after the last valid one, fsync'd in
+        place.  A crash mid-append leaves a short or CRC-bad tail, which
+        :meth:`read_meta` stops at and the next append cuts off.
+        """
+        data = self._meta_bytes(meta, append)
+        if append:
+            if not self._meta_base:
+                raise StorageError("metadata frame appended before any base")
+            self._append_meta(data)
+            self._meta_frames += len(data)
+            return len(data)
         meta_path = self._meta_path()
         if meta_path is None:
-            self._mem_meta = blob
+            self._mem_meta = bytearray(data)
         else:
             tmp_path = meta_path + ".tmp"
             with open(tmp_path, "wb") as handle:
-                handle.write(blob)
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, meta_path)
-        self._last_meta_blob = blob
-        return len(blob)
+        self._meta_base, self._meta_frames = len(data), 0
+        return len(data)
+
+    def _append_meta(self, data: bytes) -> None:
+        """Land ``data`` right after the last valid frame and fsync it."""
+        valid = self._meta_base + self._meta_frames
+        meta_path = self._meta_path()
+        if meta_path is None:
+            assert self._mem_meta is not None
+            del self._mem_meta[valid:]
+            self._mem_meta += data
+        else:
+            with open(meta_path, "r+b") as handle:
+                handle.truncate(valid)
+                handle.seek(valid)
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
 
     def read_meta(self) -> dict | None:
-        """Load the metadata blob, or None if none was ever written.
+        """Load the metadata base, or None if none was ever written.
 
-        A blob that exists but does not unpickle raises
-        :class:`StorageError` — a damaged store must fail loudly rather
-        than masquerade as a fresh one.
+        Frames after the base are validated in order up to the first
+        short or CRC-bad one — a torn tail means the checkpoint before it
+        is the last that survived — and handed over, decoded, by
+        :meth:`read_meta_frames`.  A base (or a CRC-valid frame) that
+        does not unpickle raises :class:`StorageError` — a damaged store
+        must fail loudly rather than masquerade as a fresh one.
         """
         meta_path = self._meta_path()
         if meta_path is None:
-            blob = getattr(self, "_mem_meta", None)
-            if blob is None:
+            if self._mem_meta is None:
                 return None
+            blob = bytes(self._mem_meta)
         else:
             if not os.path.exists(meta_path):
                 return None
             with open(meta_path, "rb") as handle:
                 blob = handle.read()
+        stream = io.BytesIO(blob)
+        frames: list[dict] = []
         try:
-            return pickle.loads(blob)
+            base = pickle.load(stream)
+            offset = base_bytes = stream.tell()
+            view = memoryview(blob)
+            while len(blob) - offset >= _META_FRAME.size:
+                length, crc = _META_FRAME.unpack_from(blob, offset)
+                payload = view[offset + _META_FRAME.size:][:length]
+                if not length or len(payload) < length or zlib.crc32(payload) != crc:
+                    break
+                frames.append(pickle.loads(payload))
+                offset += _META_FRAME.size + length
         # A half-written or bit-flipped blob raises arbitrary unpickling
         # errors; all of them mean the same thing — corrupt metadata.
         except Exception as exc:  # lint: ignore[LF06]
             raise StorageError(
                 f"{meta_path or '<memory>'}: corrupt metadata blob: {exc}"
             ) from exc
+        self._meta_base, self._meta_frames = base_bytes, offset - base_bytes
+        self._frames_read = frames
+        return base
+
+    def read_meta_frames(self) -> list[dict]:
+        """The delta frames the last :meth:`read_meta` found, oldest
+        first; handed over once (the caller replays them onto the base)."""
+        frames, self._frames_read = self._frames_read, []
+        return frames
 
     @property
     def meta_size_bytes(self) -> int:
-        return getattr(self, "_meta_size", 0)
+        """Bytes of the ``.meta`` file that count: base plus valid frames."""
+        return self._meta_base + self._meta_frames
+
+    @property
+    def meta_frame_bytes(self) -> int:
+        """Bytes of valid delta frames after the base (0: a bare base)."""
+        return self._meta_frames
+
+    @property
+    def meta_wants_base(self) -> bool:
+        """No base yet, or the frames have outgrown their share of it:
+        the next metadata write should be a base, not an append."""
+        return (
+            not self._meta_base
+            or self._meta_frames * META_COMPACT_DIVISOR > self._meta_base
+        )
 
 
 #: Pages per map chunk (1024 * 4 KiB = 4 MiB).  A multiple of every

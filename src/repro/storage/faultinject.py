@@ -76,10 +76,11 @@ class FaultyPageFile(PageFile):
     *page* write either loses the image entirely or — in torn mode —
     lands the first :data:`TORN_WRITE_BYTES` of the newly stamped image
     over the old page, producing a checksum mismatch the integrity
-    layer must detect.  A fatal *metadata* write leaves the temp file
-    behind but never renames it, so the old blob survives (this is what
-    the atomic-rename protocol guarantees; the injector cannot tear the
-    blob itself).
+    layer must detect.  A fatal *metadata* write is lost entirely or —
+    in torn mode — lands the first half of its bytes: half a delta frame
+    after the last valid one (reopen must stop at it), or half a base in
+    the temp file the rename never publishes (the atomic-rename protocol
+    keeps the old ``base ‖ frames`` intact).
     """
 
     def __init__(self, path: str | None, injector: FaultInjector) -> None:
@@ -119,12 +120,23 @@ class FaultyPageFile(PageFile):
             page_id, stamped[:TORN_WRITE_BYTES] + old_raw[TORN_WRITE_BYTES:]
         )
 
-    def write_meta(self, meta: dict) -> int:
+    def write_meta(self, meta: dict, append: bool = False) -> int:
         if self.injector.on_write():
-            # Crash mid-protocol: the temp file may exist (possibly
-            # truncated) but the rename never happened.
+            if self.injector.torn_write:
+                self._tear_meta(meta, append)
             self.injector.check_alive()
-        return super().write_meta(meta)
+        return super().write_meta(meta, append)
+
+    def _tear_meta(self, meta: dict, append: bool) -> None:
+        """Land the front half of a metadata write, the way a crash would."""
+        data = self._meta_bytes(meta, append)
+        half = data[: len(data) // 2]
+        meta_path = self._meta_path()
+        if append:
+            self._append_meta(half)
+        elif meta_path is not None:
+            with open(meta_path + ".tmp", "wb") as handle:
+                handle.write(half)
 
     def read_page(self, page_id: int) -> PageImage:
         self.injector.check_alive()

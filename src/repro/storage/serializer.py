@@ -22,6 +22,14 @@ from repro.errors import StorageError
 
 _PLAIN_SCALARS = (type(None), bool, int, float, str, bytes)
 
+#: The exact scalar types: what one ``map(type, ...)`` sweep can clear
+#: without a Python-level call per element.
+_EXACT_SCALARS = frozenset(_PLAIN_SCALARS)
+
+_CONTAINERS = (list, tuple, set, frozenset, dict)
+
+_MAX_DEPTH = 100
+
 
 def validate_plain_data(obj: object, _depth: int = 0) -> None:
     """Raise :class:`StorageError` unless ``obj`` is plain data.
@@ -43,23 +51,39 @@ def validate_plain_data(obj: object, _depth: int = 0) -> None:
 
     Depth is bounded to catch pathological self-referencing structures
     before pickle recurses into them.
+
+    A flat container — the state sets and index buckets are lists of
+    thousands of oids — is cleared by one C-speed sweep over its element
+    types; only elements that are not exact scalars (containers, scalar
+    subclasses, offenders) are visited in Python, in iteration order, so
+    the first error found is the one a full element-by-element walk
+    would find.
     """
-    if _depth > 100:
+    if _depth > _MAX_DEPTH:
         raise StorageError("record nests deeper than 100 levels (cycle?)")
     if isinstance(obj, _PLAIN_SCALARS):
         return
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            validate_plain_data(item, _depth + 1)
-        return
+    if not isinstance(obj, _CONTAINERS):
+        raise StorageError(
+            f"records must be plain data; got {type(obj).__name__}"
+        )
+    if obj and _depth >= _MAX_DEPTH:  # whatever it holds is too deep
+        raise StorageError("record nests deeper than 100 levels (cycle?)")
+    exact = _EXACT_SCALARS
     if isinstance(obj, dict):
+        if exact.issuperset(map(type, obj)) and exact.issuperset(
+            map(type, obj.values())
+        ):
+            return
         for key, value in obj.items():
-            validate_plain_data(key, _depth + 1)
-            validate_plain_data(value, _depth + 1)
-        return
-    raise StorageError(
-        f"records must be plain data; got {type(obj).__name__}"
-    )
+            if type(key) not in exact:
+                validate_plain_data(key, _depth + 1)
+            if type(value) not in exact:
+                validate_plain_data(value, _depth + 1)
+    elif not exact.issuperset(map(type, obj)):
+        for item in obj:
+            if type(item) not in exact:
+                validate_plain_data(item, _depth + 1)
 
 
 def serialize(obj: object) -> bytes:

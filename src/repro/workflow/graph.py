@@ -7,16 +7,20 @@ with failure branches (the re-queue edges of the paper's Appendix B
 graph).  The graph largely determines the DBMS workload, so validation
 here is strict: a malformed graph would silently skew every experiment.
 
-``networkx`` backs the structural checks (reachability, cycles) and the
-layered ASCII rendering the E4 bench emits as its "figure".
+The structural checks (reachability, cycles, longest success path) are
+plain traversals of an adjacency dict: a workflow has under twenty
+states, and every process that serves or streams one builds this graph
+at start-up, so they need no graph library.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import InvalidWorkflowError
 from repro.workflow.spec import Transition, WorkflowSpec
+
+
+class _Cycle(Exception):
+    """Raised inside a traversal that walked back onto its own path."""
 
 
 class WorkflowGraph:
@@ -24,7 +28,9 @@ class WorkflowGraph:
 
     def __init__(self, spec: WorkflowSpec) -> None:
         self.spec = spec
-        self._graph = nx.MultiDiGraph()
+        # state -> [(next state, is the success edge)]; every state has a
+        # key, in first-mention order.
+        self._edges: dict[str, list[tuple[str, bool]]] = {}
         self._by_state: dict[str, list[Transition]] = {}
         self._build()
         self.validate()
@@ -32,26 +38,58 @@ class WorkflowGraph:
     # -- construction ---------------------------------------------------------
 
     def _build(self) -> None:
+        edges = self._edges
         for transition in self.spec.transitions:
-            self._graph.add_edge(
-                transition.from_state,
-                transition.to_state,
-                step=transition.step,
-                outcome="ok",
+            edges.setdefault(transition.from_state, []).append(
+                (transition.to_state, True)
             )
+            edges.setdefault(transition.to_state, [])
             if transition.fail_state is not None:
-                self._graph.add_edge(
-                    transition.from_state,
-                    transition.fail_state,
-                    step=transition.step,
-                    outcome="fail",
-                )
+                edges[transition.from_state].append((transition.fail_state, False))
+                edges.setdefault(transition.fail_state, [])
             self._by_state.setdefault(transition.from_state, []).append(transition)
         for state in self.spec.terminal_states:
-            self._graph.add_node(state)
+            edges.setdefault(state, [])
         for material in self.spec.materials:
             if material.initial_state is not None:
-                self._graph.add_node(material.initial_state)
+                edges.setdefault(material.initial_state, [])
+
+    def _reachable(self, start: str) -> set[str]:
+        """``start`` and every state some path of edges leads to from it."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for successor, _ok in self._edges[frontier.pop()]:
+                if successor not in seen:
+                    seen.add(successor)
+                    frontier.append(successor)
+        return seen
+
+    def _longest_path(self, success_only: bool) -> int:
+        """Edges on the longest path, or -1 if the edges form a cycle."""
+        longest: dict[str, int] = {}
+        on_path: set[str] = set()
+
+        def visit(state: str) -> int:
+            if state in on_path:
+                raise _Cycle
+            if state not in longest:
+                on_path.add(state)
+                longest[state] = max(
+                    (
+                        1 + visit(successor)
+                        for successor, ok in self._edges[state]
+                        if ok or not success_only
+                    ),
+                    default=0,
+                )
+                on_path.discard(state)
+            return longest[state]
+
+        try:
+            return max(map(visit, self._edges), default=0)
+        except _Cycle:
+            return -1
 
     # -- validation --------------------------------------------------------------
 
@@ -93,19 +131,18 @@ class WorkflowGraph:
 
         reachable: set[str] = set()
         for initial in initials:
-            reachable.add(initial)
-            reachable |= nx.descendants(self._graph, initial)
-        unreachable = set(self._graph.nodes) - reachable
+            reachable |= self._reachable(initial)
+        unreachable = set(self._edges) - reachable
         if unreachable:
             raise InvalidWorkflowError(
                 f"states unreachable from any initial state: {sorted(unreachable)}"
             )
 
         terminal_set = set(spec.terminal_states)
-        for state in self._graph.nodes:
+        for state in self._edges:
             if state in terminal_set:
                 continue
-            if not any(nx.has_path(self._graph, state, t) for t in terminal_set):
+            if not terminal_set & self._reachable(state):
                 raise InvalidWorkflowError(
                     f"state {state!r} cannot reach any terminal state"
                 )
@@ -122,7 +159,7 @@ class WorkflowGraph:
         )
 
     def states(self) -> list[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._edges)
 
     def transitions_from(self, state: str) -> list[Transition]:
         return list(self._by_state.get(state, ()))
@@ -137,27 +174,12 @@ class WorkflowGraph:
 
     def has_cycles(self) -> bool:
         """Whether re-queue edges create cycles (Appendix B's graph does)."""
-        try:
-            nx.find_cycle(self._graph)
-        except nx.NetworkXNoCycle:
-            return False
-        return True
+        return self._longest_path(success_only=False) < 0
 
     def longest_acyclic_path(self) -> int:
-        """Steps on the longest success path (cycle edges removed)."""
-        acyclic = nx.MultiDiGraph(
-            (u, v, data)
-            for u, v, data in self._graph.edges(data=True)
-            if data.get("outcome") == "ok"
-        )
-        if not nx.is_directed_acyclic_graph(acyclic):
-            # success edges alone may still cycle in exotic workflows
-            return -1
-        return nx.dag_longest_path_length(acyclic)
-
-    @property
-    def nx_graph(self) -> nx.MultiDiGraph:
-        return self._graph
+        """Steps on the longest success path (failure edges removed);
+        -1 if the success edges alone cycle, as exotic workflows may."""
+        return self._longest_path(success_only=True)
 
     # -- rendering (the E4 "figure") ------------------------------------------------
 

@@ -252,6 +252,23 @@ def test_completed_units_replay_in_completion_order():
     db.storage.close()
 
 
+def test_completed_units_log_is_bounded(monkeypatch):
+    """A long-running server keeps the last N units, not all of them."""
+    from repro.server import service_runner
+
+    monkeypatch.setattr(service_runner, "COMPLETED_LOG_UNITS", 3)
+    db = _served_db()
+    service = LabFlowService(db, group_commit=True, group_cap=4)
+    alice = LocalClient(service, "alice")
+    for n in range(5):
+        alice.create_material("clone", f"a-{n}", n + 1, state="active")
+    assert [args["key"] for _s, _op, args in service.completed_units()] == [
+        "a-2", "a-3", "a-4",
+    ]
+    service.shutdown()
+    db.storage.close()
+
+
 def test_close_session_keeps_group_pending_units():
     """A session dying after completing units does not retract them:
     they stay in the group and become durable at the next close."""

@@ -218,20 +218,31 @@ class _LegacyFlushPool(BufferPool):
 
 def test_dirty_set_flush_matches_legacy_full_sort():
     """Randomized op stream: the O(dirty) flush must write the same
-    pages in the same order and keep residency identical to the
-    sort-everything reference."""
+    pages in the same order and keep residency — hence every eviction
+    choice — identical to the sort-everything, rebuild-everything
+    reference.  The streams interleave flushes with pages dirtied after
+    they were listed clean, fresh (born-dirty, unlisted) pages and
+    evictions that discard stale entries, so both the keep-the-list and
+    the rebuild branch of the flush are taken many times."""
+    # churn / mostly in-place updates / faulting without fresh pages
+    for capacity, page_ids, fresh_share in [(4, 12, 0.20), (8, 12, 0.03), (6, 40, 0.0)]:
+        _check_flush_matches_legacy(capacity, page_ids, fresh_share)
+
+
+def _check_flush_matches_legacy(capacity, page_ids, fresh_share):
     import random
 
     rng = random.Random(19960806)
     pool_disk, ref_disk = _Disk(), _Disk()
     pool_stats, ref_stats = StorageStats(), StorageStats()
-    pool = BufferPool(4, pool_disk.load, pool_disk.flush, pool_stats)
-    ref = _LegacyFlushPool(4, ref_disk.load, ref_disk.flush, ref_stats)
+    pool = BufferPool(capacity, pool_disk.load, pool_disk.flush, pool_stats)
+    ref = _LegacyFlushPool(capacity, ref_disk.load, ref_disk.flush, ref_stats)
+    kept = rebuilt = 0
 
-    for step in range(2000):
+    for step in range(3000):
         action = rng.random()
-        page_id = rng.randrange(12)
-        if action < 0.50:
+        page_id = rng.randrange(page_ids)
+        if action < 0.70 - fresh_share:
             a = pool.fetch(page_id)
             b = ref.fetch(page_id)
             if rng.random() < 0.4:
@@ -241,15 +252,24 @@ def test_dirty_set_flush_matches_legacy_full_sort():
             pool.admit_new(Page(100 + step, 0))
             ref.admit_new(Page(100 + step, 0))
         elif action < 0.90:
-            assert pool.flush_dirty() == ref.flush_dirty()
+            listing = pool._clean
+            written = pool.flush_dirty()
+            assert written == ref.flush_dirty()
+            if written:
+                kept += pool._clean is listing
+                rebuilt += pool._clean is not listing
         elif action < 0.95:
             pool.drop(page_id)
             ref.drop(page_id)
         else:
             assert pool.drop_dirty() == ref.drop_dirty()
         assert pool.resident_ids() == ref.resident_ids(), f"diverged at op {step}"
+        assert pool.overflow_high_water == ref.overflow_high_water
     assert pool_disk.flushes == ref_disk.flushes
+    assert pool_disk.loads == ref_disk.loads
     assert pool_stats.page_writes == ref_stats.page_writes
+    assert pool_stats.major_faults == ref_stats.major_faults
+    assert kept > 20 and (rebuilt > 20 or not fresh_share)
 
 
 def test_flush_with_no_dirty_pages_writes_nothing():

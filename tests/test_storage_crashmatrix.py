@@ -210,6 +210,22 @@ def test_crash_matrix_with_object_cache(cls, torn, tmp_path):
         _audit_after_crash(cls, path, snapshots, value_history)
 
 
+@pytest.mark.parametrize("workload", [_workload, _workload_cached], ids=["plain", "cached"])
+@pytest.mark.parametrize("cls", PERSISTENT_CLASSES)
+def test_matrix_sweeps_both_kinds_of_metadata_write(cls, workload, tmp_path):
+    """The sweeps above kill every write point, so they cover metadata
+    frame appends (lost, and torn mid-frame) and base compactions (the
+    old ``base ‖ frames`` must survive) exactly if the workload issues
+    both — with and without the object cache.  Pin that it does."""
+    from tests.test_storage_metaframes import recorded_meta_writes
+
+    with recorded_meta_writes() as points:
+        _count_write_points(cls, tmp_path, workload)
+    appends = [append for _point, append in points]
+    assert appends.count(True) >= 5, appends
+    assert appends.count(False) >= 3, appends
+
+
 @pytest.mark.parametrize("cls", PERSISTENT_CLASSES)
 def test_cached_workload_without_faults_is_clean(cls, tmp_path):
     """Uninterrupted cached workload closes and reopens checkpoint-exact."""

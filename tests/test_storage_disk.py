@@ -318,31 +318,97 @@ def test_write_pages_validates_every_image():
     assert disk.page_count == 0
 
 
-# -- redundant metadata writes ------------------------------------------------
+# -- metadata delta frames ------------------------------------------------------
 
 
-def test_identical_meta_blob_is_skipped(tmp_path):
-    path = os.path.join(tmp_path, "pages.db")
+@pytest.mark.parametrize("in_memory", [False, True], ids=["file", "memory"])
+def test_meta_frames_round_trip(tmp_path, in_memory):
+    """``base ‖ frame*``: read_meta yields the base, read_meta_frames the
+    appended deltas in order, and meta_size_bytes is every byte of both."""
+    path = None if in_memory else os.path.join(tmp_path, "pages.db")
     disk = PageFile(path)
-    first = disk.write_meta({"v": 1})
-    assert first > 0
-    mtime = os.path.getmtime(path + ".meta")
-    assert disk.write_meta({"v": 1}) == 0  # byte-identical: not rewritten
-    assert os.path.getmtime(path + ".meta") == mtime
-    assert disk.meta_size_bytes == first  # size still reported
-    assert disk.write_meta({"v": 2}) > 0  # changed blob lands
-    assert disk.read_meta() == {"v": 2}
+    base = disk.write_meta({"v": 1})
+    first = disk.write_meta({"epoch": 2, "d": {7: (0, 1)}}, append=True)
+    second = disk.write_meta({"epoch": 3}, append=True)
+    assert disk.meta_size_bytes == base + first + second
+    assert disk.meta_frame_bytes == first + second
+    if not in_memory:
+        assert os.path.getsize(path + ".meta") == disk.meta_size_bytes
+        disk.close()
+        disk = PageFile(path)
+        assert disk.meta_size_bytes == 0  # nothing read or written yet
+    assert disk.read_meta() == {"v": 1}
+    assert disk.meta_size_bytes == base + first + second
+    assert disk.read_meta_frames() == [{"epoch": 2, "d": {7: (0, 1)}}, {"epoch": 3}]
+    assert disk.read_meta_frames() == []  # handed over once
+    # a new base folds the frames away
+    assert disk.write_meta({"v": 2}) == disk.meta_size_bytes
+    assert disk.meta_frame_bytes == 0
+    assert disk.read_meta() == {"v": 2} and disk.read_meta_frames() == []
     disk.close()
 
 
-def test_meta_skip_does_not_survive_reopen(tmp_path):
-    """The skip compares against what *this handle* wrote; a fresh handle
-    must write once before it can skip (it never read the old blob)."""
+def test_meta_append_needs_a_base(tmp_path):
+    disk = PageFile(os.path.join(tmp_path, "pages.db"))
+    assert disk.meta_wants_base
+    with pytest.raises(StorageError, match="before any base"):
+        disk.write_meta({"epoch": 1}, append=True)
+    disk.close()
+
+
+def test_meta_wants_base_once_frames_outgrow_a_quarter():
+    disk = PageFile(None)
+    base = disk.write_meta({"pad": "x" * 400})
+    assert not disk.meta_wants_base
+    while disk.meta_frame_bytes * 4 <= base:
+        assert not disk.meta_wants_base
+        disk.write_meta({"epoch": 1, "pad": "y" * 20}, append=True)
+    assert disk.meta_wants_base
+    disk.write_meta({"pad": "x" * 400})
+    assert not disk.meta_wants_base
+
+
+@pytest.mark.parametrize("cut", ["header", "payload", "crc"])
+def test_torn_meta_tail_is_ignored_then_cut_off(tmp_path, cut):
+    """A short or CRC-bad last frame means the checkpoint before it
+    survived; the next append lands over the torn bytes, not after."""
     path = os.path.join(tmp_path, "pages.db")
     disk = PageFile(path)
     disk.write_meta({"v": 1})
+    disk.write_meta({"epoch": 2}, append=True)
+    good = disk.meta_size_bytes
+    disk.write_meta({"epoch": 3, "pad": "z" * 64}, append=True)
+    whole = disk.meta_size_bytes
     disk.close()
+    with open(path + ".meta", "r+b") as handle:
+        if cut == "header":
+            handle.truncate(good + 5)
+        elif cut == "payload":
+            handle.truncate(whole - 10)
+        else:
+            handle.seek(whole - 1)
+            handle.write(b"\xff")
     reopened = PageFile(path)
-    assert reopened.write_meta({"v": 1}) > 0
-    assert reopened.write_meta({"v": 1}) == 0
+    assert reopened.read_meta() == {"v": 1}
+    assert reopened.read_meta_frames() == [{"epoch": 2}]
+    assert reopened.meta_size_bytes == good
+    reopened.write_meta({"epoch": 3, "again": True}, append=True)
+    assert os.path.getsize(path + ".meta") == reopened.meta_size_bytes
+    reopened.close()
+    final = PageFile(path)
+    assert final.read_meta() == {"v": 1}
+    assert final.read_meta_frames() == [{"epoch": 2}, {"epoch": 3, "again": True}]
+    final.close()
+
+
+def test_stale_meta_tmp_is_removed_at_open(tmp_path):
+    path = os.path.join(tmp_path, "pages.db")
+    disk = PageFile(path)
+    disk.write_meta({"committed": True})
+    disk.close()
+    with open(path + ".meta.tmp", "wb") as handle:
+        handle.write(b"\x80\x04partial")  # compaction died before rename
+    reopened = PageFile(path)
+    assert not os.path.exists(path + ".meta.tmp")
+    assert reopened.read_meta() == {"committed": True}
     reopened.close()

@@ -105,6 +105,48 @@ def test_meta_crash_keeps_old_blob(tmp_path):
     reopened.close()
 
 
+@pytest.mark.parametrize("torn", [False, True], ids=["lost", "torn"])
+def test_meta_append_crash_keeps_earlier_frames(tmp_path, torn):
+    """A metadata append is a write point that can be lost or torn
+    mid-frame; either way the frames before it are what reopens."""
+    path = os.path.join(tmp_path, "meta.db")
+    injector = FaultInjector(crash_after_writes=2, torn_write=torn)
+    disk = FaultyPageFile(path, injector)
+    disk.write_meta({"v": 1})
+    disk.write_meta({"epoch": 2}, append=True)
+    valid = disk.meta_size_bytes
+    with pytest.raises(InjectedCrashError):
+        disk.write_meta({"epoch": 3, "pad": "x" * 100}, append=True)
+    disk.close()
+    size = os.path.getsize(path + ".meta")
+    assert (size > valid) if torn else (size == valid)  # half a frame landed
+    reopened = PageFile(path)
+    assert reopened.read_meta() == {"v": 1}
+    assert reopened.read_meta_frames() == [{"epoch": 2}]
+    assert reopened.meta_size_bytes == valid
+    reopened.close()
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["lost", "torn"])
+def test_meta_compaction_crash_publishes_nothing(tmp_path, torn):
+    path = os.path.join(tmp_path, "meta.db")
+    injector = FaultInjector(crash_after_writes=2, torn_write=torn)
+    disk = FaultyPageFile(path, injector)
+    disk.write_meta({"v": 1})
+    disk.write_meta({"epoch": 2}, append=True)
+    before = open(path + ".meta", "rb").read()
+    with pytest.raises(InjectedCrashError):
+        disk.write_meta({"v": 2, "pad": "x" * 100})  # the new base
+    disk.close()
+    assert open(path + ".meta", "rb").read() == before
+    assert os.path.exists(path + ".meta.tmp") == torn  # half a temp file
+    reopened = PageFile(path)
+    assert not os.path.exists(path + ".meta.tmp")
+    assert reopened.read_meta() == {"v": 1}
+    assert reopened.read_meta_frames() == [{"epoch": 2}]
+    reopened.close()
+
+
 def test_manager_accepts_injector(tmp_path):
     path = os.path.join(tmp_path, "sm.db")
     injector = FaultInjector()

@@ -159,3 +159,141 @@ def test_record_size_skips_validation():
     with pytest.raises(StorageError):
         serializer.serialize(unvalidated)
     assert serializer.record_size(unvalidated) > 0
+
+
+# ---------------------------------------------------------------------------
+# the swept validator against the element-by-element walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_validate(obj: object, _depth: int = 0) -> None:
+    """The original recursive walk, one Python call per element — kept
+    here as the reference the C-speed sweep must agree with."""
+    if _depth > 100:
+        raise StorageError("record nests deeper than 100 levels (cycle?)")
+    if isinstance(obj, (type(None), bool, int, float, str, bytes)):
+        return
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            _reference_validate(item, _depth + 1)
+        return
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _reference_validate(key, _depth + 1)
+            _reference_validate(value, _depth + 1)
+        return
+    raise StorageError(f"records must be plain data; got {type(obj).__name__}")
+
+
+def _verdict(validate, obj) -> str:
+    try:
+        validate(obj)
+    except StorageError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _nest(leaf: object, levels: int, wrap) -> object:
+    for _ in range(levels):
+        leaf = wrap(leaf)
+    return leaf
+
+
+class _Hashable:
+    def __hash__(self) -> int:
+        return 7
+
+
+_maybe_plain = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**40), max_value=2**40)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.binary(max_size=6)
+    | st.builds(_IntSubclass, st.integers(0, 9))
+    | st.builds(_StrSubclass, st.text(max_size=3))
+    | st.builds(_NotPlain)
+    | st.builds(_Hashable)
+    | st.just(object),  # a type, not an instance
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(
+        st.integers(0, 9) | st.text(max_size=3) | st.builds(_Hashable),
+        children,
+        max_size=3,
+    )
+    | st.frozensets(st.integers(0, 99) | st.builds(_Hashable), max_size=3)
+    | st.sets(st.text(max_size=3), max_size=3),
+    max_leaves=12,
+)
+
+
+@given(_maybe_plain)
+def test_swept_validator_agrees_with_reference_walk(obj):
+    """Accept/reject — and the message of the first error found — are
+    those of the element-by-element walk."""
+    assert _verdict(serializer.validate_plain_data, obj) == _verdict(
+        _reference_validate, obj
+    )
+
+
+@given(
+    st.integers(0, 5000),
+    st.sampled_from([_NotPlain(), _Hashable(), [_NotPlain()], {1: _NotPlain()}]),
+    st.sampled_from([list, tuple]),
+)
+def test_offender_hidden_in_a_long_flat_list_is_found(position, offender, kind):
+    flat = list(range(5000))
+    flat.insert(position, offender)
+    obj = {"members": kind(flat)}
+    verdict = _verdict(serializer.validate_plain_data, obj)
+    assert verdict == _verdict(_reference_validate, obj)
+    assert "plain data" in verdict
+
+
+@pytest.mark.parametrize("levels", [99, 100, 101, 102])
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda x: [x], lambda x: (x,), lambda x: {"k": x}],
+    ids=["list", "tuple", "dict-value"],
+)
+@pytest.mark.parametrize(
+    "leaf", [0, (), [], {}, _IntSubclass(1), "pad"], ids=repr
+)
+def test_depth_bound_is_where_the_reference_puts_it(levels, wrap, leaf):
+    obj = _nest(leaf, levels, wrap)
+    verdict = _verdict(serializer.validate_plain_data, obj)
+    assert verdict == _verdict(_reference_validate, obj)
+    if levels >= 102:
+        assert "deeper than 100" in verdict
+    if levels <= 99:
+        assert verdict == "accepted"
+
+
+@pytest.mark.parametrize("levels", [98, 99, 100, 101])
+def test_depth_bound_applies_to_dict_keys(levels):
+    obj = {_nest(0, levels, lambda x: (x,)): "deep key"}
+    assert _verdict(serializer.validate_plain_data, obj) == _verdict(
+        _reference_validate, obj
+    )
+
+
+def test_long_flat_containers_are_swept_not_walked():
+    """The point of the sweep: no Python-level call per element."""
+    import sys
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "validate_plain_data":
+            calls += 1
+
+    record = {"members": list(range(5000)), "by_state": {"a": tuple(range(5000))}}
+    sys.setprofile(count)
+    try:
+        serializer.validate_plain_data(record)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 5

@@ -134,3 +134,26 @@ def test_to_text_mentions_everything():
     assert "start --[go]--> end" in text
     assert "25%" in text and "test:ok" in text
     assert "terminal states: end" in text
+
+
+def test_cli_import_leaves_networkx_out():
+    """Every served or embedded process builds a workflow graph at
+    start-up; none should pay for a graph library to check twenty states."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli, repro.workflow.graph; "
+            "sys.exit('networkx' in sys.modules)",
+        ],
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0
