@@ -25,29 +25,45 @@ import pytest
 
 from repro.labbase import LabBase
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
-from repro.storage import ObjectStoreSM
+from repro.storage import PAGE_SIZE, ObjectStoreSM
 from repro.util.fmt import format_table
 
 from _common import emit
 
 _SESSION_COUNTS = (1, 2, 4, 8)
 _ROUNDS = 24
-_SPREAD_FILLERS = 40
 
 
-def _spread_sessions(clients):
-    """One material per session, each on its own page (filler-padded),
-    so the sweep measures commit amortization, not page contention."""
+def _spread_sessions(sm, clients):
+    """One material per session, each on its own page, so the sweep
+    measures commit amortization, not page contention.
+
+    A record that outgrows its page moves to the segment's last page,
+    where two sessions' materials would meet.  So each material takes
+    its first step and state here — with a value wider than any the
+    rounds write, so that from then on it only shrinks in place — and
+    only then is followed by two pages' worth of fillers, counted from
+    what the store charges for a material record: a whole filler page
+    between any two sessions' pages, so that no commit writes them as
+    one vectored run and io_batches counts the same runs grouped or not.
+    """
     tick = 0
     oids = []
+    fillers = 0
     for index, client in enumerate(clients):
         tick += 1
-        oids.append(
-            client.create_material(
-                "clone", f"{client.session}-m", tick, state="active"
-            )
+        oid = client.create_material(
+            "clone", f"{client.session}-m", tick, state="active"
         )
-        for filler in range(_SPREAD_FILLERS):
+        oids.append(oid)
+        if not fillers:
+            page = sm.fetch_page(sm.pages_of(oid)[0])
+            fillers = 2 * PAGE_SIZE * page.record_count // page.charge_bytes + 1
+        tick += 1
+        client.record_step("measure", tick, [oid], {"value": "-" * 32})
+        tick += 1
+        client.set_state(oid, "active", tick)
+        for filler in range(fillers):
             tick += 1
             clients[0].create_material("clone", f"fill-{index}-{filler}", tick)
     return oids, tick
@@ -64,7 +80,7 @@ def _run(sessions: int, group: bool) -> dict:
             db, group_commit=group, group_cap=sessions, retry_backoff=0.0
         )
         clients = [LocalClient(service, f"c{i}") for i in range(sessions)]
-        oids, tick = _spread_sessions(clients)
+        oids, tick = _spread_sessions(sm, clients)
         service.drain()
 
         before = sm.stats.snapshot()
@@ -191,7 +207,7 @@ def test_a6_four_session_unit_latency(benchmark, group):
             db, group_commit=group, group_cap=4, retry_backoff=0.0
         )
         clients = [LocalClient(service, f"c{i}") for i in range(4)]
-        oids, tick = _spread_sessions(clients)
+        oids, tick = _spread_sessions(sm, clients)
         service.drain()
         state = {"tick": tick, "turn": 0}
 

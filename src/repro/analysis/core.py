@@ -309,7 +309,6 @@ def in_crash_path(name: str) -> bool:
         "repro.storage.faultinject",
         "repro.storage.base",
         "repro.storage.buffer",
-        "repro.storage.mmapstore",
         # The record codec writes the bytes the crash matrix replays and
         # the bit-identity properties compare; encode order must never
         # depend on hash order or the clock.

@@ -76,9 +76,7 @@ _OS_IO_FUNCS = frozenset(
     }
 )
 
-_PAGEFILE_NAMES = frozenset(
-    {"PageFile", "FaultyPageFile", "MMapPageFile", "FaultyMMapPageFile"}
-)
+_PAGEFILE_NAMES = frozenset({"PageFile", "FaultyPageFile"})
 
 
 def _call_name(node: ast.Call) -> str | None:

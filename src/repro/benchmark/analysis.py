@@ -135,8 +135,7 @@ def check_shapes(comparison: ComparisonResult) -> list[ShapeCheck]:
 
     # S7: swizzling happens exactly on the Texas family.  Whether a
     # backend swizzles at fault time is a class property (SWIZZLE_WORK),
-    # not a name pattern — the mmap version faults like OStore and must
-    # show zero swizzles too.
+    # not a name pattern.
     for name in persistent:
         swizzles = servers[name].final_stats.get("swizzle_operations", 0)
         faults = servers[name].final_stats.get("major_faults", 0)

@@ -17,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
-from repro.storage.buffer import DEFAULT_READAHEAD_PAGES
-from repro.storage.codec import CODEC_NAMES, DEFAULT_CODEC
-from repro.storage.objcache import DEFAULT_CACHE_OBJECTS
 from repro.storage.registry import backend_names
 
 #: Server versions in table column order — derived from the backend
@@ -52,28 +49,12 @@ class BenchmarkConfig:
 
     # storage knobs
     buffer_pages: int = 256
-    #: object-cache capacity (ablation A4): 0 = off (reads always hit the
-    #: storage manager; the unit-of-work write path is identical either way)
-    object_cache: int = DEFAULT_CACHE_OBJECTS
-    #: read-ahead window in pages (ablation A5): 0 = off, which also
-    #: disables vectored commit writes — the single batched-I/O switch.
-    #: Database bytes and query answers are identical either way.
-    readahead: int = DEFAULT_READAHEAD_PAGES
-    #: record codec (ablation A8): "labf" = schema-aware fixed layouts
-    #: with pickle fallback, "pickle" = every record as a legacy pickle.
-    #: Query answers are identical either way; bytes and speed are not.
-    codec: str = DEFAULT_CODEC
     #: directory for database files; None = in-memory page files
     db_dir: str | None = None
 
     # BLAST hit-list sizing (the large cold-data records)
     blast_mean_hits: int = 20
     blast_max_hits: int = 120
-
-    #: refuse to run unless the static concurrency sanitizer (LF08 +
-    #: LF09) is clean on the shipped tree — a cheap pre-flight for runs
-    #: whose numbers would be worthless under a latent lock-order bug
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.clones_per_interval < 1:
@@ -88,14 +69,6 @@ class BenchmarkConfig:
             raise ConfigError("mix knobs must be non-negative")
         if self.buffer_pages < 1:
             raise ConfigError("buffer_pages must be positive")
-        if self.object_cache < 0:
-            raise ConfigError("object_cache must be >= 0 (0 disables it)")
-        if self.readahead < 0:
-            raise ConfigError("readahead must be >= 0 (0 disables batched I/O)")
-        if self.codec not in CODEC_NAMES:
-            raise ConfigError(
-                f"unknown codec {self.codec!r} (choose from {CODEC_NAMES})"
-            )
         if self.blast_mean_hits < 0 or self.blast_max_hits < self.blast_mean_hits:
             raise ConfigError("invalid BLAST hit-list sizing")
 

@@ -69,39 +69,6 @@ class ComparisonResult:
         return self.config.interval_labels
 
 
-_sanitized_clean = False
-
-
-def assert_sanitizer_clean() -> None:
-    """The ``config.sanitize`` pre-flight: static LF08/LF09 must pass.
-
-    Raises :class:`~repro.errors.SanitizerError` listing every finding;
-    a clean verdict is cached for the process, so ``run_comparison``
-    over six servers pays for one analysis, not six.
-    """
-    global _sanitized_clean
-    if _sanitized_clean:
-        return
-    from repro.analysis.core import run_rules
-    from repro.analysis.main import collect_paths, default_root, load_project
-    from repro.analysis.rules import rules_by_id
-    from repro.errors import SanitizerError
-
-    project, errors = load_project(collect_paths([default_root()]))
-    if errors:
-        raise SanitizerError(
-            "sanitize pre-flight could not parse the tree: " + "; ".join(errors)
-        )
-    findings = run_rules(project, rules_by_id(["LF08", "LF09"]))
-    if findings:
-        rendered = "\n".join(found.render() for found in findings)
-        raise SanitizerError(
-            f"concurrency sanitizer found {len(findings)} problem(s); "
-            f"refusing to benchmark:\n{rendered}"
-        )
-    _sanitized_clean = True
-
-
 def run_server(
     spec: ServerSpec,
     config: BenchmarkConfig,
@@ -113,8 +80,6 @@ def run_server(
     the result so callers can issue follow-up queries (E5 does this);
     otherwise the store is closed.
     """
-    if config.sanitize:
-        assert_sanitizer_clean()
     sm, db = make_db(spec, config)
     workload = LabFlowWorkload(db, config)
     meter = ResourceMeter(fault_source=sm.stats)

@@ -71,7 +71,6 @@ def render_stats(
         "pages_prefetched",
         "prefetch_hits",
         "io_batches",
-        "mapped_reads",
         "records_fast_path",
         "records_fallback",
         "intern_table_size",

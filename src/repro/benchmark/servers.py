@@ -26,7 +26,7 @@ class ServerSpec:
     name: str
     persistent: bool
     description: str
-    _factory: Callable[[str | None, int, int, str], StorageManager]
+    _factory: Callable[[str | None, int], StorageManager]
 
     def make(self, config: BenchmarkConfig) -> StorageManager:
         """Construct the storage manager per the benchmark config."""
@@ -35,24 +35,21 @@ class ServerSpec:
             os.makedirs(config.db_dir, exist_ok=True)
             filename = self.name.replace("+", "_").lower() + ".db"
             path = os.path.join(config.db_dir, filename)
-        return self._factory(
-            path, config.buffer_pages, config.readahead, config.codec
-        )
+        return self._factory(path, config.buffer_pages)
 
 
 def make_db(spec: "ServerSpec", config: BenchmarkConfig) -> tuple[StorageManager, LabBase]:
     """Storage manager + LabBase wired per the benchmark config.
 
     Threads every LabBase knob the config carries — most-recent index
-    (A1), history chunking, and the object cache (A4) — so ablation
-    benches construct servers one way.
+    (A1) and history chunking — so ablation benches construct servers
+    one way.
     """
     sm = spec.make(config)
     db = LabBase(
         sm,
         use_most_recent_index=config.use_most_recent_index,
         history_chunk=config.history_chunk,
-        object_cache=config.object_cache,
     )
     return sm, db
 

@@ -11,7 +11,7 @@
     python -m repro shell DBFILE
     python -m repro serve [DBFILE] [--server NAME] [--port P] [--smoke N]
     python -m repro monitor --port P [--samples N] [--interval SEC]
-    python -m repro bench record [--schemas A4 A5 A6 A7 A8]
+    python -m repro bench record [--schemas A4 A5 A6 A8]
     python -m repro bench compare --baseline BENCH_A4.json ... [--tolerance T]
     python -m repro verify DBFILE [--server OStore]
     python -m repro recover DBFILE [--server OStore]
@@ -63,79 +63,11 @@ def _load_graph(path: str | None):
         return load_workflow(handle.read())
 
 
-def _object_cache_capacity(value: str) -> int:
-    """Parse ``--object-cache on|off|SIZE`` into a capacity (A4 knob)."""
-    from repro.storage import DEFAULT_CACHE_OBJECTS
-
-    if value == "on":
-        return DEFAULT_CACHE_OBJECTS
-    if value == "off":
-        return 0
-    try:
-        capacity = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'on', 'off' or an object count, got {value!r}"
-        ) from None
-    if capacity < 0:
-        raise argparse.ArgumentTypeError("object-cache size must be >= 0")
-    return capacity
-
-
-def _add_object_cache_flag(parser) -> None:
-    parser.add_argument(
-        "--object-cache", type=_object_cache_capacity, default="on",
-        metavar="on|off|SIZE",
-        help="object-cache capacity: on (default), off, or max cached objects",
-    )
-
-
-def _readahead_window(value: str) -> int:
-    """Parse ``--readahead on|off|N`` into a page window (A5 knob)."""
-    from repro.storage import DEFAULT_READAHEAD_PAGES
-
-    if value == "on":
-        return DEFAULT_READAHEAD_PAGES
-    if value == "off":
-        return 0
-    try:
-        window = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'on', 'off' or a page count, got {value!r}"
-        ) from None
-    if window < 0:
-        raise argparse.ArgumentTypeError("readahead window must be >= 0")
-    return window
-
-
-def _add_readahead_flag(parser) -> None:
-    parser.add_argument(
-        "--readahead", type=_readahead_window, default="on",
-        metavar="on|off|N",
-        help="read-ahead window in pages: on (default), off (also disables "
-             "vectored commit writes), or an explicit window",
-    )
-
-
-def _add_codec_flag(parser) -> None:
-    from repro.storage.codec import CODEC_NAMES, DEFAULT_CODEC
-
-    parser.add_argument(
-        "--codec", choices=CODEC_NAMES, default=DEFAULT_CODEC,
-        help="record codec (A8 knob): labf = schema-aware fixed layouts "
-             "with pickle fallback (default), pickle = legacy pickles",
-    )
-
-
 def _config(args) -> BenchmarkConfig:
     return BenchmarkConfig(
         clones_per_interval=args.clones,
         seed=args.seed,
         db_dir=args.db_dir,
-        object_cache=args.object_cache,
-        readahead=args.readahead,
-        codec=args.codec,
     )
 
 
@@ -242,10 +174,8 @@ def cmd_replay(args) -> int:
 
     with open(args.trace) as fp:
         trace = Trace.load(fp)
-    config = BenchmarkConfig(db_dir=args.db_dir, object_cache=args.object_cache,
-                             readahead=args.readahead, codec=args.codec)
-    sm = server_spec(args.server).make(config)
-    db = LabBase(sm, object_cache=config.object_cache)
+    sm = server_spec(args.server).make(BenchmarkConfig(db_dir=args.db_dir))
+    db = LabBase(sm)
     meter = ResourceMeter(fault_source=sm.stats)
     meter.start()
     counts = replay(trace, db)
@@ -463,7 +393,7 @@ def cmd_serve(args) -> int:
     from repro.storage.report import stats_report
 
     sm = backend(args.server).cls(  # type: ignore[call-arg]
-        path=args.db, checkpoint_every=args.checkpoint_every, codec=args.codec
+        path=args.db, checkpoint_every=args.checkpoint_every
     )
     db = LabBase(sm)
     bootstrap_schema(db)
@@ -660,9 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1996)
         p.add_argument("--db-dir", default=None,
                        help="directory for database files (default: in-memory)")
-        _add_object_cache_flag(p)
-        _add_readahead_flag(p)
-        _add_codec_flag(p)
 
     p = sub.add_parser("compare", help="the Section 10 five-server table")
     add_scale(p)
@@ -700,9 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace file produced by 'record'")
     p.add_argument("--server", choices=SERVER_ORDER, default="OStore")
     p.add_argument("--db-dir", default=None)
-    _add_object_cache_flag(p)
-    _add_readahead_flag(p)
-    _add_codec_flag(p)
     p.set_defaults(func=cmd_replay)
 
     from repro.storage.registry import backends
@@ -779,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one storage commit per update unit")
     p.add_argument("--checkpoint-every", type=int, default=1,
                    help="checkpoint cadence in commits (default 1)")
-    _add_codec_flag(p)
     p.add_argument("--smoke", type=int, default=0, metavar="N",
                    help="run N scripted concurrent clients, verify, and exit")
     p.add_argument("--units", type=int, default=24,
@@ -816,9 +739,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bench results directory (default benchmarks/results)")
     bp.add_argument("--out", default=".",
                     help="where the BENCH_*.json files go (default: repo root)")
+    from repro.obs.baseline import BASELINE_SCHEMAS
+
     bp.add_argument("--schemas", nargs="*",
-                    default=["A4", "A5", "A6", "A7", "A8"],
-                    choices=["A4", "A5", "A6", "A7", "A8"],
+                    default=sorted(BASELINE_SCHEMAS),
+                    choices=sorted(BASELINE_SCHEMAS),
                     help="baseline schemas to record (default: all)")
     bp.set_defaults(func=cmd_bench)
     bp = bench_sub.add_parser(

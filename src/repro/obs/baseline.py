@@ -1,10 +1,10 @@
 """Recorded benchmark baselines and regression comparison.
 
 ``repro bench record`` canonicalizes the counter-metric results of the
-A4-A8 ablations (the JSON artefacts every bench now writes under
-``benchmarks/results/``) into ``BENCH_A4.json`` ... ``BENCH_A8.json``
-at the repo root; ``repro bench compare`` diffs a fresh run against
-those committed files and exits non-zero on drift.
+A4-A6 and A8 ablations (the JSON artefacts every bench now writes
+under ``benchmarks/results/``) into ``BENCH_A4.json`` ...
+``BENCH_A8.json`` at the repo root; ``repro bench compare`` diffs a
+fresh run against those committed files and exits non-zero on drift.
 
 What gets recorded, deliberately:
 
@@ -37,7 +37,6 @@ BASELINE_BENCHES: dict[str, str] = {
     "A4": "a4_object_cache",
     "A5": "a5_readahead",
     "A6": "a6_group_commit",
-    "A7": "a7_mmap_backend",
     "A8": "a8_codec",
 }
 
@@ -49,7 +48,6 @@ BASELINE_SCHEMAS: dict[str, tuple[str, ...]] = {
     "A4": ("cache_hit_ratio", "coalesce_ratio"),
     "A5": ("hit_ratio", "prefetch_absorption"),
     "A6": ("group_width", "commit_stall_ratio"),
-    "A7": ("mapped_read_ratio",),
     "A8": ("fast_path_ratio",),
 }
 
@@ -62,7 +60,6 @@ GAUGE_TOLERANCES: dict[str, float] = {
     "coalesce_ratio": 0.10,
     "group_width": 0.75,
     "commit_stall_ratio": 0.25,
-    "mapped_read_ratio": 0.10,
     "fast_path_ratio": 0.05,
 }
 
@@ -114,8 +111,7 @@ def representative_counters(schema: str, payload: Mapping[str, object]) -> dict[
     A4: the cache-on run of the E8 mix.  A5: the read-ahead-on cold
     scan of the best-absorbing server (max fault ratio, name-ordered
     ties).  A6: the grouped four-session sweep point the acceptance
-    floor is pinned on.  A7: the mmap contender's cold demand-fault
-    scan.  A8: the schema-aware codec's update-stream run.
+    floor is pinned on.  A8: the schema-aware codec's update-stream run.
     """
     block: object
     if schema == "A4":
@@ -130,16 +126,6 @@ def representative_counters(schema: str, payload: Mapping[str, object]) -> dict[
         block = entry.get("on") if isinstance(entry, dict) else None
     elif schema == "A6":
         block = payload.get("s4_on")
-    elif schema == "A7":
-        entry = payload.get("mmap")
-        if not isinstance(entry, dict):
-            return {}
-        # The bench reports the cold scan's counters under cold_* keys;
-        # the gauge reads the raw counter names.
-        block = {
-            "mapped_reads": entry.get("cold_mapped_reads", 0),
-            "page_reads": entry.get("cold_page_reads", 0),
-        }
     elif schema == "A8":
         block = payload.get("labf")
     else:

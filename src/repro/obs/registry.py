@@ -97,15 +97,6 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
         default=0.0,
     ),
     MetricSpec(
-        name="mapped_read_ratio",
-        description="demand reads served zero-copy from the map, per page read",
-        render="render_sample_table",
-        baseline="A7",
-        numerator="mapped_reads",
-        denominator=("page_reads",),
-        default=0.0,
-    ),
-    MetricSpec(
         name="fast_path_ratio",
         description="records encoded via a fixed layout, over all encoded",
         render="render_sample_table",

@@ -35,7 +35,6 @@ def render_sample_table(samples: Sequence[Sample], title: str | None = None) -> 
         ("coalesce_ratio", "coalesce_ratio", 14),
         ("group_width", "group_width", 11),
         ("commit_stall_ratio", "commit_stall_ratio", 18),
-        ("mapped_read_ratio", "mapped_read_ratio", 17),
         ("fast_path_ratio", "fast_path_ratio", 15),
     )
     lines: list[str] = []

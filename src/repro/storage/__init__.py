@@ -1,7 +1,6 @@
 """Simulated object storage managers (the benchmark's substrates).
 
-The server versions — the paper's Section 10 five plus the mmap-backed
-sixth — map to:
+The paper's Section 10 server versions map to:
 
 ================  ============================================
 server version    class
@@ -11,7 +10,6 @@ Texas+TC          :class:`~repro.storage.clustered.TexasTCSM`
 Texas             :class:`~repro.storage.texas.TexasSM`
 OStore-mm         :class:`~repro.storage.memstore.OStoreMM`
 Texas-mm          :class:`~repro.storage.memstore.TexasMM`
-mmap              :class:`~repro.storage.mmapstore.MMapStoreSM`
 ================  ============================================
 
 All implement the :class:`~repro.storage.contract.StorageManager` API,
@@ -30,14 +28,9 @@ from repro.storage.buffer import (
 )
 from repro.storage.clustered import TexasTCSM
 from repro.storage.contract import CacheHooks
-from repro.storage.faultinject import (
-    FaultInjector,
-    FaultyMMapPageFile,
-    FaultyPageFile,
-)
+from repro.storage.faultinject import FaultInjector, FaultyPageFile
 from repro.storage.locks import LockManager, LockMode
 from repro.storage.memstore import MainMemorySM, OStoreMM, TexasMM
-from repro.storage.mmapstore import MMapStoreSM
 from repro.storage.objcache import DEFAULT_CACHE_OBJECTS, ObjectCache
 from repro.storage.objectstore import ObjectStoreSM
 from repro.storage.integrity import IntegrityReport, verify
@@ -64,7 +57,6 @@ __all__ = [
     "MainMemorySM",
     "OStoreMM",
     "TexasMM",
-    "MMapStoreSM",
     "BackendInfo",
     "register_backend",
     "backend",
@@ -87,7 +79,6 @@ __all__ = [
     "IntegrityReport",
     "FaultInjector",
     "FaultyPageFile",
-    "FaultyMMapPageFile",
     "segment_stats",
     "segment_report",
     "SegmentStats",

@@ -15,11 +15,7 @@ differences to:
   (Texas);
 * the fault hook — Texas charges pointer-swizzling work per fault;
 * concurrency — ObjectStore admits multiple clients through a lock
-  manager, Texas refuses a second client;
-* the disk layer — the :meth:`PagedStorageManager._open_disk` hook lets
-  a backend substitute the page-file implementation (the mmap-backed
-  store swaps in zero-copy mapped pages) without touching any policy
-  above it.
+  manager, Texas refuses a second client.
 """
 
 from __future__ import annotations
@@ -126,11 +122,15 @@ class PagedStorageManager(StorageManager):
         # State was rewound or repaired (abort, recover, vacuum): the
         # next checkpoint rewrites the base instead of appending.
         self._compact_next = False
-        # The manager *owns* its page file: _open_disk is the single
-        # place the storage stack opens one, so every write point flows
-        # through the injectable disk layer below.  Backends that swap
-        # the disk implementation (mmapstore) override the hook.
-        self._disk = self._open_disk(path, fault_injector)
+        # The manager *owns* its page file: this is the single place
+        # the storage stack opens one, so every write point flows
+        # through the injectable disk layer below.
+        if fault_injector is None:
+            self._disk = PageFile(path)  # lint: ignore[LF01]
+        else:
+            from repro.storage.faultinject import FaultyPageFile
+
+            self._disk = FaultyPageFile(path, fault_injector)  # lint: ignore[LF01]
         batched = readahead_pages > 0
         self._pool = BufferPool(
             capacity_pages=buffer_pages,
@@ -190,23 +190,6 @@ class PagedStorageManager(StorageManager):
             # no intervening writes has nothing to persist.
             self._checkpoint_marks = self._marks()
         self._index_pages()
-
-    def _open_disk(
-        self, path: str | None, fault_injector: FaultInjector | None
-    ) -> PageFile:
-        """Open the page file this manager will own.
-
-        The hook is the seam backends use to substitute the disk layer:
-        the base opens the buffered :class:`PageFile` (wrapped for fault
-        injection when the crash matrix asks), mmapstore returns the
-        memory-mapped equivalents.  Overrides must honour
-        ``fault_injector`` or clear ``supports_crash_matrix``.
-        """
-        if fault_injector is not None:
-            from repro.storage.faultinject import FaultyPageFile
-
-            return FaultyPageFile(path, fault_injector)  # lint: ignore[LF01]
-        return PageFile(path)  # lint: ignore[LF01]
 
     # -- metadata persistence ---------------------------------------------------
 

@@ -61,15 +61,14 @@ from repro.storage.stats import StorageStats
 #: version would show zero faults and E5 would be vacuous.
 DEFAULT_POOL_PAGES = 256
 
-#: Default read-ahead window in pages (the ``--readahead on`` setting).
+#: Default read-ahead window in pages.
 DEFAULT_READAHEAD_PAGES = 8
 
 LoadPage = Callable[[int], Page]
 FlushPage = Callable[[Page], None]
 FaultHook = Callable[[Page], None]
 #: Vectored read: (start_page_id, count) -> raw images, None for holes.
-#: Images may be zero-copy memoryviews (the mmap disk layer).
-ReadPages = Callable[[int, int], "list[bytes | memoryview | None]"]
+ReadPages = Callable[[int, int], "list[bytes | None]"]
 #: Vectored write: (start_page_id, contiguous pages in ascending order).
 FlushPages = Callable[[int, "list[Page]"], None]
 #: Policy hook: faulting page id -> (start, count) prefetchable run.
@@ -123,7 +122,7 @@ class BufferPool:
         self._dirty: set[int] = set()
         # Read-ahead stage: raw disk images pulled speculatively, keyed
         # by page id, FIFO-bounded.  Disjoint from _pages by construction.
-        self._staged: OrderedDict[int, bytes | memoryview] = OrderedDict()
+        self._staged: OrderedDict[int, bytes] = OrderedDict()
         self._staged_cap = max(4 * readahead_pages, 16)
         self._last_fault: int | None = None
         self.overflow_high_water = 0  # max pages resident beyond capacity

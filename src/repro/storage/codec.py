@@ -51,9 +51,8 @@ Determinism matches pickle's: plain data encodes bit-identically within
 a process, and ``set``/``frozenset`` iteration order is the only
 nondeterministic input (exactly as it is for ``pickle.dumps``).
 Decode accepts ``bytes``, ``bytearray`` and ``memoryview`` without
-copying the payload, so ``MMapStoreSM`` reads stay zero-copy end to end
-(deflated envelopes necessarily copy on inflate; they only wrap records
-too large to sit in one page-hot slot anyway).
+copying the payload (deflated envelopes necessarily copy on inflate;
+they only wrap records too large to sit in one page-hot slot anyway).
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ TAG_DEFLATE = 0x04
 TAG_PLAIN = 0x05
 
 #: Payloads at least this long are candidates for the deflate envelope.
-#: Hot records (materials, index entries) stay well under it, so the
-#: zero-copy read path never pays an inflate; single-sequence steps
+#: Hot records (materials, index entries) stay well under it, so
+#: reading them never pays an inflate; single-sequence steps
 #: (~0.5 KB) also skip it — deflating them costs more wall per record
 #: than the page savings return.
 COMPRESS_MIN_BYTES = 512
@@ -708,7 +707,7 @@ class RecordCodec:
     def decode(self, payload: "bytes | bytearray | memoryview") -> object:
         """Deserialize any codec-written payload (zero-copy for views)."""
         # bytes index faster than memoryview per byte, and the decoders
-        # touch every byte; views (the mmap read path) stay un-copied.
+        # touch every byte; other bytes-likes are viewed, not copied.
         view: "bytes | memoryview" = (
             payload if type(payload) is bytes else memoryview(payload)
         )

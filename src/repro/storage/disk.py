@@ -44,7 +44,6 @@ read back exactly what they wrote, trailer bytes zeroed again.
 from __future__ import annotations
 
 import io
-import mmap
 import os
 import pickle
 import struct
@@ -52,12 +51,6 @@ import zlib
 
 from repro.errors import StorageError
 from repro.storage.page import PAGE_SIZE, PAGE_TRAILER_BYTES
-
-#: What a page read yields.  The buffered :class:`PageFile` returns
-#: ``bytes`` copies; the memory-mapped :class:`MMapPageFile` returns
-#: zero-copy ``memoryview`` slices of the map.  Consumers (pickle,
-#: ``zlib.crc32``, ``struct.unpack``, slicing) accept either.
-PageImage = bytes | memoryview
 
 #: A hole page: the image a never-written page reads back as in file mode.
 _ZERO_PAGE = b"\0" * PAGE_SIZE
@@ -130,13 +123,13 @@ class PageFile:
         )
 
     @staticmethod
-    def _check_image(page_id: int, raw: PageImage) -> tuple[bytes, int]:
+    def _check_image(page_id: int, raw: bytes) -> tuple[bytes, int]:
         """Validate a stamped image; returns (caller image, epoch).
 
         Raises :class:`StorageError` for a missing trailer or a checksum
         mismatch — the signatures of a torn or interrupted write.
         """
-        body, trailer = bytes(raw[:_BODY_BYTES]), raw[_BODY_BYTES:]
+        body, trailer = raw[:_BODY_BYTES], raw[_BODY_BYTES:]
         if trailer[:4] != PAGE_TRAILER_MAGIC:
             raise StorageError(
                 f"page {page_id} has no valid trailer (torn or corrupt write)"
@@ -146,7 +139,7 @@ class PageFile:
             raise StorageError(f"page {page_id} is torn (checksum mismatch)")
         return body + b"\0" * PAGE_TRAILER_BYTES, epoch
 
-    def _raw_image(self, page_id: int) -> PageImage | None:
+    def _raw_image(self, page_id: int) -> bytes | None:
         """The stamped on-disk image, or None for a never-written hole."""
         if page_id >= self._page_count:
             raise StorageError(f"page {page_id} beyond end of store")
@@ -179,7 +172,7 @@ class PageFile:
 
     # -- page I/O -------------------------------------------------------------
 
-    def read_page(self, page_id: int) -> PageImage:
+    def read_page(self, page_id: int) -> bytes:
         """Read one page image; raises if the page was never written.
 
         Both backends raise the same ``StorageError`` for a hole page:
@@ -205,7 +198,7 @@ class PageFile:
         _image, epoch = self._check_image(page_id, raw)
         return epoch
 
-    def read_pages(self, start_page_id: int, count: int) -> list[PageImage | None]:
+    def read_pages(self, start_page_id: int, count: int) -> list[bytes | None]:
         """Vectored read: ``count`` contiguous pages in one backend transfer.
 
         Unlike :meth:`read_page`, hole (never-written) pages come back as
@@ -241,7 +234,7 @@ class PageFile:
                     blob[i * PAGE_SIZE:(i + 1) * PAGE_SIZE] for i in range(count)
                 )
             ]
-        images: list[PageImage | None] = []
+        images: list[bytes | None] = []
         for offset, raw in enumerate(raws):
             if raw is None:
                 images.append(None)
@@ -467,218 +460,3 @@ class PageFile:
             not self._meta_base
             or self._meta_frames * META_COMPACT_DIVISOR > self._meta_base
         )
-
-
-#: Pages per map chunk (1024 * 4 KiB = 4 MiB).  A multiple of every
-#: platform's ``mmap.ALLOCATIONGRANULARITY``, so chunk offsets are always
-#: legal map offsets.
-MMAP_CHUNK_PAGES = 1024
-
-_CHUNK_BYTES = MMAP_CHUNK_PAGES * PAGE_SIZE
-
-
-class MMapPageFile(PageFile):
-    """Page storage served from memory-mapped chunks of the page file.
-
-    Reads are **zero-copy**: :meth:`read_page` and :meth:`read_pages`
-    validate the trailer in place and hand back ``memoryview`` slices of
-    the map instead of ``bytes`` copies.  A returned view is the *whole
-    stamped page* — the trailer bytes are live (magic, epoch, CRC)
-    rather than zeroed as in :class:`PageFile`; record decoding ignores
-    everything past the pickle STOP opcode, and the integrity layer
-    reads epochs through :meth:`read_page_epoch`, so no consumer sees
-    the difference.
-
-    The file is mapped in fixed-size chunks (:data:`MMAP_CHUNK_PAGES`
-    pages) that are **never resized**: resizing would raise
-    ``BufferError`` while any exported view is alive.  Growth extends
-    the file to the next chunk boundary and maps the new chunk; the one
-    partial map a reopen of a non-chunk-aligned file creates is retired
-    (kept alive for its exported views — ``MAP_SHARED`` keeps it
-    coherent with the full chunk map that replaces it) rather than
-    closed.  :meth:`close` truncates the file back to
-    ``page_count * PAGE_SIZE``, so a cleanly closed store is
-    byte-identical to one written by :class:`PageFile`; only a crash
-    leaves the chunk padding, which reopens as trailing hole pages.
-
-    Without a path, chunks are anonymous maps — the memory-mode twin,
-    like :class:`PageFile`'s dict.
-    """
-
-    def __init__(self, path: str | None = None) -> None:
-        super().__init__(path)
-        #: Full- or (last entry, reopen only) partial-chunk maps.
-        self._maps: list[mmap.mmap] = []
-        #: Pages covered by each map; only the last may be short.
-        self._map_pages: list[int] = []
-        #: Partial maps displaced by growth, kept alive for exported views.
-        self._retired: list[mmap.mmap] = []
-        if self._file is not None and self._page_count:
-            size = self._page_count * PAGE_SIZE
-            full, rem = divmod(size, _CHUNK_BYTES)
-            for index in range(full):
-                self._maps.append(
-                    mmap.mmap(
-                        self._file.fileno(),
-                        _CHUNK_BYTES,
-                        offset=index * _CHUNK_BYTES,
-                    )
-                )
-                self._map_pages.append(MMAP_CHUNK_PAGES)
-            if rem:
-                # Map exactly what exists: padding the file here would
-                # modify a store we may only be verifying.
-                self._maps.append(
-                    mmap.mmap(self._file.fileno(), rem, offset=full * _CHUNK_BYTES)
-                )
-                self._map_pages.append(rem // PAGE_SIZE)
-
-    # -- chunk plumbing -------------------------------------------------------
-
-    def _covered_pages(self) -> int:
-        if not self._maps:
-            return 0
-        return (len(self._maps) - 1) * MMAP_CHUNK_PAGES + self._map_pages[-1]
-
-    def _ensure(self, page_count: int) -> None:
-        """Grow coverage (file + maps) to at least ``page_count`` pages."""
-        if page_count <= self._covered_pages():
-            return
-        if self._maps and self._map_pages[-1] < MMAP_CHUNK_PAGES:
-            # The reopen-time partial tail cannot grow in place; retire
-            # it (exported views stay valid and coherent) and remap the
-            # chunk at full size below.
-            self._retired.append(self._maps.pop())
-            self._map_pages.pop()
-        chunks = -(-page_count // MMAP_CHUNK_PAGES)
-        if self._file is not None:
-            self._file.truncate(chunks * _CHUNK_BYTES)
-        for index in range(len(self._maps), chunks):
-            if self._file is not None:
-                chunk = mmap.mmap(
-                    self._file.fileno(), _CHUNK_BYTES, offset=index * _CHUNK_BYTES
-                )
-            else:
-                chunk = mmap.mmap(-1, _CHUNK_BYTES)
-            self._maps.append(chunk)
-            self._map_pages.append(MMAP_CHUNK_PAGES)
-
-    def _page_view(self, page_id: int) -> memoryview:
-        """A writable PAGE_SIZE view of the page's bytes in its chunk."""
-        chunk, pos = divmod(page_id, MMAP_CHUNK_PAGES)
-        offset = pos * PAGE_SIZE
-        return memoryview(self._maps[chunk])[offset:offset + PAGE_SIZE]
-
-    @staticmethod
-    def _check_view(page_id: int, view: memoryview) -> tuple[memoryview, int]:
-        """In-place trailer validation; returns (stamped view, epoch).
-
-        The zero-copy twin of :meth:`PageFile._check_image`: same
-        failures, but the returned image is the live mapped page, full
-        trailer included, with no intermediate copy.
-        """
-        body = view[:_BODY_BYTES]
-        trailer = view[_BODY_BYTES:]
-        if trailer[:4] != PAGE_TRAILER_MAGIC:
-            raise StorageError(
-                f"page {page_id} has no valid trailer (torn or corrupt write)"
-            )
-        epoch, crc = _EPOCH_CRC.unpack(trailer[4:])
-        if zlib.crc32(body) != crc:
-            raise StorageError(f"page {page_id} is torn (checksum mismatch)")
-        return view, epoch
-
-    # -- PageFile overrides ---------------------------------------------------
-
-    def _raw_image(self, page_id: int) -> PageImage | None:
-        if page_id >= self._page_count:
-            raise StorageError(f"page {page_id} beyond end of store")
-        if page_id >= self._covered_pages():
-            # Crash padding trimmed by a later reopen can leave counted
-            # pages beyond coverage; they were never written.
-            return None
-        view = self._page_view(page_id)
-        if view == _ZERO_PAGE:
-            return None
-        return view
-
-    def _put_image(self, page_id: int, stamped: bytes) -> None:
-        self._ensure(page_id + 1)
-        self._page_view(page_id)[:] = stamped
-        if page_id >= self._page_count:
-            self._page_count = page_id + 1
-
-    def read_page(self, page_id: int) -> PageImage:
-        raw = self._raw_image(page_id)
-        if raw is None:
-            raise StorageError(f"page {page_id} was never written")
-        assert isinstance(raw, memoryview)
-        image, _epoch = self._check_view(page_id, raw)
-        return image
-
-    def read_page_epoch(self, page_id: int) -> int | None:
-        raw = self._raw_image(page_id)
-        if raw is None:
-            return None
-        assert isinstance(raw, memoryview)
-        _image, epoch = self._check_view(page_id, raw)
-        return epoch
-
-    def read_pages(self, start_page_id: int, count: int) -> list[PageImage | None]:
-        if count < 0:
-            raise StorageError(f"negative page count {count}")
-        if start_page_id < 0 or start_page_id + count > self._page_count:
-            raise StorageError(
-                f"pages [{start_page_id}, {start_page_id + count}) reach "
-                "beyond end of store"
-            )
-        images: list[PageImage | None] = []
-        for page_id in range(start_page_id, start_page_id + count):
-            raw = self._raw_image(page_id)
-            if raw is None:
-                images.append(None)
-            else:
-                assert isinstance(raw, memoryview)
-                image, _epoch = self._check_view(page_id, raw)
-                images.append(image)
-        return images
-
-    def write_pages(self, start_page_id: int, images: list[bytes]) -> None:
-        # With mapped chunks a vectored write is a run of in-place
-        # copies — there is no second seek+transfer to save — so the
-        # batch decomposes per page.  Ascending order and bytes written
-        # are identical to PageFile's join-and-write.
-        for offset, image in enumerate(images):
-            self._require_writable_image(start_page_id + offset, image)
-        for offset, image in enumerate(images):
-            self._put_image(start_page_id + offset, self._stamp(image))
-
-    def clear_page(self, page_id: int) -> None:
-        if page_id >= self._page_count or page_id >= self._covered_pages():
-            return
-        self._page_view(page_id)[:] = _ZERO_PAGE
-
-    def sync(self) -> None:
-        if self._file is not None:
-            for chunk in self._maps:
-                chunk.flush()
-
-    def close(self) -> None:
-        if self._file is not None:
-            for chunk in self._maps:
-                chunk.flush()
-        for chunk in self._maps + self._retired:
-            try:
-                chunk.close()
-            except BufferError:
-                # A consumer still holds an exported view; the map is
-                # released when the view is garbage-collected.
-                pass
-        self._maps = []
-        self._map_pages = []
-        self._retired = []
-        if self._file is not None:
-            # Trim the chunk padding so a closed store is byte-identical
-            # to a PageFile-written one.
-            self._file.truncate(self._page_count * PAGE_SIZE)
-        super().close()

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import InjectedCrashError, StorageError
-from repro.storage.disk import PAGE_SIZE, MMapPageFile, PageFile, PageImage
+from repro.storage.disk import PAGE_SIZE, PageFile
 
 #: A torn page write keeps this many bytes of the new image; the rest is
 #: whatever was there before (or zeroes, for a fresh page).
@@ -113,9 +113,7 @@ class FaultyPageFile(PageFile):
             raw = self._raw_image(page_id)
         except StorageError:
             raw = None
-        # Materialise the old image: a mapped backend hands back a view
-        # of the very buffer _put_image is about to overwrite.
-        old_raw = b"\0" * PAGE_SIZE if raw is None else bytes(raw)
+        old_raw = b"\0" * PAGE_SIZE if raw is None else raw
         self._put_image(
             page_id, stamped[:TORN_WRITE_BYTES] + old_raw[TORN_WRITE_BYTES:]
         )
@@ -138,27 +136,14 @@ class FaultyPageFile(PageFile):
             with open(meta_path + ".tmp", "wb") as handle:
                 handle.write(half)
 
-    def read_page(self, page_id: int) -> PageImage:
+    def read_page(self, page_id: int) -> bytes:
         self.injector.check_alive()
         return super().read_page(page_id)
 
-    def read_pages(self, start_page_id: int, count: int) -> list[PageImage | None]:
+    def read_pages(self, start_page_id: int, count: int) -> list[bytes | None]:
         self.injector.check_alive()
         return super().read_pages(start_page_id, count)
 
     def read_meta(self) -> dict | None:
         self.injector.check_alive()
         return super().read_meta()
-
-
-class FaultyMMapPageFile(FaultyPageFile, MMapPageFile):
-    """The mmap disk layer under the same deterministic crash schedule.
-
-    Pure method composition: :class:`FaultyPageFile` contributes the
-    write-point counting, per-page decomposition of vectored writes and
-    torn-write logic; the MRO routes every primitive it calls
-    (``_raw_image``, ``_put_image``, the reads) to
-    :class:`MMapPageFile`.  The crash matrix therefore sweeps the mmap
-    backend with bit-for-bit the same write-point sequence as the
-    buffered one.
-    """

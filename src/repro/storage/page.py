@@ -186,13 +186,8 @@ class Page:
         return body + b"\0" * (PAGE_SIZE - len(body))
 
     @classmethod
-    def from_bytes(cls, page_id: int, image: "bytes | memoryview") -> "Page":
-        """Rebuild a page from its disk image.
-
-        The image may be a zero-copy ``memoryview`` of a mapped page;
-        unpickling stops at the STOP opcode, so the live trailer bytes
-        a mapped view carries past it are ignored.
-        """
+    def from_bytes(cls, page_id: int, image: bytes) -> "Page":
+        """Rebuild a page from its disk image."""
         try:
             segment_id, next_slot, records, charges = pickle.loads(image)
         # A corrupt pickle stream raises whatever the truncated opcodes

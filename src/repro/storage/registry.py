@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import StorageError, UnknownBackendError
-from repro.storage.codec import DEFAULT_CODEC
 from repro.storage.contract import StorageManager
 
 #: Module paths probed for ``@register_backend`` decorations.  These are
@@ -39,7 +38,6 @@ _BACKEND_MODULES: tuple[str, ...] = (
     "repro.storage.clustered",
     "repro.storage.texas",
     "repro.storage.memstore",
-    "repro.storage.mmapstore",
 )
 
 
@@ -73,27 +71,19 @@ class BackendInfo:
     def crash_matrix(self) -> bool:
         return bool(self.cls.supports_crash_matrix)
 
-    def make(
-        self,
-        path: str | None,
-        buffer_pages: int,
-        readahead_pages: int,
-        codec: str = DEFAULT_CODEC,
-    ) -> StorageManager:
-        """Construct the backend with the benchmark's knobs.
+    def make(self, path: str | None, buffer_pages: int) -> StorageManager:
+        """Construct the backend the way the benchmark harness does.
 
-        Main-memory backends take no file and no pool, only the codec;
-        paged backends share the ``(path, buffer_pages,
-        readahead_pages, codec)`` constructor surface the benchmark
-        config threads through.
+        Main-memory backends take no file and no pool; paged backends
+        share the ``(path, buffer_pages)`` constructor surface the
+        benchmark config threads through.  Every other constructor
+        parameter keeps its default — the ablation benches pass those
+        to the class directly.
         """
         if not self.persistent:
-            return self.cls(codec=codec)  # type: ignore[call-arg]
+            return self.cls()
         return self.cls(  # type: ignore[call-arg]
-            path=path,
-            buffer_pages=buffer_pages,
-            readahead_pages=readahead_pages,
-            codec=codec,
+            path=path, buffer_pages=buffer_pages
         )
 
 
@@ -190,22 +180,15 @@ def backends(
 
 
 def create(
-    name: str,
-    path: str | None = None,
-    buffer_pages: int | None = None,
-    readahead_pages: int | None = None,
-    codec: str = DEFAULT_CODEC,
+    name: str, path: str | None = None, buffer_pages: int | None = None
 ) -> StorageManager:
-    """Factory: construct a backend by name with benchmark-style knobs.
+    """Factory: construct a backend by name.
 
-    ``None`` knobs fall back to the storage layer's defaults, so
-    ``create("mmap", path)`` opens a store the way the CLI does.
+    A ``None`` pool size falls back to the storage layer's default, so
+    ``create("OStore", path)`` opens a store the way the CLI does.
     """
-    from repro.storage.buffer import DEFAULT_POOL_PAGES, DEFAULT_READAHEAD_PAGES
+    from repro.storage.buffer import DEFAULT_POOL_PAGES
 
     return backend(name).make(
-        path,
-        DEFAULT_POOL_PAGES if buffer_pages is None else buffer_pages,
-        DEFAULT_READAHEAD_PAGES if readahead_pages is None else readahead_pages,
-        codec,
+        path, DEFAULT_POOL_PAGES if buffer_pages is None else buffer_pages
     )

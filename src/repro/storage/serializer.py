@@ -95,9 +95,7 @@ def serialize(obj: object) -> bytes:
 def deserialize(payload: "bytes | bytearray | memoryview") -> object:
     """Decode bytes produced by :func:`serialize`.
 
-    Accepts any bytes-like payload — ``memoryview`` included, so the
-    mmap read path can unpickle straight from a mapped page slot
-    without materializing an intermediate ``bytes`` copy.
+    Accepts any bytes-like payload, ``memoryview`` included.
     """
     try:
         return pickle.loads(payload)

@@ -37,7 +37,6 @@ class StorageStats:
     pages_prefetched: int = 0    # read-ahead: pages staged by vectored reads
     prefetch_hits: int = 0       # read-ahead: faults absorbed by staged pages
     io_batches: int = 0          # vectored disk transfers (>= 2 pages each)
-    mapped_reads: int = 0        # mmap backend: demand reads served zero-copy
     records_fast_path: int = 0   # codec: records encoded via a fixed layout
     records_fallback: int = 0    # codec: records encoded via the pickle fallback
     intern_table_size: int = 0   # codec: attribute names in the intern table
@@ -101,13 +100,6 @@ class StorageStats:
         if encoded == 0:
             return 0.0
         return self.records_fast_path / encoded
-
-    @property
-    def mapped_read_ratio(self) -> float:
-        """Demand reads served zero-copy from the map, per page read."""
-        if self.page_reads == 0:
-            return 0.0
-        return self.mapped_reads / self.page_reads
 
     @property
     def group_width(self) -> float:

@@ -3,7 +3,7 @@
 ``any_sm`` parametrizes over every registered storage backend so each
 behavioural test runs against every server version — the same
 "identical LabBase over every store" discipline the paper uses.  The
-set comes from the backend registry: registering a sixth version makes
+set comes from the backend registry: registering another version makes
 the whole behavioural suite cover it with no test edits.
 """
 
@@ -15,15 +15,9 @@ import pytest
 
 from repro.labbase import LabBase, LabClock
 from repro.storage import OStoreMM
-from repro.storage.buffer import DEFAULT_READAHEAD_PAGES
 from repro.storage.registry import backends
 
-
-def _factory(info):
-    return lambda path, pages: info.make(path, pages, DEFAULT_READAHEAD_PAGES)
-
-
-SM_FACTORIES = {info.name: _factory(info) for info in backends()}
+SM_FACTORIES = {info.name: info.make for info in backends()}
 
 PERSISTENT = tuple(info.name for info in backends(persistent=True))
 

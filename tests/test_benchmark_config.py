@@ -43,12 +43,3 @@ def test_with_overrides():
     assert config.seed == 7
     assert config.query_path == "dql"
     assert config.clones_per_interval == DEFAULT.clones_per_interval
-
-
-def test_readahead_knob():
-    from repro.storage import DEFAULT_READAHEAD_PAGES
-
-    assert DEFAULT.readahead == DEFAULT_READAHEAD_PAGES  # batched I/O on
-    assert DEFAULT.with_(readahead=0).readahead == 0
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(readahead=-1)

@@ -26,10 +26,10 @@ def comparison(tmp_path_factory):
 def test_all_registered_servers_run(comparison):
     """The comparison covers every registered backend, in column order."""
     assert tuple(run.server for run in comparison.runs) == backend_names()
-    # The original five plus the mmap sixth must all be registered.
-    for name in ("OStore", "Texas+TC", "Texas", "OStore-mm", "Texas-mm",
-                 "mmap"):
-        assert name in backend_names()
+    # The paper's Section 10 table, left to right.
+    assert backend_names() == (
+        "OStore", "Texas+TC", "Texas", "OStore-mm", "Texas-mm",
+    )
 
 
 def test_intervals_metered(comparison):
@@ -66,7 +66,7 @@ def test_texas_database_larger(comparison):
 
 
 def test_database_grows_across_intervals(comparison):
-    for name in ("OStore", "Texas", "Texas+TC", "mmap"):
+    for name in ("OStore", "Texas", "Texas+TC"):
         sizes = [i.usage.size_bytes for i in comparison.run_for(name).intervals]
         assert sizes == sorted(sizes)
         assert sizes[0] > 0
@@ -119,23 +119,3 @@ def test_unknown_server_rejected():
     for name in backend_names():
         assert name in str(excinfo.value)
 
-
-def test_mmap_matches_ostore_counters(comparison):
-    """Same policies above the disk layer: identical logical behaviour."""
-    ostore = comparison.run_for("OStore").final_stats
-    mm = comparison.run_for("mmap").final_stats
-    for counter in ("objects_read", "objects_written", "major_faults",
-                    "page_writes", "commits", "swizzle_operations"):
-        assert mm[counter] == ostore[counter], counter
-    # Every demand read the mmap run performed was served zero-copy from
-    # the map; the buffered contender never maps a page.  (At this tiny
-    # scale the pool may absorb everything — the equality holds at any
-    # scale, including zero faults.)
-    assert mm["mapped_reads"] == mm["major_faults"]
-    assert ostore["mapped_reads"] == 0
-    ostore_size = comparison.run_for("OStore").intervals[-1].usage.size_bytes
-    mmap_size = comparison.run_for("mmap").intervals[-1].usage.size_bytes
-    # size_bytes counts the meta blob too, and the meta's only
-    # cross-backend difference is the store's self-identifying name —
-    # the page file itself is byte-identical (test_mmap_equivalence).
-    assert mmap_size - ostore_size == len("mmap") - len("OStore")

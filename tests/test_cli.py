@@ -199,23 +199,6 @@ def test_shell_handles_eof(tmp_path, capsys, monkeypatch):
     assert main(["shell", db_path]) == 0
 
 
-def test_readahead_flag_parses_on_off_and_window(capsys, tmp_path):
-    for flag, window in (("on", None), ("off", 0), ("4", 4)):
-        assert main([
-            "compare", "--clones", "2", "--db-dir",
-            str(tmp_path / f"ra_{flag}"), "--servers", "OStore",
-            "--readahead", flag,
-        ]) == 0
-        capsys.readouterr()
-
-
-def test_readahead_flag_rejects_garbage():
-    with pytest.raises(SystemExit):
-        main(["compare", "--clones", "2", "--readahead", "many"])
-    with pytest.raises(SystemExit):
-        main(["compare", "--clones", "2", "--readahead", "-3"])
-
-
 def test_lint_clean_tree_exits_zero(capsys):
     assert main(["lint"]) == 0
     assert "0 findings" in capsys.readouterr().out

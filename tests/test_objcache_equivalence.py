@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.labbase import LabBase
 from repro.storage import (
-    MMapStoreSM,
     ObjectStoreSM,
     OStoreMM,
     TexasSM,
@@ -28,7 +27,6 @@ PERSISTENT = [
     ("ostore", ObjectStoreSM),
     ("texas", TexasSM),
     ("texas_tc", TexasTCSM),
-    ("mmap", MMapStoreSM),
 ]
 STATES = ("arrived", "assayed", "filed")
 

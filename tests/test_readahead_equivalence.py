@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.labbase import LabBase
 from repro.storage import (
-    MMapStoreSM,
     ObjectStoreSM,
     OStoreMM,
     TexasSM,
@@ -32,7 +31,6 @@ PERSISTENT = [
     ("ostore", ObjectStoreSM),
     ("texas", TexasSM),
     ("texas_tc", TexasTCSM),
-    ("mmap", MMapStoreSM),
 ]
 STATES = ("arrived", "assayed", "filed")
 

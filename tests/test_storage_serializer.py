@@ -144,8 +144,8 @@ def test_deserialize_accepts_memoryview_and_bytearray(obj):
 
 
 def test_memoryview_deserialize_is_zero_copy_compatible():
-    # The mmap read path hands a slice of a mapped page; a non-trivial
-    # offset view must decode without the caller materializing bytes.
+    # A non-trivial offset view must decode without the caller
+    # materializing bytes.
     payload = serializer.serialize({"k": list(range(50))})
     padded = b"\xff\xff" + payload
     view = memoryview(padded)[2:]
