@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.labbase import LabBase
+from repro.obs.registry import metric
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
 from repro.storage import PAGE_SIZE, ObjectStoreSM
 from repro.util.fmt import format_table
@@ -107,15 +108,15 @@ def _run(sessions: int, group: bool) -> dict:
         assert db.verify_storage().ok
         sm.close()
 
-    groups = delta["group_commits"]
     return {
         "sessions": sessions,
         "group_commit": group,
         "units": units,
         "unit_us": elapsed / units * 1e6,
         "commits": delta["commits"],
-        "group_commits": groups,
-        "group_width": delta["sessions_per_group"] / groups if groups else 0.0,
+        "group_commits": delta["group_commits"],
+        "sessions_per_group": delta["sessions_per_group"],
+        "group_width": metric("group_width").compute(delta),
         "commit_stalls": delta["commit_stalls"],
         "io_batches": delta["io_batches"],
         "meta_bytes_written": delta["meta_bytes_written"],

@@ -27,9 +27,14 @@ def _sample_records() -> dict[str, dict]:
         results=[("quality", 0.93), ("read_length", 431), ("sequence", "ACGT" * 100)],
         involves=[77],
     )
+    # a 40-member state: the directory of one leaf (see _SAMPLE_LEAF)
     material_set = model.make_material_set("state:waiting_for_sequencing")
-    material_set["members"] = list(range(1000, 1040))
+    material_set["lows"], material_set["leaves"] = [0], [905]
     return {"sm_step": step, "sm_material": material, "material_set": material_set}
+
+
+#: Not a storage class: the access structure that material_set points at.
+_SAMPLE_LEAF = model.make_set_leaf(list(range(1000, 1040)))
 
 
 def test_e2_table_1_and_record_sizes(benchmark):
@@ -46,6 +51,7 @@ def test_e2_table_1_and_record_sizes(benchmark):
         [name, f"{record_size(record):,} B"]
         for name, record in records.items()
     ]
+    rows.append(["  + its 40-member leaf", f"{record_size(_SAMPLE_LEAF):,} B"])
     text = TABLE_1 + "\n\n" + format_table(
         ["storage class", "typical record size"], rows, align_right=(1,),
         title="Representative serialized record sizes",

@@ -215,7 +215,18 @@ def cmd_verify(args) -> int:
           "— run 'repro recover' to repair")
     # Deliberately no close(): closing checkpoints, and verification
     # must never modify the store it is judging.
-    return 0 if report.ok else 1
+    if not report.ok:
+        return 1
+    from repro.labbase.catalog import CATALOG_ROOT
+
+    if sm.get_root(CATALOG_ROOT) is None:
+        return 0  # not a LabBase file (constructing one would bootstrap it)
+    disagreements = LabBase(sm).check_state_sets()
+    for problem in disagreements:
+        print(f"  {problem}")
+    print("state sets: " + ("OK" if not disagreements else
+                            f"{len(disagreements)} problem(s) found"))
+    return 1 if disagreements else 0
 
 
 def cmd_recover(args) -> int:
@@ -513,6 +524,9 @@ def cmd_bench(args) -> int:
                 print(f"error: {schema}: missing bench result: {exc}",
                       file=sys.stderr)
                 return 2
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
             print(f"recorded {path}")
         return 0
 

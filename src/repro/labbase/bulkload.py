@@ -7,7 +7,8 @@ saves and history-node writes.  :class:`BulkLoader` batches a whole
 load and writes each touched structure **once**:
 
 * key-index buckets grouped by bucket;
-* per-state material sets grouped by state;
+* per-state material sets grouped by state, their leaves built in one
+  pass through :meth:`StateStore.add_members`;
 * one history-node chain write per material (chunks filled directly);
 * one counters save and one catalog save.
 
@@ -217,12 +218,7 @@ class BulkLoader:
             if pending.state is not None:
                 by_state.setdefault(pending.state, []).append(pending.oid)
         for state, oids in by_state.items():
-            set_oid = db.sets.ensure_set(state_set_name(state))
-            record = sm.read(set_oid)
-            members = record["members"]
-            present = set(members)
-            members.extend(oid for oid in oids if oid not in present)
-            sm.write(set_oid, record)
+            db.sets.add_members(state_set_name(state), oids)
 
         # 7. counters, once
         for pending in self._materials:

@@ -33,6 +33,10 @@ class Catalog:
     def __init__(self, sm: ObjectCache, segment: str | None) -> None:
         self._sm = sm
         self._segment = segment
+        self.reload()
+
+    def _clear(self) -> None:
+        """The image of an empty catalog."""
         self.material_classes: dict[str, MaterialClass] = {}
         self.step_classes: dict[str, StepClass] = {}
         self.key_index: dict[str, list[int]] = {}      # class -> bucket oids
@@ -41,23 +45,22 @@ class Catalog:
         self.step_counts: dict[str, int] = {}          # per class name
         self.version_step_counts: dict[int, int] = {}  # per version id
         self._next_version_id = 1
-        self._oid = model.NIL
-        self._load_or_bootstrap()
 
     # -- persistence -----------------------------------------------------------
 
     def reload(self) -> None:
-        """Re-read the catalog from the store's roots.
+        """(Re-)read the catalog through the store's roots.
 
-        Needed after crash recovery, which may have dropped the catalog
-        record (then a fresh one is bootstrapped) or rolled it back to
-        an older checkpointed image.
+        Runs at construction, after an aborted transaction (the image
+        may hold what the abort rolled back) and after crash recovery,
+        which may have rolled the record back to an older checkpointed
+        image — or dropped it together with its root.  Without a root a
+        fresh, empty catalog is bootstrapped: what an older image named
+        may be gone as well.
         """
-        self._load_or_bootstrap()
-
-    def _load_or_bootstrap(self) -> None:
         root = self._sm.get_root(CATALOG_ROOT)
         if root is None:
+            self._clear()
             self._oid = self._sm.allocate_write(self._record(), segment=self._segment)
             self._sm.set_root(CATALOG_ROOT, self._oid)
             self._counters_oid = self._sm.allocate_write(
@@ -129,11 +132,6 @@ class Catalog:
     def save_counters(self) -> None:
         """Write just the counters record (hot path: once per step)."""
         self._sm.write(self._counters_oid, self._counters_record())
-
-    def reload(self) -> None:
-        """Re-read from the store (after an aborted transaction)."""
-        self._restore(self._sm.read(self._oid))
-        self._restore_counters(self._sm.read(self._counters_oid))
 
     # -- material classes ---------------------------------------------------------
 

@@ -7,7 +7,9 @@ benchmark requires of a workflow DBMS:
 * event histories — every step is recorded forever, materials derive
   their attributes from the steps that processed them;
 * most-recent queries by valid time, served from a per-material index;
-* workflow states backed by ``material_set`` records;
+* workflow states backed by ``material_set`` records (a small directory
+  over bounded sorted leaves, so a transition costs the same at any
+  population);
 * dynamic schema evolution via attribute-set step-class versions;
 * named material sets, counting and report generation.
 
@@ -16,7 +18,7 @@ large cold)::
 
     labbase.catalog    catalog record + key-index buckets      (hot)
     labbase.materials  sm_material records w/ most-recent index (hot)
-    labbase.sets       material_set records                     (hot)
+    labbase.sets       material_set directories + their leaves  (hot)
     labbase.history    sm_step records + history-list nodes     (cold)
 
 On storage managers without segments (Texas) the same calls run
@@ -40,7 +42,7 @@ from repro.labbase import model
 from repro.labbase.catalog import Catalog
 from repro.labbase.history import HistoryStore
 from repro.labbase.schema import MaterialClass, StepClassVersion
-from repro.labbase.statestore import StateStore
+from repro.labbase.statestore import StateStore, state_set_name
 from repro.storage.base import StorageManager
 from repro.storage.objcache import DEFAULT_CACHE_OBJECTS, ObjectCache
 
@@ -52,7 +54,7 @@ SEG_HISTORY = "labbase.history"
 SEGMENT_PLAN = (
     (SEG_CATALOG, "catalog + key-index buckets (small, hot)"),
     (SEG_MATERIALS, "sm_material records with most-recent indexes (small, hot)"),
-    (SEG_SETS, "material_set records (small, hot)"),
+    (SEG_SETS, "material_set directories + member leaves (small, hot)"),
     (SEG_HISTORY, "sm_step records + history nodes (large, cold)"),
 )
 
@@ -434,8 +436,16 @@ class LabBase:
         return self.material(material_oid)["state"]
 
     def in_state(self, state: str) -> list[int]:
-        """Q3: all materials currently in a workflow state."""
+        """Q3: all materials currently in a workflow state, ascending oid."""
         return self.sets.in_state(state)
+
+    def first_in_state(self, state: str) -> int | None:
+        """The lowest-oid material in a workflow state, or ``None``.
+
+        ``in_state(state)[0]`` without building the list: what a pump
+        that advances one waiting material at a time needs.
+        """
+        return self.sets.first(state_set_name(state))
 
     # ------------------------------------------------------------------
     # most-recent queries (Q2) and views
@@ -606,6 +616,24 @@ class LabBase:
             record = self._store.read(oid)
             if isinstance(record, dict) and record.get("kind") == model.KIND_MATERIAL:
                 yield oid, record
+
+    def check_state_sets(self) -> list[str]:
+        """Where the workflow-state sets and the material records disagree.
+
+        One storage scan (not a benchmark op) collects every material's
+        state and every set leaf; :meth:`StateStore.check` compares them
+        with the set directories.  Reads only; empty when all is well.
+        """
+        stated: dict[str, set[int]] = {}
+        leaves: set[int] = set()
+        for oid in self._store.oids():
+            record = self._store.read(oid)
+            kind = record.get("kind") if isinstance(record, dict) else None
+            if kind == model.KIND_SET_LEAF:
+                leaves.add(oid)
+            elif kind == model.KIND_MATERIAL and record["state"] is not None:
+                stated.setdefault(record["state"], set()).add(oid)
+        return self.sets.check(stated, leaves)
 
     def iter_steps(self) -> Iterator[tuple[int, dict]]:
         """Every step record (storage scan; not a benchmark op)."""

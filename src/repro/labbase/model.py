@@ -13,8 +13,11 @@ workflow schema evolves.  It consists of exactly three classes:
 Because storage managers only accept plain data, these "classes" are
 dict layouts with constructor/accessor functions, each tagged with a
 ``kind`` field.  LabBase additionally stores history-list nodes, key-index
-buckets and the catalog record — implementation structures the paper's
-Section 5.1 describes as LabBase's "special access structures".
+buckets, set leaves and the catalog record — implementation structures
+the paper's Section 5.1 describes as LabBase's "special access
+structures".  A ``material_set`` record is a small *directory* over
+bounded, sorted member leaves (see ``repro/labbase/statestore.py``), the
+same way an ``sm_material`` is the head of a chain of history nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterable
 KIND_STEP = "sm_step"
 KIND_MATERIAL = "sm_material"
 KIND_SET = "material_set"
+KIND_SET_LEAF = "set_leaf"
 KIND_HISTORY_NODE = "history_node"
 KIND_INDEX_BUCKET = "index_bucket"
 KIND_CATALOG = "catalog"
@@ -143,8 +147,18 @@ def update_recent(
 
 
 def make_material_set(name: str) -> dict:
-    """Build an empty ``material_set`` record."""
-    return {"kind": KIND_SET, "name": str(name), "members": []}
+    """Build an empty ``material_set`` record: a directory with no leaves.
+
+    ``leaves[i]`` is the oid of the leaf holding every member ``m`` with
+    ``lows[i] <= m < lows[i + 1]``; ``lows`` ascends, and leaf 0 also
+    takes everything below ``lows[0]``.
+    """
+    return {"kind": KIND_SET, "name": str(name), "lows": [], "leaves": []}
+
+
+def make_set_leaf(oids: list[int]) -> dict:
+    """Build a set leaf: one ascending run of member oids."""
+    return {"kind": KIND_SET_LEAF, "oids": oids}
 
 
 # ---------------------------------------------------------------------------
@@ -196,4 +210,8 @@ sm_step         step-class version, valid time, (attribute, value)
                 results, oids of materials it involves
 sm_material     class name, key, history-list head, most-recent index,
                 current workflow state
-material_set    named sets of material oids (workflow states, cohorts)"""
+material_set    named sets of material oids (workflow states, cohorts)
+
+(LabBase's access structures -- history-list nodes, key-index buckets,
+the sorted member leaves a material_set's directory points at -- are
+not storage classes: the schema above is all a storage manager sees.)"""

@@ -181,8 +181,29 @@ def dump_json(path: str, payload: Mapping[str, object]) -> None:
 
 
 def record(schema: str, results_dir: str, out_dir: str) -> str:
-    """Canonicalize one bench result into its committed baseline file."""
+    """Canonicalize one bench result into its committed baseline file.
+
+    Refuses (``ValueError``) to record a gauge that reads its registered
+    default only because the bench block lacks the numerator counter
+    while the denominator is there and non-zero: that is a bench that
+    stopped emitting a counter, and a committed 0.0 nothing can drift
+    from (how ``group_width`` 4.0 once became 0.0).
+    """
     payload = load_json(results_path(schema, results_dir))
+    source = representative_counters(schema, payload)
+    hollow = [
+        spec.name
+        for spec in DERIVED_METRICS
+        if spec.name in BASELINE_SCHEMAS[schema]
+        and spec.numerator not in source
+        and any(source.get(name) for name in spec.denominator)
+    ]
+    if hollow:
+        raise ValueError(
+            f"{schema}: gauge(s) {', '.join(hollow)} would record their "
+            "default: the bench block has the denominator but no numerator "
+            "counter"
+        )
     path = baseline_path(schema, out_dir)
     dump_json(path, canonicalize(schema, payload))
     return path

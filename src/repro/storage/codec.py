@@ -543,7 +543,7 @@ class RecordCodec:
                 except _Unencodable:
                     pass
             # Open-schema fallback: hot open records (index buckets,
-            # material sets) are large int-heavy containers that C
+            # set leaves, counters) are int-heavy containers that C
             # pickle encodes faster than the Python value grammar, so
             # they validate and pickle like the legacy path.  Protocol-4
             # pickles begin with 0x80 (the PROTO opcode), which the tag
@@ -562,7 +562,7 @@ class RecordCodec:
 
         Only closed-schema records are deflate candidates: they carry
         the workload's bulk values (sequence data), while large open
-        records are hot int-heavy structures (material sets, counters)
+        records are hot int-heavy structures (set leaves, counters)
         where per-write deflate costs wall time for bytes nobody
         measures.
         """

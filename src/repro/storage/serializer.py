@@ -52,8 +52,7 @@ def validate_plain_data(obj: object, _depth: int = 0) -> None:
     Depth is bounded to catch pathological self-referencing structures
     before pickle recurses into them.
 
-    A flat container — the state sets and index buckets are lists of
-    thousands of oids — is cleared by one C-speed sweep over its element
+    A flat container is cleared by one C-speed sweep over its element
     types; only elements that are not exact scalars (containers, scalar
     subclasses, offenders) are visited in Python, in iteration order, so
     the first error found is the one a full element-by-element walk

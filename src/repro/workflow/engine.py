@@ -220,6 +220,9 @@ class WorkflowEngine:
     def pump(self, max_steps: int) -> int:
         """Advance whatever work is pending, round-robin over states.
 
+        Within a state the lowest-oid (oldest-created) waiting material
+        goes first.
+
         Returns the number of steps executed (may be less than
         ``max_steps`` if the lab runs dry).
         """
@@ -229,10 +232,10 @@ class WorkflowEngine:
             for state in self.graph.states():
                 if self.graph.is_terminal(state):
                     continue
-                pending = self.db.in_state(state)
-                if not pending:
+                pending = self.db.first_in_state(state)
+                if pending is None:
                     continue
-                self.advance(pending[0])
+                self.advance(pending)
                 executed += 1
                 progressed = True
                 if executed >= max_steps:

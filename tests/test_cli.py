@@ -187,6 +187,29 @@ def test_verify_never_modifies_the_store(tmp_path, capsys):
     assert before == after
 
 
+def test_verify_checks_state_sets_against_materials(tmp_path, capsys):
+    from repro.labbase import LabBase
+    from repro.storage import ObjectStoreSM
+
+    db_path = os.path.join(tmp_path, "demo.db")
+    main(["demo", "--clones", "2", "--db", db_path])
+    capsys.readouterr()
+    before = open(db_path, "rb").read(), open(db_path + ".meta", "rb").read()
+    assert main(["verify", db_path]) == 0
+    assert "state sets: OK" in capsys.readouterr().out
+    after = open(db_path, "rb").read(), open(db_path + ".meta", "rb").read()
+    assert before == after  # looking through LabBase modifies nothing either
+
+    # a set that lost a member its material still claims
+    db = LabBase(ObjectStoreSM(path=db_path))
+    done = db.in_state("clone_done")
+    db.sets.remove_member("state:clone_done", done[0])
+    db.storage.close()
+    assert main(["verify", db_path]) == 1
+    out = capsys.readouterr().out
+    assert "'clone_done'" in out and "state sets: 2 problem(s) found" in out
+
+
 def test_shell_handles_eof(tmp_path, capsys, monkeypatch):
     db_path = os.path.join(tmp_path, "demo.db")
     main(["demo", "--clones", "2", "--db", db_path])

@@ -272,3 +272,31 @@ def test_recover_storage_reloads_catalog(tmp_path, clock):
     reopened.verify_storage().raise_if_bad()
     assert reopened.material_exists("clone", "kept")
     reopened_sm.close()
+
+
+def test_recover_storage_bootstraps_a_dropped_catalog(tmp_path, clock):
+    """Recovery may drop the catalog record itself; its root goes with
+    it, and recover_storage() must come back with a fresh, usable
+    catalog instead of re-reading an oid that no longer exists."""
+    from repro.labbase.catalog import CATALOG_ROOT
+    from repro.storage import ObjectStoreSM
+
+    sm = ObjectStoreSM(path=str(tmp_path / "lab.db"))
+    db = LabBase(sm)
+    db.define_material_class("clone")
+    db.create_material("clone", "before", clock.tick(), state="arrived")
+    sm.commit()
+    # What a crash can leave behind: the root names a record that is gone.
+    sm.delete(sm.get_root(CATALOG_ROOT))
+    assert not db.verify_storage().ok
+
+    outcome = db.recover_storage()
+    assert outcome["dropped_roots"] == 1
+    db.verify_storage().raise_if_bad()
+    assert sm.get_root(CATALOG_ROOT) is not None
+    assert db.catalog.material_classes == {} and db.catalog.set_directory == {}
+    db.define_material_class("clone")
+    oid = db.create_material("clone", "after", clock.tick(), state="arrived")
+    assert db.lookup("clone", "after") == oid
+    assert db.in_state("arrived") == [oid]
+    sm.close()

@@ -93,7 +93,9 @@ def test_bucket_distribution_not_degenerate():
 def test_material_set_record():
     record = model.make_material_set("state:arrived")
     assert record["kind"] == model.KIND_SET
-    assert record["members"] == []
+    assert record["lows"] == [] and record["leaves"] == []  # no leaves yet
+    leaf = model.make_set_leaf([3, 5])
+    assert leaf == {"kind": model.KIND_SET_LEAF, "oids": [3, 5]}
 
 
 def test_table_1_names_all_three_storage_classes():

@@ -456,6 +456,31 @@ def test_compare_flags_missing_counters(tmp_path):
     assert any(drift.kind == "missing" for drift in drifts)
 
 
+def test_record_refuses_a_gauge_that_lost_its_numerator(tmp_path, capsys):
+    """A block with group commits but no ``sessions_per_group`` counter
+    would record ``group_width`` at its default 0.0 — refuse it; a gauge
+    that is 0.0 because its numerator *counted* zero is fine."""
+    from repro.cli import main
+
+    results = os.path.join(str(tmp_path), "results")
+    os.makedirs(results)
+    block = {"group_commits": 48, "commit_stalls": 0}
+    bl.dump_json(bl.results_path("A6", results), {"s4_on": block})
+    with pytest.raises(ValueError, match="group_width"):
+        bl.record("A6", results, str(tmp_path))
+    assert main(
+        ["bench", "record", "--schemas", "A6",
+         "--results", results, "--out", str(tmp_path)]
+    ) == 1
+    assert "group_width" in capsys.readouterr().err
+    assert not os.path.exists(bl.baseline_path("A6", str(tmp_path)))
+
+    block["sessions_per_group"] = 192
+    bl.dump_json(bl.results_path("A6", results), {"s4_on": block})
+    recorded = bl.load_json(bl.record("A6", results, str(tmp_path)))
+    assert recorded["gauges"] == {"group_width": 4.0, "commit_stall_ratio": 0.0}
+
+
 def test_render_drift_table_empty_case():
     assert "no drift" in render_drift_table([])
 
