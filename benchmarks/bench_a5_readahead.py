@@ -145,10 +145,17 @@ def test_a5_emit_table(benchmark, ablation):
         title="A5: bulk load commit path (vectored writes)",
         align_right=(1, 2, 3, 4),
     )
+    # gauge_block: BENCH_A5's gauges describe the read-ahead-on scan of
+    # the best-absorbing server (max fault ratio, name-ordered ties)
+    best = max(sorted(fault_ratios), key=fault_ratios.__getitem__)
     emit(
         "a5_readahead",
         scan_text + "\n\n" + load_text,
-        payload={"servers": ablation, "fault_ratios": fault_ratios},
+        payload={
+            "servers": ablation,
+            "fault_ratios": fault_ratios,
+            "gauge_block": f"servers.{best}.on",
+        },
     )
 
     # ≥2x fault absorption on at least one persistent server version —

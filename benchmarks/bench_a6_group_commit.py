@@ -5,8 +5,8 @@ sessions' commits can share their durability cost.  This ablation
 drives an E8-style mix (record_step + set_state + a most_recent read
 per round) through ``LabFlowService`` at 1, 2, 4 and 8 concurrent
 sessions — units interleaved round-robin, each session on its own
-page — with group commit on (group cap = session count) and off (one
-storage commit per update unit).  Reported per setting: wall clock per
+page — with group commit on (group cap = session count) and off (group
+cap 1: one storage commit per update unit).  Reported per setting: wall clock per
 update unit, storage commits, mean group width, vectored I/O batches
 and checkpoint bytes per unit.
 
@@ -78,7 +78,7 @@ def _run(sessions: int, group: bool) -> dict:
         db = LabBase(sm)
         bootstrap_schema(db)
         service = LabFlowService(
-            db, group_commit=group, group_cap=sessions, retry_backoff=0.0
+            db, group_cap=sessions if group else 1, retry_backoff=0.0
         )
         clients = [LocalClient(service, f"c{i}") for i in range(sessions)]
         oids, tick = _spread_sessions(sm, clients)
@@ -174,6 +174,9 @@ def test_a6_emit_table(benchmark, sweep):
         f"s{sessions}_{'on' if group else 'off'}": run
         for (sessions, group), run in sweep.items()
     }
+    # gauge_block: BENCH_A6's gauges describe the grouped four-session
+    # point, the one the acceptance floor below is pinned on
+    payload["gauge_block"] = "s4_on"
     emit("a6_group_commit", text, payload=payload)
 
     # The acceptance floor: at 4 concurrent sessions, group commit must
@@ -205,7 +208,7 @@ def test_a6_four_session_unit_latency(benchmark, group):
         db = LabBase(sm)
         bootstrap_schema(db)
         service = LabFlowService(
-            db, group_commit=group, group_cap=4, retry_backoff=0.0
+            db, group_cap=4 if group else 1, retry_backoff=0.0
         )
         clients = [LocalClient(service, f"c{i}") for i in range(4)]
         oids, tick = _spread_sessions(sm, clients)

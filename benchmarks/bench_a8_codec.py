@@ -236,6 +236,8 @@ def test_a8_emit_table(benchmark, contenders, encode_race):
             "stream_speedup": stream_speedup,
             "encode_speedup": encode_speedup,
             "fast_records_raced": encode_race["fast_records"],
+            # BENCH_A8's gauges describe the labf update-stream run
+            "gauge_block": "labf",
         },
     )
 

@@ -17,6 +17,8 @@ plus helpers for the extended stats the ablation benches report.
 from __future__ import annotations
 
 from repro.benchmark.harness import ComparisonResult, RunResult
+from repro.obs.registry import DERIVED_METRICS
+from repro.storage.stats import STAT_FIELDS
 from repro.util.fmt import format_table
 
 _RESOURCES = ("elapsed sec", "user cpu sec", "sys cpu sec", "majflt", "size (bytes)")
@@ -59,62 +61,27 @@ def render_run(run: RunResult, title: str | None = None) -> str:
     )
 
 
-def render_stats(
-    comparison: ComparisonResult,
-    counters: tuple[str, ...] = (
-        "major_faults",
-        "buffer_hits",
-        "page_reads",
-        "page_writes",
-        "bytes_read",
-        "bytes_written",
-        "pages_prefetched",
-        "prefetch_hits",
-        "io_batches",
-        "records_fast_path",
-        "records_fallback",
-        "intern_table_size",
-        "meta_bytes_written",
-        "swizzle_operations",
-        "objects_read",
-        "objects_written",
-        "objects_deleted",
-        "commits",
-        "aborts",
-        "lock_acquisitions",
-        "lock_waits",
-        "lock_upgrades",
-        "group_commits",
-        "sessions_per_group",
-        "commit_stalls",
-        "cache_hits",
-        "cache_misses",
-        "cache_coalesced",
-        "cache_evictions",
-    ),
-    derived: tuple[str, ...] = ("hit_ratio", "cache_hit_ratio", "group_width"),
-) -> str:
+def render_stats(comparison: ComparisonResult) -> str:
     """Storage-counter totals per server (the locality evidence).
 
-    Raw counters first, then the ``derived`` ratios from the metric
-    registry (:func:`repro.obs.registry.gauges_from`) — reports stop at
-    raw numbers only when a ratio would mislead (per-interval tables),
-    not here, where the whole-run ratios are the headline.
+    Every ``StorageStats`` counter first, then every registered gauge
+    over the whole run (:mod:`repro.obs.registry`) — reports stop at raw
+    numbers only when a ratio would mislead (per-interval tables), not
+    here, where the whole-run ratios are the headline.  Both lists are
+    iterated, not copied: a new counter or gauge shows up here by being
+    declared.
     """
-    from repro.obs.registry import gauges_from
-
     headers = ["Counter"] + [run.server for run in comparison.runs]
-    rows: list[list[str]] = []
-    for counter in counters:
-        rows.append(
-            [counter]
-            + [f"{run.final_stats.get(counter, 0):,}" for run in comparison.runs]
-        )
-    gauge_columns = [gauges_from(run.final_stats) for run in comparison.runs]
-    for name in derived:
-        rows.append(
-            [name] + [f"{gauges[name]:.3f}" for gauges in gauge_columns]
-        )
+    rows: list[list[str]] = [
+        [counter]
+        + [f"{run.final_stats.get(counter, 0):,}" for run in comparison.runs]
+        for counter in STAT_FIELDS
+    ]
+    rows.extend(
+        [spec.name]
+        + [f"{run.final_gauges[spec.name]:.3f}" for run in comparison.runs]
+        for spec in DERIVED_METRICS
+    )
     return format_table(
         headers,
         rows,

@@ -417,7 +417,6 @@ def cmd_serve(args) -> int:
         watchdog = LockOrderWatchdog(tracer=tracer)
     service = LabFlowService(
         db,
-        group_commit=not args.no_group_commit,
         group_cap=args.group_cap,
         tracer=tracer,
         watchdog=watchdog,
@@ -442,8 +441,7 @@ def cmd_serve(args) -> int:
     host, port = runner.start()
     print(f"serving {args.db or '<in-memory>'} [{args.server}] on "
           f"{host}:{port} "
-          f"(group commit {'off' if args.no_group_commit else 'on'}, "
-          f"cap {args.group_cap}"
+          f"(group-commit cap {args.group_cap}"
           f"{', lock-order watchdog on' if watchdog else ''})")
     try:
         if args.smoke:
@@ -664,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("lint",
-                       help="run the storage-stack invariant linter (LF01-LF09)")
+                       help="run the storage-stack invariant linter (the LF rules)")
     p.add_argument("paths", nargs="*",
                    help="files or directories (default: the repro package)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -712,9 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="listening port (default 0 picks a free one)")
     p.add_argument("--group-cap", type=int, default=8,
-                   help="update units that close a commit group (default 8)")
-    p.add_argument("--no-group-commit", action="store_true",
-                   help="one storage commit per update unit")
+                   help="update units that close a commit group (default 8; "
+                        "1 = one storage commit per update unit)")
     p.add_argument("--checkpoint-every", type=int, default=1,
                    help="checkpoint cadence in commits (default 1)")
     p.add_argument("--smoke", type=int, default=0, metavar="N",
@@ -753,11 +750,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bench results directory (default benchmarks/results)")
     bp.add_argument("--out", default=".",
                     help="where the BENCH_*.json files go (default: repo root)")
-    from repro.obs.baseline import BASELINE_SCHEMAS
+    from repro.obs.baseline import BASELINE_BENCHES
 
     bp.add_argument("--schemas", nargs="*",
-                    default=sorted(BASELINE_SCHEMAS),
-                    choices=sorted(BASELINE_SCHEMAS),
+                    default=sorted(BASELINE_BENCHES),
+                    choices=sorted(BASELINE_BENCHES),
                     help="baseline schemas to record (default: all)")
     bp.set_defaults(func=cmd_bench)
     bp = bench_sub.add_parser(

@@ -2,9 +2,9 @@
 
 The observability layer over the reproduction (DESIGN.md section 14):
 
-* :mod:`repro.obs.registry` — every derived gauge, as declared
-  :class:`~repro.obs.registry.MetricSpec` entries (lint rule LF07
-  enforces the one-render-path / one-baseline-schema discipline);
+* :mod:`repro.obs.registry` — the one definition of every derived
+  gauge (:class:`~repro.obs.registry.MetricSpec`: formula, baseline
+  schema, drift tolerance); renderers and baselines derive from it;
 * :mod:`repro.obs.sampler` — interval snapshots of the counter block
   with per-interval deltas and gauges, as deterministic JSONL;
 * :mod:`repro.obs.tracing` — span events from the served session layer
@@ -21,7 +21,7 @@ byte-identical across runs, which is what lets tests pin them.
 """
 
 from repro.obs.clock import Clock, ManualClock, system_clock
-from repro.obs.registry import DERIVED_METRICS, METRIC_NAMES, MetricSpec, gauges_from, metric
+from repro.obs.registry import DERIVED_METRICS, MetricSpec, gauges_from, metric
 from repro.obs.sampler import IntervalSampler, Sample, sample_from_snapshots
 from repro.obs.tracing import HISTOGRAM_BOUNDS, PHASES, PhaseHistogram, UnitTracer
 
@@ -30,7 +30,6 @@ __all__ = [
     "ManualClock",
     "system_clock",
     "DERIVED_METRICS",
-    "METRIC_NAMES",
     "MetricSpec",
     "gauges_from",
     "metric",

@@ -13,9 +13,10 @@ What gets recorded, deliberately:
   because byte counters (pickle encodings) shift slightly across
   Python versions while remaining the same order of magnitude.
 * **gauges** — the registered metrics whose spec names this schema
-  (LF07 guarantees each gauge appears in exactly one schema), computed
-  from the bench's representative counter block.  Compared with
-  per-gauge *absolute* tolerances from :data:`GAUGE_TOLERANCES`.
+  (:data:`repro.obs.registry.DERIVED_METRICS` is the only place a gauge
+  is assigned to one), computed from the counter block the bench itself
+  names under :data:`GAUGE_BLOCK_KEY`.  Compared with the *absolute*
+  tolerance each spec declares.
 * **not** wall-clock timings — any ``*_us`` / ``*_ms`` / ``*_sec``
   field is machine noise in CI; pytest-benchmark artefacts already
   capture them for humans.
@@ -40,28 +41,11 @@ BASELINE_BENCHES: dict[str, str] = {
     "A8": "a8_codec",
 }
 
-#: Which registered gauges each schema records.  LF07 cross-checks this
-#: dict against the ``baseline=`` field of every MetricSpec: each gauge
-#: appears in exactly one schema, and no schema names an unregistered
-#: gauge.
-BASELINE_SCHEMAS: dict[str, tuple[str, ...]] = {
-    "A4": ("cache_hit_ratio", "coalesce_ratio"),
-    "A5": ("hit_ratio", "prefetch_absorption"),
-    "A6": ("group_width", "commit_stall_ratio"),
-    "A8": ("fast_path_ratio",),
-}
-
-#: Absolute drift tolerance per gauge (gauges are ratios in stable
-#: units; group_width is sessions, so it gets the widest band).
-GAUGE_TOLERANCES: dict[str, float] = {
-    "hit_ratio": 0.05,
-    "prefetch_absorption": 0.10,
-    "cache_hit_ratio": 0.05,
-    "coalesce_ratio": 0.10,
-    "group_width": 0.75,
-    "commit_stall_ratio": 0.25,
-    "fast_path_ratio": 0.05,
-}
+#: The payload key under which a bench names the counter block its
+#: schema's gauges are computed from, as a dotted path into the payload
+#: (``"on"``, ``"servers.Texas.on"``).  A string, so
+#: :func:`flatten_counters` never records it.
+GAUGE_BLOCK_KEY = "gauge_block"
 
 #: Fields with these suffixes are timings: excluded from baselines.
 _TIME_SUFFIXES = ("_us", "_ms", "_sec", "_seconds", "_ns")
@@ -105,33 +89,20 @@ def flatten_counters(payload: object, prefix: str = "") -> dict[str, int]:
     return flat
 
 
-def representative_counters(schema: str, payload: Mapping[str, object]) -> dict[str, int]:
-    """The counter block the schema's gauges are computed from.
+def representative_counters(payload: Mapping[str, object]) -> dict[str, int]:
+    """The counter block the payload names for its gauges (ints only).
 
-    A4: the cache-on run of the E8 mix.  A5: the read-ahead-on cold
-    scan of the best-absorbing server (max fault ratio, name-ordered
-    ties).  A6: the grouped four-session sweep point the acceptance
-    floor is pinned on.  A8: the schema-aware codec's update-stream run.
+    The bench chooses the block — it knows which of its runs is the
+    representative one — and says so under :data:`GAUGE_BLOCK_KEY`.
     """
-    block: object
-    if schema == "A4":
-        block = payload.get("on")
-    elif schema == "A5":
-        servers = payload.get("servers")
-        ratios = payload.get("fault_ratios")
-        if not isinstance(servers, dict) or not isinstance(ratios, dict):
-            return {}
-        best = max(sorted(servers), key=lambda name: float(ratios.get(name, 0.0)))
-        entry = servers.get(best)
-        block = entry.get("on") if isinstance(entry, dict) else None
-    elif schema == "A6":
-        block = payload.get("s4_on")
-    elif schema == "A8":
-        block = payload.get("labf")
-    else:
-        raise KeyError(f"unknown baseline schema {schema!r}")
+    path = payload.get(GAUGE_BLOCK_KEY)
+    if not isinstance(path, str):
+        raise ValueError(f"bench payload names no {GAUGE_BLOCK_KEY!r}")
+    block: object = payload
+    for key in path.split("."):
+        block = block.get(key) if isinstance(block, dict) else None
     if not isinstance(block, dict):
-        return {}
+        raise ValueError(f"bench payload has no counter block at {path!r}")
     return {
         key: int(value)
         for key, value in block.items()
@@ -141,20 +112,17 @@ def representative_counters(schema: str, payload: Mapping[str, object]) -> dict[
 
 def canonicalize(schema: str, payload: Mapping[str, object]) -> dict[str, object]:
     """The committed ``BENCH_<schema>.json`` content for one bench run."""
-    if schema not in BASELINE_SCHEMAS:
-        raise KeyError(f"unknown baseline schema {schema!r}")
-    source = representative_counters(schema, payload)
-    gauges = {
-        spec.name: round(spec.compute(source), 6)
-        for spec in DERIVED_METRICS
-        if spec.name in BASELINE_SCHEMAS[schema]
-    }
+    source = representative_counters(payload)
     return {
         "version": BASELINE_VERSION,
         "schema": schema,
         "bench": BASELINE_BENCHES[schema],
         "counters": flatten_counters(dict(payload)),
-        "gauges": gauges,
+        "gauges": {
+            spec.name: round(spec.compute(source), 6)
+            for spec in DERIVED_METRICS
+            if spec.baseline == schema
+        },
     }
 
 
@@ -190,11 +158,11 @@ def record(schema: str, results_dir: str, out_dir: str) -> str:
     from (how ``group_width`` 4.0 once became 0.0).
     """
     payload = load_json(results_path(schema, results_dir))
-    source = representative_counters(schema, payload)
+    source = representative_counters(payload)
     hollow = [
         spec.name
         for spec in DERIVED_METRICS
-        if spec.name in BASELINE_SCHEMAS[schema]
+        if spec.baseline == schema
         and spec.numerator not in source
         and any(source.get(name) for name in spec.denominator)
     ]
@@ -249,9 +217,10 @@ def compare(
     fresh_gauges = fresh.get("gauges")
     base_gauges = base_gauges if isinstance(base_gauges, dict) else {}
     fresh_gauges = fresh_gauges if isinstance(fresh_gauges, dict) else {}
+    bands = {spec.name: spec.tolerance for spec in DERIVED_METRICS}
     for name in sorted(base_gauges):
         expected = float(base_gauges[name])
-        band = GAUGE_TOLERANCES.get(name, tolerance)
+        band = bands.get(name, tolerance)
         if name not in fresh_gauges:
             drifts.append(Drift(schema, name, expected, 0.0, band, "missing"))
             continue
@@ -270,7 +239,7 @@ def compare_files(
     """Compare one committed baseline against the fresh bench results."""
     baseline = load_json(baseline_file)
     schema = baseline.get("schema")
-    if not isinstance(schema, str) or schema not in BASELINE_SCHEMAS:
+    if not isinstance(schema, str) or schema not in BASELINE_BENCHES:
         raise ValueError(f"{baseline_file}: unknown or missing schema")
     fresh = canonicalize(schema, load_json(results_path(schema, results_dir)))
     return compare(baseline, fresh, tolerance=tolerance)

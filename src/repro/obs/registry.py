@@ -1,16 +1,18 @@
-"""The metric registry: every derived gauge the system reports.
+"""The metric registry: the one definition of every derived gauge.
 
 A *gauge* is a ratio derived from :class:`~repro.storage.stats.StorageStats`
 counters: numerator over the sum of one or more denominator counters,
-with a declared default for the empty-denominator case.  Registering a
-gauge here is a contract enforced by lint rule LF07 (mirroring what
-LF05 does for raw counters): the gauge's name must appear in **exactly
-one** render path (a function in :mod:`repro.obs.render`) and **exactly
-one** baseline schema (an entry in
-:data:`repro.obs.baseline.BASELINE_SCHEMAS`), and its source counters
-must be declared ``StorageStats`` fields.  A gauge that is computed but
-never rendered, rendered twice, or recorded under two baselines is a
-lint failure, not a code-review hope.
+with a declared default for the empty-denominator case.  A
+:class:`MetricSpec` in :data:`DERIVED_METRICS` is everything there is to
+say about a gauge — its formula, the ``BENCH_<schema>.json`` baseline
+that records it and the drift ``repro bench compare`` allows it — and
+everything else is derived from the tuple: the gauge columns of
+:func:`repro.obs.render.render_sample_table`, the gauge rows of
+``render_stats``, the ``gauges`` block of each recorded baseline and the
+served ``sample`` payload.  There is no second list to keep in step, so
+a gauge cannot be unrendered, recorded under two schemas or compared
+against a stale tolerance; the one thing a spec can still get wrong, a
+source counter ``StorageStats`` does not declare, fails at import.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class MetricSpec:
 
     name: str
     description: str
-    render: str          # the repro.obs.render function that shows it
-    baseline: str        # the BASELINE_SCHEMAS key that records it
+    baseline: str        # the BENCH_<schema>.json that records it
+    tolerance: float     # absolute drift `repro bench compare` allows
     numerator: str       # a StorageStats counter
     denominator: tuple[str, ...]  # StorageStats counters, summed
     default: float = 0.0  # value when the denominator sums to zero
@@ -40,40 +42,42 @@ class MetricSpec:
         return int(counters.get(self.numerator, 0)) / denom
 
 
-#: Every derived gauge, in render order.  LF07 walks these call sites.
+#: Every derived gauge, in render order (the monitor's columns, left to
+#: right).  Tolerances are absolute: gauges are ratios in stable units;
+#: group_width is sessions, so it gets the widest band.
 DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="hit_ratio",
         description="buffer-pool hits over page accesses",
-        render="render_sample_table",
         baseline="A5",
+        tolerance=0.05,
         numerator="buffer_hits",
         denominator=("buffer_hits", "major_faults"),
         default=1.0,
     ),
     MetricSpec(
-        name="prefetch_absorption",
-        description="faults absorbed by read-ahead over all staged-or-missed",
-        render="render_sample_table",
-        baseline="A5",
-        numerator="prefetch_hits",
-        denominator=("prefetch_hits", "major_faults"),
-        default=0.0,
-    ),
-    MetricSpec(
         name="cache_hit_ratio",
         description="object-cache reads served in memory",
-        render="render_sample_table",
         baseline="A4",
+        tolerance=0.05,
         numerator="cache_hits",
         denominator=("cache_hits", "cache_misses"),
         default=1.0,
     ),
     MetricSpec(
+        name="prefetch_absorption",
+        description="faults absorbed by read-ahead over all staged-or-missed",
+        baseline="A5",
+        tolerance=0.10,
+        numerator="prefetch_hits",
+        denominator=("prefetch_hits", "major_faults"),
+        default=0.0,
+    ),
+    MetricSpec(
         name="coalesce_ratio",
         description="object writes absorbed pre-commit by the cache",
-        render="render_sample_table",
         baseline="A4",
+        tolerance=0.10,
         numerator="cache_coalesced",
         denominator=("cache_coalesced", "objects_written"),
         default=0.0,
@@ -81,8 +85,8 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="group_width",
         description="mean session-units fused per group commit",
-        render="render_sample_table",
         baseline="A6",
+        tolerance=0.75,
         numerator="sessions_per_group",
         denominator=("group_commits",),
         default=0.0,
@@ -90,8 +94,8 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="commit_stall_ratio",
         description="groups forced closed by lock conflicts, per group",
-        render="render_sample_table",
         baseline="A6",
+        tolerance=0.25,
         numerator="commit_stalls",
         denominator=("group_commits",),
         default=0.0,
@@ -99,15 +103,13 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="fast_path_ratio",
         description="records encoded via a fixed layout, over all encoded",
-        render="render_sample_table",
         baseline="A8",
+        tolerance=0.05,
         numerator="records_fast_path",
         denominator=("records_fast_path", "records_fallback"),
         default=0.0,
     ),
 )
-
-METRIC_NAMES: tuple[str, ...] = tuple(spec.name for spec in DERIVED_METRICS)
 
 
 def metric(name: str) -> MetricSpec:

@@ -1,20 +1,27 @@
 """Render paths for the observability layer.
 
-:func:`render_sample_table` is **the** render path for registered
-gauges — lint rule LF07 checks that every gauge named in
-:data:`repro.obs.registry.DERIVED_METRICS` appears in exactly the
-render function its spec declares, and in no other.  The table uses
-fixed column widths (not :func:`repro.util.fmt.format_table`) so the
-live monitor can stream one row per poll and stay aligned with the
-header it printed minutes ago.
+:func:`render_sample_table` shows every registered gauge: its gauge
+columns are built from :data:`repro.obs.registry.DERIVED_METRICS`, one
+per spec in registry order, after three fixed counter columns.  The
+table uses fixed column widths (not :func:`repro.util.fmt.format_table`)
+so the live monitor can stream one row per poll and stay aligned with
+the header it printed minutes ago.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.obs.registry import DERIVED_METRICS
 from repro.obs.sampler import Sample
 from repro.util.fmt import format_table
+
+#: The fixed lead columns: (header, per-interval counter delta shown).
+_DELTA_COLUMNS = (
+    ("commits", "commits"),
+    ("units", "sessions_per_group"),
+    ("majflt", "major_faults"),
+)
 
 
 def render_sample_table(samples: Sequence[Sample], title: str | None = None) -> str:
@@ -23,37 +30,27 @@ def render_sample_table(samples: Sequence[Sample], title: str | None = None) -> 
     The delta columns are per-interval counter increments; the gauge
     columns are the registered ratios over the same interval.
     """
-    columns: tuple[tuple[str, str, int], ...] = (
-        ("#", "seq", 4),
-        ("dt_s", "dt", 8),
-        ("commits", "commits", 8),
-        ("units", "sessions_per_group", 8),
-        ("majflt", "major_faults", 8),
-        ("hit_ratio", "hit_ratio", 10),
-        ("cache_hit_ratio", "cache_hit_ratio", 15),
-        ("prefetch_absorption", "prefetch_absorption", 19),
-        ("coalesce_ratio", "coalesce_ratio", 14),
-        ("group_width", "group_width", 11),
-        ("commit_stall_ratio", "commit_stall_ratio", 18),
-        ("fast_path_ratio", "fast_path_ratio", 15),
+    gauge_widths = [(spec.name, max(len(spec.name), 10)) for spec in DERIVED_METRICS]
+    header = "  ".join(
+        ["#".rjust(4), "dt_s".rjust(8)]
+        + [name.rjust(8) for name, _ in _DELTA_COLUMNS]
+        + [name.rjust(width) for name, width in gauge_widths]
     )
     lines: list[str] = []
     if title:
         lines.append(title)
-    header = "  ".join(name.rjust(width) for name, _, width in columns)
     lines.append(header)
     lines.append("-" * len(header))
     for sample in samples:
-        cells: list[str] = []
-        for name, key, width in columns:
-            if key == "seq":
-                cells.append(str(sample.seq).rjust(width))
-            elif key == "dt":
-                cells.append(f"{sample.dt:.3f}".rjust(width))
-            elif key in sample.gauges:
-                cells.append(f"{sample.gauges[key]:.3f}".rjust(width))
-            else:
-                cells.append(str(sample.delta.get(key, 0)).rjust(width))
+        cells = [str(sample.seq).rjust(4), f"{sample.dt:.3f}".rjust(8)]
+        cells += [
+            str(sample.delta.get(counter, 0)).rjust(8)
+            for _, counter in _DELTA_COLUMNS
+        ]
+        cells += [
+            f"{sample.gauges.get(name, 0.0):.3f}".rjust(width)
+            for name, width in gauge_widths
+        ]
         lines.append("  ".join(cells))
     return "\n".join(lines)
 

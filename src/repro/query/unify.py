@@ -51,13 +51,15 @@ def occurs(var: ast.Var, term, subst: dict) -> bool:
     return False
 
 
-def unify(term_a, term_b, subst: dict, occurs_check: bool = False) -> dict | None:
+def unify(term_a, term_b, subst: dict) -> dict | None:
     """Most general unifier extending ``subst``, or None.
 
     Constants unify by Python equality *and* type compatibility: the
     atom ``foo`` (a :class:`~repro.query.ast.Sym`) does not unify with
     the string ``"foo"``, but ``1`` and ``1.0`` do unify (numeric
-    comparison), matching how LabBase data is queried.
+    comparison), matching how LabBase data is queried.  A variable never
+    binds to a term that contains it (the occurs check), so every
+    substitution returned is acyclic and :func:`resolve` terminates on it.
     """
     term_a = walk(term_a, subst)
     term_b = walk(term_b, subst)
@@ -68,13 +70,13 @@ def unify(term_a, term_b, subst: dict, occurs_check: bool = False) -> dict | Non
         return subst
 
     if isinstance(term_a, ast.Var):
-        if occurs_check and occurs(term_a, term_b, subst):
+        if occurs(term_a, term_b, subst):
             return None
         new = dict(subst)
         new[term_a] = term_b
         return new
     if isinstance(term_b, ast.Var):
-        if occurs_check and occurs(term_b, term_a, subst):
+        if occurs(term_b, term_a, subst):
             return None
         new = dict(subst)
         new[term_b] = term_a
@@ -89,7 +91,7 @@ def unify(term_a, term_b, subst: dict, occurs_check: bool = False) -> dict | Non
         if term_a.functor != term_b.functor or term_a.arity != term_b.arity:
             return None
         for arg_a, arg_b in zip(term_a.args, term_b.args):
-            subst = unify(arg_a, arg_b, subst, occurs_check)
+            subst = unify(arg_a, arg_b, subst)
             if subst is None:
                 return None
         return subst

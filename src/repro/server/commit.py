@@ -44,14 +44,12 @@ class CommitCoordinator:
         self,
         db: LabBase,
         *,
-        enabled: bool = True,
         cap: int = DEFAULT_GROUP_CAP,
         tracer: UnitTracer | None = None,
     ) -> None:
         if cap < 1:
             raise ValueError("group-commit cap must be >= 1")
         self._db = db
-        self.enabled = enabled
         self.cap = cap
         self._tracer = tracer
         self._pending: list[str] = []
@@ -70,10 +68,9 @@ class CommitCoordinator:
         self._pending.append(session)
 
     def should_close(self) -> bool:
-        """Whether the group must close now (cap reached, or no grouping)."""
-        if not self._pending:
-            return False
-        return not self.enabled or len(self._pending) >= self.cap
+        """Whether the group must close now (cap reached; a cap of 1
+        is no grouping: every unit closes its own group)."""
+        return len(self._pending) >= self.cap
 
     def close(self) -> list[str]:
         """Close the group: one commit covering every pending unit.

@@ -518,7 +518,6 @@ def fuzz_backend(
     seed: int = 0,
     sessions: int = DEFAULT_SESSIONS,
     units_per_session: int = DEFAULT_UNITS,
-    group_commit: bool = True,
     watchdog: LockOrderWatchdog | None = None,
 ) -> FuzzReport:
     """Fuzz one schedule, replay its completion order serially, compare.
@@ -547,7 +546,6 @@ def fuzz_backend(
         if servable:
             service = LabFlowService(
                 db,
-                group_commit=group_commit,
                 group_cap=3,
                 retry_backoff=0.0,
                 watchdog=watchdog,
@@ -591,7 +589,7 @@ def fuzz_backend(
         replay_db = LabBase(replay)
         bootstrap_schema(replay_db)
         if servable:
-            witness = LabFlowService(replay_db, group_commit=False)
+            witness = LabFlowService(replay_db, group_cap=1)
             witness.open_session("serial")
             # The witness must replay units in completion order — one
             # session, one unit at a time, so there is nothing to rank.

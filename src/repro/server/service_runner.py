@@ -29,9 +29,9 @@ blocking lock: the retry always makes progress, so there is no deadlock
 
 Durability: a unit's completion acknowledges *execution*; durability
 arrives when its group closes (cap reached, conflict stall, or an
-explicit ``drain``).  With ``group_commit=False`` every update unit
-closes its own group — the sequential per-session baseline bench_a6
-compares against.
+explicit ``drain``).  With ``group_cap=1`` every update unit closes
+its own group — the sequential per-session baseline bench_a6 compares
+against.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class LabFlowService:
         self,
         db: LabBase,
         *,
-        group_commit: bool = True,
         group_cap: int = DEFAULT_GROUP_CAP,
         max_retries: int = DEFAULT_MAX_RETRIES,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
@@ -101,9 +100,7 @@ class LabFlowService:
         self._db = db
         self._sessions = SessionManager(db)
         self._tracer = tracer
-        self._coordinator = CommitCoordinator(
-            db, enabled=group_commit, cap=group_cap, tracer=tracer
-        )
+        self._coordinator = CommitCoordinator(db, cap=group_cap, tracer=tracer)
         self._max_retries = max(0, max_retries)
         self._retry_backoff = max(0.0, retry_backoff)
         # Any: a watched RLock and a real RLock expose the same protocol
@@ -123,10 +120,6 @@ class LabFlowService:
     @property
     def db(self) -> LabBase:
         return self._db
-
-    @property
-    def group_commit(self) -> bool:
-        return self._coordinator.enabled
 
     def open_sessions(self) -> list[str]:
         with self._mutex:

@@ -88,11 +88,11 @@ def stats_report(
 ) -> str:
     """Counters plus derived gauges, one compact table.
 
-    Data-driven on purpose: the gauge *names* come from the caller
-    (usually :func:`repro.obs.registry.gauges_from`), so this renderer
-    never hard-codes a registered metric — the one-render-path rule
-    (LF07) points at :mod:`repro.obs.render`, not here.  Zero counters
-    are elided; gauges always show.
+    Data-driven: the counter and gauge *names* come from the caller
+    (a ``StorageStats`` snapshot and
+    :func:`repro.obs.registry.gauges_from` over it), so this renderer
+    names no counter and no registered metric.  Zero counters are
+    elided; gauges always show.
     """
     rows: list[list[object]] = [
         [name, str(count)] for name, count in counters.items() if count

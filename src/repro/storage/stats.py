@@ -61,61 +61,9 @@ class StorageStats:
             for name in self.__dataclass_fields__
         }
 
-    @property
-    def hit_ratio(self) -> float:
-        """Buffer-pool hit ratio in [0, 1]; 1.0 when no accesses occurred."""
-        accesses = self.buffer_hits + self.major_faults
-        if accesses == 0:
-            return 1.0
-        return self.buffer_hits / accesses
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Object-cache hit ratio in [0, 1]; 1.0 when no reads occurred."""
-        accesses = self.cache_hits + self.cache_misses
-        if accesses == 0:
-            return 1.0
-        return self.cache_hits / accesses
-
-    @property
-    def prefetch_absorption(self) -> float:
-        """Faults absorbed by read-ahead, over absorbed + still-missed."""
-        staged_or_missed = self.prefetch_hits + self.major_faults
-        if staged_or_missed == 0:
-            return 0.0
-        return self.prefetch_hits / staged_or_missed
-
-    @property
-    def coalesce_ratio(self) -> float:
-        """Object writes absorbed pre-commit, over absorbed + drained."""
-        writes = self.cache_coalesced + self.objects_written
-        if writes == 0:
-            return 0.0
-        return self.cache_coalesced / writes
-
-    @property
-    def fast_path_ratio(self) -> float:
-        """Records encoded via a fixed layout, over all records encoded."""
-        encoded = self.records_fast_path + self.records_fallback
-        if encoded == 0:
-            return 0.0
-        return self.records_fast_path / encoded
-
-    @property
-    def group_width(self) -> float:
-        """Mean session-units fused per group commit; 0.0 unserved."""
-        if self.group_commits == 0:
-            return 0.0
-        return self.sessions_per_group / self.group_commits
-
-    @property
-    def commit_stall_ratio(self) -> float:
-        """Groups forced closed by a lock conflict, per group commit."""
-        if self.group_commits == 0:
-            return 0.0
-        return self.commit_stalls / self.group_commits
-
-
-# Field list is part of the public contract: tests assert that no counter
-# is silently dropped when the harness renders extended reports.
+# The one list of counters.  The aggregator above, ``render_stats`` and
+# the metric registry's import-time validation all iterate it, so a new
+# field is merged, rendered and available to gauges by being declared.
+# Ratios over these counters are not defined here: see repro.obs.registry.
 STAT_FIELDS: tuple[str, ...] = tuple(StorageStats.__dataclass_fields__)

@@ -1,6 +1,6 @@
 """Tests for the observability layer (repro.obs).
 
-Covers the metric registry against the StorageStats gauge properties,
+Covers the metric registry's formulas against hand-computed values,
 snapshot/delta/reset under an attached object cache, byte-identical
 sampler and tracer JSONL under an injected clock (including a
 hypothesis replay property), the served ``sample`` op and the live
@@ -80,6 +80,8 @@ def test_gauges_default_on_zero_denominator():
 
 
 def test_gauge_properties_match_registry():
+    """Every registered formula against a hand-computed value (a gauge
+    added to the registry must be added here)."""
     stats = StorageStats()
     stats.buffer_hits = 30
     stats.major_faults = 10
@@ -91,9 +93,17 @@ def test_gauge_properties_match_registry():
     stats.group_commits = 3
     stats.sessions_per_group = 9
     stats.commit_stalls = 1
-    snapshot = stats.snapshot()
-    for spec in DERIVED_METRICS:
-        assert getattr(stats, spec.name) == pytest.approx(spec.compute(snapshot))
+    stats.records_fast_path = 6
+    stats.records_fallback = 2
+    assert gauges_from(stats.snapshot()) == pytest.approx({
+        "hit_ratio": 30 / 40,
+        "cache_hit_ratio": 8 / 10,
+        "prefetch_absorption": 5 / 15,
+        "coalesce_ratio": 4 / 16,
+        "group_width": 9 / 3,
+        "commit_stall_ratio": 1 / 3,
+        "fast_path_ratio": 6 / 8,
+    })
 
 
 # -- StorageStats under an attached object cache ----------------------------
@@ -266,7 +276,7 @@ def _run_workload(client):
 def _traced_service_run(tmp_path, name):
     db = _service_db(tmp_path, name)
     tracer = UnitTracer(clock=ManualClock(start=0.0, step=0.001))
-    service = LabFlowService(db, group_commit=True, group_cap=2, tracer=tracer)
+    service = LabFlowService(db, group_cap=2, tracer=tracer)
     client = LocalClient(service, "alice")
     _run_workload(client)
     client.close()
@@ -288,7 +298,7 @@ def test_service_trace_is_byte_identical_across_runs(tmp_path):
 def test_service_sample_payload():
     db = _service_db()
     tracer = UnitTracer(clock=ManualClock())
-    service = LabFlowService(db, group_commit=True, group_cap=2, tracer=tracer)
+    service = LabFlowService(db, group_cap=2, tracer=tracer)
     client = LocalClient(service, "alice")
     _run_workload(client)
     payload = service.sample()
@@ -308,7 +318,7 @@ def test_observability_off_is_bit_identical(tmp_path):
     for name, traced in (("plain.pages", False), ("traced.pages", True)):
         db = _service_db(tmp_path, name)
         tracer = UnitTracer(clock=ManualClock()) if traced else None
-        service = LabFlowService(db, group_commit=True, group_cap=2, tracer=tracer)
+        service = LabFlowService(db, group_cap=2, tracer=tracer)
         sampler = (
             IntervalSampler(service.stats_snapshot, clock=ManualClock())
             if traced
@@ -343,7 +353,7 @@ def test_observability_off_is_bit_identical(tmp_path):
 def served(tmp_path):
     db = _service_db(tmp_path)
     tracer = UnitTracer()
-    service = LabFlowService(db, group_commit=True, group_cap=4, tracer=tracer)
+    service = LabFlowService(db, group_cap=4, tracer=tracer)
     runner = ServiceRunner(service)
     host, port = runner.start()
     yield host, port, service
@@ -396,6 +406,7 @@ _A4_PAYLOAD = {
     },
     "off": {"cache_hits": 0, "cache_misses": 100},
     "speedup": 1.9,
+    "gauge_block": "on",
 }
 
 
@@ -412,7 +423,7 @@ def test_canonicalize_selects_schema_gauges():
     assert canonical["version"] == bl.BASELINE_VERSION
     assert canonical["schema"] == "A4"
     assert canonical["bench"] == "a4_object_cache"
-    assert set(canonical["gauges"]) == set(bl.BASELINE_SCHEMAS["A4"])
+    assert set(canonical["gauges"]) == {"cache_hit_ratio", "coalesce_ratio"}
     assert canonical["gauges"]["cache_hit_ratio"] == 1.0
     assert canonical["gauges"]["coalesce_ratio"] == pytest.approx(0.4)
 
@@ -465,7 +476,9 @@ def test_record_refuses_a_gauge_that_lost_its_numerator(tmp_path, capsys):
     results = os.path.join(str(tmp_path), "results")
     os.makedirs(results)
     block = {"group_commits": 48, "commit_stalls": 0}
-    bl.dump_json(bl.results_path("A6", results), {"s4_on": block})
+    bl.dump_json(
+        bl.results_path("A6", results), {"s4_on": block, "gauge_block": "s4_on"}
+    )
     with pytest.raises(ValueError, match="group_width"):
         bl.record("A6", results, str(tmp_path))
     assert main(
@@ -476,7 +489,9 @@ def test_record_refuses_a_gauge_that_lost_its_numerator(tmp_path, capsys):
     assert not os.path.exists(bl.baseline_path("A6", str(tmp_path)))
 
     block["sessions_per_group"] = 192
-    bl.dump_json(bl.results_path("A6", results), {"s4_on": block})
+    bl.dump_json(
+        bl.results_path("A6", results), {"s4_on": block, "gauge_block": "s4_on"}
+    )
     recorded = bl.load_json(bl.record("A6", results, str(tmp_path)))
     assert recorded["gauges"] == {"group_width": 4.0, "commit_stall_ratio": 0.0}
 
@@ -488,14 +503,16 @@ def test_render_drift_table_empty_case():
 def test_committed_baselines_are_canonical():
     """The checked-in BENCH files parse and carry their declared shape."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    for schema in sorted(bl.BASELINE_SCHEMAS):
+    for schema in sorted(bl.BASELINE_BENCHES):
         path = bl.baseline_path(schema, repo)
         assert os.path.exists(path), f"missing committed baseline {path}"
         payload = bl.load_json(path)
         assert payload["version"] == bl.BASELINE_VERSION
         assert payload["schema"] == schema
         assert payload["bench"] == bl.BASELINE_BENCHES[schema]
-        assert set(payload["gauges"]) == set(bl.BASELINE_SCHEMAS[schema])
+        assert set(payload["gauges"]) == {
+            spec.name for spec in DERIVED_METRICS if spec.baseline == schema
+        }
         assert payload["counters"], "baseline recorded no counters"
         for value in payload["counters"].values():
             assert isinstance(value, int)

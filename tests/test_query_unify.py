@@ -77,7 +77,7 @@ def test_partial_failure_leaves_input_subst_valid():
 def test_occurs_check_detects_cycle():
     term = ast.Struct("f", (_var("X"),))
     assert occurs(_var("X"), term, {})
-    assert unify(_var("X"), term, {}, occurs_check=True) is None
+    assert unify(_var("X"), term, {}) is None
 
 
 def test_is_ground():
@@ -142,10 +142,20 @@ def test_unify_symmetric(left, right):
     assert (forward is None) == (backward is None)
 
 
+def test_unify_cyclic_pair_terminates():
+    """Regression: with the occurs check off, ``Z`` was bound to ``f(Z)``
+    and the second argument pair then unified the cycle with itself,
+    recursing without end.  ``test_unify_symmetric`` can draw this pair."""
+    z = _var("Z")
+    f_z = ast.Struct("f", (z,))
+    left = ast.Struct("f", (f_z, f_z))
+    right = ast.Struct("f", (z, f_z))
+    assert unify(left, right, {}) is None
+    assert unify(right, left, {}) is None
+
+
 @given(_terms(), _terms())
 def test_unifier_makes_terms_equal(left, right):
-    # occurs check on: without it unify(X, f(X)) legitimately builds a
-    # cyclic substitution (standard Prolog), which resolve cannot print.
-    subst = unify(left, right, {}, occurs_check=True)
+    subst = unify(left, right, {})
     if subst is not None:
         assert resolve(left, subst) == resolve(right, subst)

@@ -85,7 +85,7 @@ def test_encoding_is_deterministic():
 
 def test_group_closes_at_cap():
     db = _served_db()
-    coordinator = CommitCoordinator(db, enabled=True, cap=3)
+    coordinator = CommitCoordinator(db, cap=3)
     coordinator.note_unit("a")
     coordinator.note_unit("b")
     assert not coordinator.should_close()
@@ -101,7 +101,8 @@ def test_group_closes_at_cap():
 
 def test_disabled_coordinator_closes_every_unit():
     db = _served_db()
-    coordinator = CommitCoordinator(db, enabled=False, cap=8)
+    coordinator = CommitCoordinator(db, cap=1)  # cap 1 is "no grouping"
+    assert not coordinator.should_close()  # nothing pending
     coordinator.note_unit("solo")
     assert coordinator.should_close()
     assert coordinator.close() == ["solo"]
@@ -140,7 +141,7 @@ def test_session_lifecycle_and_validation():
 
 def test_units_execute_and_group_commits(tmp_path):
     db = _served_db(tmp_path, checkpoint_every=1)
-    service = LabFlowService(db, group_commit=True, group_cap=2)
+    service = LabFlowService(db, group_cap=2)
     alice = LocalClient(service, "alice")
     oid = alice.create_material("clone", "a-0", 1, state="active")
     assert service._coordinator.pending_units == 1  # not yet durable
@@ -194,7 +195,7 @@ def test_pending_group_blocks_then_stall_flushes():
     session; the conflict force-closes the group (a commit_stall) and
     the retry proceeds."""
     db = _served_db()
-    service = LabFlowService(db, group_commit=True, group_cap=100)
+    service = LabFlowService(db, group_cap=100)
     alice = LocalClient(service, "alice")
     bob = LocalClient(service, "bob")
     # consecutive creates pack onto the same page: a conflict source
@@ -217,7 +218,7 @@ def test_retry_budget_exhausts_against_foreign_lock():
     """A lock held outside any group (a foreign client on the same SM)
     cannot be flushed away: the bounded retry gives up with LockError."""
     db = _served_db()
-    service = LabFlowService(db, group_commit=True, retry_backoff=0.0)
+    service = LabFlowService(db, retry_backoff=0.0)
     alice = LocalClient(service, "alice")
     oid = alice.create_material("clone", "a-0", 1, state="active")
     alice.drain()
@@ -236,7 +237,7 @@ def test_retry_budget_exhausts_against_foreign_lock():
 
 def test_completed_units_replay_in_completion_order():
     db = _served_db()
-    service = LabFlowService(db, group_commit=True, group_cap=4)
+    service = LabFlowService(db, group_cap=4)
     alice = LocalClient(service, "alice")
     bob = LocalClient(service, "bob")
     a = alice.create_material("clone", "a-0", 1, state="active")
@@ -258,7 +259,7 @@ def test_completed_units_log_is_bounded(monkeypatch):
 
     monkeypatch.setattr(service_runner, "COMPLETED_LOG_UNITS", 3)
     db = _served_db()
-    service = LabFlowService(db, group_commit=True, group_cap=4)
+    service = LabFlowService(db, group_cap=4)
     alice = LocalClient(service, "alice")
     for n in range(5):
         alice.create_material("clone", f"a-{n}", n + 1, state="active")
@@ -273,7 +274,7 @@ def test_close_session_keeps_group_pending_units():
     """A session dying after completing units does not retract them:
     they stay in the group and become durable at the next close."""
     db = _served_db()
-    service = LabFlowService(db, group_commit=True, group_cap=100)
+    service = LabFlowService(db, group_cap=100)
     alice = LocalClient(service, "alice")
     oid = alice.create_material("clone", "a-0", 1, state="active")
     alice.record_step("measure", 2, [oid], {"value": 9})
@@ -337,7 +338,7 @@ def _commit_cost(tmp_path, label, group, sessions=4, rounds=6):
     db = LabBase(sm)
     bootstrap_schema(db)
     service = LabFlowService(
-        db, group_commit=group, group_cap=sessions, retry_backoff=0.0
+        db, group_cap=sessions if group else 1, retry_backoff=0.0
     )
     clients = [LocalClient(service, f"c{i}") for i in range(sessions)]
     oids, tick = _spread_clients(service, clients)
@@ -384,7 +385,7 @@ def test_group_commit_costs_less_io_per_step(tmp_path):
 @pytest.fixture
 def served(tmp_path):
     db = _served_db(tmp_path, checkpoint_every=1)
-    service = LabFlowService(db, group_commit=True, group_cap=4)
+    service = LabFlowService(db, group_cap=4)
     runner = ServiceRunner(service)
     host, port = runner.start()
     yield host, port, service, db

@@ -122,7 +122,7 @@ def _interleaved_run(cls, directory, codes, n_sessions, group):
     db = LabBase(sm)
     bootstrap_schema(db)
     service = LabFlowService(
-        db, group_commit=group, group_cap=3, retry_backoff=0.0
+        db, group_cap=3 if group else 1, retry_backoff=0.0
     )
     _drive_units(service, [f"s{i}" for i in range(n_sessions)], codes)
     completed = service.completed_units()
@@ -137,7 +137,7 @@ def _serial_replay(cls, directory, completed):
     sm = cls(path=os.path.join(directory, "db.pages"), checkpoint_every=0)
     db = LabBase(sm)
     bootstrap_schema(db)
-    service = LabFlowService(db, group_commit=False)
+    service = LabFlowService(db, group_cap=1)
     service.open_session("serial")
     for _session, op, args in completed:
         service.submit("serial", op, args)
@@ -186,9 +186,7 @@ def _served_crash_workload(path, injector=None):
     sm = ObjectStoreSM(path=path, checkpoint_every=1, fault_injector=injector)
     db = LabBase(sm)
     bootstrap_schema(db)
-    service = LabFlowService(
-        db, group_commit=True, group_cap=3, retry_backoff=0.0
-    )
+    service = LabFlowService(db, group_cap=3, retry_backoff=0.0)
     _drive_units(service, [f"s{i}" for i in range(_CRASH_SESSIONS)], _CRASH_CODES)
     service.shutdown()
     return sm

@@ -1,5 +1,7 @@
 """Unit tests for the resource meter."""
 
+import dataclasses
+
 import pytest
 
 from repro.util.timing import ResourceMeter, ResourceUsage
@@ -68,6 +70,14 @@ def test_usage_addition():
     assert combined.sys_cpu_sec == pytest.approx(0.3)
     assert combined.majflt == 15
     assert combined.size_bytes == 100  # latest/max, not summed
+    # no field is dropped by ``+``, whatever fields there are: each is
+    # summed or (size) the maximum, never left at a default
+    names = [field.name for field in dataclasses.fields(ResourceUsage)]
+    a = ResourceUsage(*range(1, len(names) + 1))
+    b = ResourceUsage(*range(11, len(names) + 11))
+    for name in names:
+        ours, theirs = getattr(a, name), getattr(b, name)
+        assert getattr(a + b, name) in (ours + theirs, max(ours, theirs)), name
 
 
 def test_as_rows_matches_paper_resources():
