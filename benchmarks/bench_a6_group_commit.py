@@ -77,9 +77,7 @@ def _run(sessions: int, group: bool) -> dict:
         )
         db = LabBase(sm)
         bootstrap_schema(db)
-        service = LabFlowService(
-            db, group_cap=sessions if group else 1, retry_backoff=0.0
-        )
+        service = LabFlowService(db, group_cap=sessions if group else 1)
         clients = [LocalClient(service, f"c{i}") for i in range(sessions)]
         oids, tick = _spread_sessions(sm, clients)
         service.drain()
@@ -207,9 +205,7 @@ def test_a6_four_session_unit_latency(benchmark, group):
         )
         db = LabBase(sm)
         bootstrap_schema(db)
-        service = LabFlowService(
-            db, group_cap=4 if group else 1, retry_backoff=0.0
-        )
+        service = LabFlowService(db, group_cap=4 if group else 1)
         clients = [LocalClient(service, f"c{i}") for i in range(4)]
         oids, tick = _spread_sessions(sm, clients)
         service.drain()

@@ -367,8 +367,8 @@ def _sanitize_smoke(*, clients: int, units: int) -> dict:
     db = LabBase(sm)
     bootstrap_schema(db)
     watchdog = LockOrderWatchdog()
-    service = LabFlowService(db, retry_backoff=0.0, watchdog=watchdog)
-    runner = ServiceRunner(service, watchdog=watchdog)
+    service = LabFlowService(db, watchdog=watchdog)
+    runner = ServiceRunner(service)
     host, port = runner.start()
     try:
         run_concurrent_clients(host, port, clients=clients, units=units)
@@ -435,9 +435,7 @@ def cmd_serve(args) -> int:
             target=sampling_loop, name="labflow-sampler", daemon=True
         )
         sampler_thread.start()
-    runner = ServiceRunner(
-        service, host=args.host, port=args.port, watchdog=watchdog
-    )
+    runner = ServiceRunner(service, host=args.host, port=args.port)
     host, port = runner.start()
     print(f"serving {args.db or '<in-memory>'} [{args.server}] on "
           f"{host}:{port} "

@@ -285,5 +285,8 @@ class SessionManager:
             self.db.cache.evict(oid, write_back=not failed)
         self._sm.detach_client(name)
 
+    def is_open(self, name: str) -> bool:
+        return name in self._sessions
+
     def open_sessions(self) -> list[str]:
         return sorted(self._sessions)

@@ -58,7 +58,6 @@ DURATION_DIGITS = 9
 LOCK_RANKS: dict[str, int] = {
     "fuzz.gate": 0,
     "service.mutex": 10,
-    "runner.channels": 20,
     "tracer.events": 30,
     "watchdog.state": 40,
 }
@@ -71,7 +70,6 @@ LOCK_RANKS: dict[str, int] = {
 LOCK_SITES: dict[str, str] = {
     "fuzz.gate": "ScheduleFuzzer._gate_lock",
     "service.mutex": "LabFlowService._mutex",
-    "runner.channels": "ServiceRunner._channel_lock",
     "tracer.events": "UnitTracer._lock",
     "watchdog.state": "LockOrderWatchdog._state_lock",
 }

@@ -10,10 +10,12 @@ batching concurrently-arriving session commits into one vectored flush.
 Decomposition (see DESIGN.md §13):
 
 * :mod:`~repro.server.communicator` — newline-framed JSON requests and
-  responses over a socket;
+  responses, the frame buffer a non-blocking reader takes them off, and
+  the blocking client end (:class:`Channel`);
 * :mod:`~repro.server.service_runner` — the deterministic synchronous
-  service core (:class:`LabFlowService`) and the threaded socket
-  front-end (:class:`ServiceRunner`);
+  service core (:class:`LabFlowService`) and the socket front-end
+  (:class:`ServiceRunner`): one event-loop thread for every connection,
+  answering each ``recv``'s complete frames in order with one ``send``;
 * :mod:`~repro.server.commit` — the group-commit coordinator;
 * :mod:`~repro.server.client_runner` — client proxies and the scripted
   deterministic mix used by the CI smoke run and bench_a6.

@@ -189,7 +189,10 @@ class ServiceClient(_ClientOps):
     """The client surface over a socket connection."""
 
     def __init__(self, host: str, port: int, session: str) -> None:
-        self._channel = Channel(socket.create_connection((host, port)))
+        sock = socket.create_connection((host, port))
+        # One small frame each way per unit: Nagle would only hold it back.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._channel = Channel(sock)
         self.session = session
         self._closed = False
         self.call("open_session")

@@ -7,6 +7,15 @@ unambiguous, deterministic (keys are sorted, so a captured exchange
 byte-compares across runs) and strict: anything malformed raises
 :class:`~repro.errors.ProtocolError` instead of guessing.
 
+The server never blocks on a socket, so its framing is
+:class:`FrameBuffer`: bytes go in as ``recv`` delivers them, complete
+newline-terminated frames come out in order, and a line that runs past
+:data:`MAX_MESSAGE_BYTES` with no newline is a protocol violation.  The
+event loop keeps one per connection and takes every frame a ``recv``
+completed, so a client may write several requests back to back and read
+the replies in the same order.  :class:`Channel` is the blocking client
+end: one request out, one line back.
+
 Values must be JSON-representable (LabBase records are dicts, lists,
 strings and numbers, so everything the served operations return
 qualifies; tuples arrive back as lists).
@@ -23,6 +32,13 @@ from repro.errors import ProtocolError
 #: Hard cap on one encoded message; a line longer than this is a
 #: protocol violation, not a workload.
 MAX_MESSAGE_BYTES = 4 * 1024 * 1024
+
+#: The most one ``recv`` asks the socket for.
+RECV_BYTES = 64 * 1024
+
+# json.dumps builds a JSONEncoder per call whenever a keyword is not at
+# its default; every frame is encoded by this one.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -50,7 +66,7 @@ def encode_request(request: Request) -> bytes:
         "session": request.session,
         "args": request.args,
     }
-    return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+    return _ENCODE(payload).encode("utf-8") + b"\n"
 
 
 def decode_request(line: bytes) -> Request:
@@ -74,7 +90,7 @@ def encode_response(response: Response) -> bytes:
         "error": response.error,
         "error_type": response.error_type,
     }
-    return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+    return _ENCODE(payload).encode("utf-8") + b"\n"
 
 
 def decode_response(line: bytes) -> Response:
@@ -95,20 +111,58 @@ def _decode_payload(line: bytes) -> dict[str, object]:
         raise ProtocolError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # garbage, or nested too deep
         raise ProtocolError(f"undecodable message: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("message must be a JSON object")
     return payload
 
 
-class Channel:
-    """Newline-framed JSON messages over one connected socket.
+class FrameBuffer:
+    """What one connection has received and not yet taken off as frames."""
 
-    Both ends use the same channel: the client sends requests and reads
-    responses, the server reads requests and sends responses.  ``recv_*``
-    returns ``None`` on a clean EOF (peer closed), raises
-    :class:`ProtocolError` on garbage.
+    def __init__(self) -> None:
+        self._data = bytearray()
+        self._scanned = 0  # no newline before this offset
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def room(self) -> int:
+        """How much one more ``recv`` may ask for: never so much that an
+        unterminated line is held beyond the cap before it is refused."""
+        return min(RECV_BYTES, MAX_MESSAGE_BYTES + 1 - len(self._data))
+
+    def feed(self, data: bytes) -> None:
+        self._data += data
+
+    def take(self) -> bytes | None:
+        """Remove and return the next complete frame, newline included;
+        ``None`` while only part of one has arrived.  Raises
+        :class:`ProtocolError` once that part is longer than any frame
+        may be."""
+        data = self._data
+        end = data.find(b"\n", self._scanned)
+        if end < 0:
+            if len(data) > MAX_MESSAGE_BYTES:
+                raise ProtocolError(
+                    f"unterminated message exceeds {MAX_MESSAGE_BYTES} bytes"
+                )
+            self._scanned = len(data)
+            return None
+        frame = bytes(data[: end + 1])
+        del data[: end + 1]
+        self._scanned = 0
+        return frame
+
+
+class Channel:
+    """The blocking client end: one connected socket, one request out,
+    one response back.
+
+    ``recv_response`` returns ``None`` on a clean EOF (peer closed
+    between frames) and raises :class:`ProtocolError` on garbage or on a
+    peer that died mid-line.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -118,16 +172,13 @@ class Channel:
     def send_request(self, request: Request) -> None:
         self._sock.sendall(encode_request(request))
 
-    def recv_request(self) -> Request | None:
-        line = self._read_line()
-        return None if line is None else decode_request(line)
-
-    def send_response(self, response: Response) -> None:
-        self._sock.sendall(encode_response(response))
-
     def recv_response(self) -> Response | None:
-        line = self._read_line()
-        return None if line is None else decode_response(line)
+        line = self._reader.readline(MAX_MESSAGE_BYTES + 1)
+        if not line:
+            return None
+        if not line.endswith(b"\n"):
+            raise ProtocolError("unterminated message (peer died mid-line?)")
+        return decode_response(line)
 
     def roundtrip(self, request: Request) -> Response:
         """One request, one response — the client-side exchange.
@@ -140,14 +191,6 @@ class Channel:
         if response is None:
             raise ProtocolError("server closed the connection mid-exchange")
         return response
-
-    def _read_line(self) -> bytes | None:
-        line = self._reader.readline(MAX_MESSAGE_BYTES + 1)
-        if not line:
-            return None
-        if not line.endswith(b"\n"):
-            raise ProtocolError("unterminated message (peer died mid-line?)")
-        return line
 
     def close(self) -> None:
         # shutdown() first: closing alone does not unblock a thread

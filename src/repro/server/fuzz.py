@@ -544,12 +544,7 @@ def fuzz_backend(
         db = LabBase(store)
         bootstrap_schema(db)
         if servable:
-            service = LabFlowService(
-                db,
-                group_cap=3,
-                retry_backoff=0.0,
-                watchdog=watchdog,
-            )
+            service = LabFlowService(db, group_cap=3, watchdog=watchdog)
             fuzzer = ScheduleFuzzer(
                 service,
                 names,

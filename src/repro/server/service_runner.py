@@ -7,8 +7,12 @@ buffered in the shared object cache, then the unit drains — its writes
 reach the storage manager in oid order — and, for updates, joins the
 open commit group (:mod:`repro.server.commit`).  Units execute one at a
 time under the service mutex; concurrency is in the *interleaving* of
-sessions' units and in the socket layer around the core, exactly like
-the page-server model the paper describes.
+sessions' units, exactly like the page-server model the paper
+describes.  :class:`ServiceRunner` puts the core behind a socket: one
+event-loop thread serves every connection (the mutex serialises units
+anyway, so a thread per connection bought only GIL hand-offs), and the
+mutex stays for the callers that are not the loop — the interval
+sampler's thread and ``--smoke``'s main thread.
 
 Lock discipline (strict two-phase for updates):
 
@@ -19,13 +23,15 @@ Lock discipline (strict two-phase for updates):
 * a conflict raises :class:`~repro.errors.LockError` inside the core —
   the service turns that into the queued-wait discipline of a real page
   server: close the open group early if it holds the contended locks
-  (a ``commit_stall``), otherwise wait (timeout-bounded), and retry up
-  to a fixed budget before the error reaches the client.
+  (a ``commit_stall``) and retry, up to a fixed budget, before the
+  error reaches the client.
 
 Because all lock holders across unit boundaries are, by construction,
 sessions with units in the open group, closing the group releases every
 blocking lock: the retry always makes progress, so there is no deadlock
-— only bounded waiting.
+and nothing to sleep for.  Only a lock held by a client the service
+does not know (a foreign attachment on the storage manager) outlasts
+the budget.
 
 Durability: a unit's completion acknowledges *execution*; durability
 arrives when its group closes (cap reached, conflict stall, or an
@@ -36,8 +42,11 @@ against.
 
 from __future__ import annotations
 
+import selectors
 import socket
+import sys
 import threading
+import time
 from collections import deque
 from typing import Any, Iterable
 
@@ -56,16 +65,22 @@ from repro.obs.registry import gauges_from
 from repro.obs.tracing import UnitTracer
 from repro.obs.watchdog import LockOrderWatchdog
 from repro.server.commit import DEFAULT_GROUP_CAP, CommitCoordinator
-from repro.server.communicator import Channel, Request, Response
+from repro.server.communicator import (
+    MAX_MESSAGE_BYTES,
+    FrameBuffer,
+    Request,
+    Response,
+    decode_request,
+    encode_response,
+)
 
 #: Retry budget for a lock-conflicted unit before the error reaches the
 #: client (who may retry again at its own layer).
 DEFAULT_MAX_RETRIES = 8
 
-#: Base wait (seconds) between in-core retries when flushing the open
-#: group did not resolve the conflict (i.e. another thread holds the
-#: mutex-protected state mid-change).  Grows linearly with attempts.
-DEFAULT_RETRY_BACKOFF = 0.005
+#: How long :meth:`ServiceRunner.stop` waits, over all connections, for
+#: peers to take the replies it still owes them.
+STOP_FLUSH_SECONDS = 5.0
 
 #: How many update units :meth:`LabFlowService.completed_units` keeps —
 #: the last N.  The log is the serial witness the property tests and the
@@ -88,7 +103,6 @@ class LabFlowService:
         *,
         group_cap: int = DEFAULT_GROUP_CAP,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
         tracer: UnitTracer | None = None,
         watchdog: LockOrderWatchdog | None = None,
     ) -> None:
@@ -102,7 +116,6 @@ class LabFlowService:
         self._tracer = tracer
         self._coordinator = CommitCoordinator(db, cap=group_cap, tracer=tracer)
         self._max_retries = max(0, max_retries)
-        self._retry_backoff = max(0.0, retry_backoff)
         # Any: a watched RLock and a real RLock expose the same protocol
         # (Condition included), but share no typeshed-visible base.
         self._mutex: Any = (
@@ -110,7 +123,6 @@ class LabFlowService:
             if watchdog is not None
             else threading.RLock()
         )
-        self._wakeup = threading.Condition(self._mutex)
         self._completed: deque[tuple[str, str, dict[str, object]]] = deque(
             maxlen=COMPLETED_LOG_UNITS
         )
@@ -179,10 +191,8 @@ class LabFlowService:
         remain part of the group and become durable when it closes.
         """
         with self._mutex:
-            if name not in self._sessions.open_sessions():
-                return
-            self._sessions.detach(name, failed=failed)
-            self._wakeup.notify_all()
+            if self._sessions.is_open(name):
+                self._sessions.detach(name, failed=failed)
 
     # -- the unit-of-work surface -------------------------------------------
 
@@ -191,15 +201,16 @@ class LabFlowService:
     ) -> object:
         """Run one unit of work for session ``name`` and return its value.
 
-        Retries lock conflicts internally (group flush + bounded
-        backoff); raises the final :class:`LockError` only when the
-        budget is exhausted.
+        Retries lock conflicts internally (closing the open group,
+        which holds every lock a served session can be waiting on);
+        raises the final :class:`LockError` only when the budget is
+        exhausted.
         """
         call_args: dict[str, object] = dict(args or {})
         if op not in _UPDATE_OPS and op not in _QUERY_OPS:
             raise ProtocolError(f"unknown operation {op!r}")
         with self._mutex:
-            if name not in self._sessions.open_sessions():
+            if not self._sessions.is_open(name):
                 raise SessionError(f"no open session {name!r}")
             attempts = 0
             while True:
@@ -209,11 +220,9 @@ class LabFlowService:
                     attempts += 1
                     if self._tracer is not None:
                         self._tracer.lock_wait(name, op, attempt=attempts)
-                    stalled = self._flush_conflicting_group()
+                    self._flush_conflicting_group()
                     if attempts > self._max_retries:
                         raise
-                    if not stalled and self._retry_backoff:
-                        self._wakeup.wait(self._retry_backoff * attempts)
 
     def drain(self) -> int:
         """Close the open group now; returns the units made durable."""
@@ -228,7 +237,6 @@ class LabFlowService:
             self._close_group()
             for name in self._sessions.open_sessions():
                 self._sessions.detach(name)
-            self._wakeup.notify_all()
 
     # -- unit internals ------------------------------------------------------
 
@@ -275,7 +283,7 @@ class LabFlowService:
 
     def _acquire(self, name: str, op: str, args: dict[str, object]) -> LockedPages:
         if op == "record_step":
-            involves = [int(oid) for oid in _as_iterable(args.get("involves"))]
+            involves = [_as_int(oid) for oid in _as_iterable(args.get("involves"))]
             return self._sessions.lock_objects(name, involves, exclusive=True)
         if op == "set_state":
             return self._sessions.lock_object(
@@ -315,7 +323,7 @@ class LabFlowService:
             return db.record_step(
                 str(args.get("class_name")),
                 _as_int(args.get("valid_time")),
-                [int(oid) for oid in _as_iterable(args.get("involves"))],
+                [_as_int(oid) for oid in _as_iterable(args.get("involves"))],
                 results,
                 None if version is None else int(_as_int(version)),
             )
@@ -347,20 +355,16 @@ class LabFlowService:
             # locks go at the durability boundary.
             # lint: ignore[LF08] -- group-commit durability boundary
             self._sessions.release(participant)
-        self._wakeup.notify_all()
 
-    def _flush_conflicting_group(self) -> bool:
+    def _flush_conflicting_group(self) -> None:
         """Conflict handling: the open group may hold the contended locks.
 
         Closing it early releases them (and makes its units durable) —
         the cost is a smaller batch, counted as a ``commit_stall``.
-        Returns True when a group was actually closed.
         """
-        if self._coordinator.pending_units == 0:
-            return False
-        self._db.storage.stats.commit_stalls += 1
-        self._close_group()
-        return True
+        if self._coordinator.pending_units:
+            self._db.storage.stats.commit_stalls += 1
+            self._close_group()
 
     def _restore_unit_locks(self, name: str, taken: LockedPages) -> None:
         if not self._db.storage.supports_concurrency:
@@ -389,7 +393,7 @@ def _as_int(value: object) -> int:
         raise ProtocolError(f"expected an integer, got {value!r}")
     try:
         return int(value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # "x", 1e999
         raise ProtocolError(f"expected an integer, got {value!r}") from exc
 
 
@@ -399,13 +403,43 @@ def _as_iterable(value: object) -> Iterable[object]:
     return value
 
 
-class ServiceRunner:
-    """Socket front-end: one reader thread per connection, one core.
+class _Connection:
+    """One accepted socket as the loop sees it."""
 
-    The runner listens on ``host:port`` (port 0 picks a free port),
-    decodes each connection's requests and applies them to the shared
-    :class:`LabFlowService`.  Application errors travel back as typed
-    error responses; only a dead connection ends its thread.
+    __slots__ = ("sock", "frames", "out", "mask", "finished")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.frames = FrameBuffer()  # received, not yet taken off as frames
+        self.out = bytearray()       # replies encoded, not yet sent
+        self.mask = selectors.EVENT_READ  # what the selector watches it for
+        self.finished = False        # read no more; close once ``out`` is sent
+
+
+class ServiceRunner:
+    """Socket front-end: one event-loop thread, every connection, one core.
+
+    The runner listens on ``host:port`` (port 0 picks a free port).  Its
+    loop thread takes every complete frame a ``recv`` delivered, applies
+    them in order to the shared :class:`LabFlowService` and answers them
+    with one ``send``, so N requests written back to back come back as N
+    replies in the same order.  Application errors travel back as typed
+    error responses; a malformed frame costs its own connection one
+    typed reply and nothing else.
+
+    What a blocking thread per connection would give for free is built
+    here: a partial ``send`` keeps its remainder and waits for
+    writability; a connection whose unsent replies pass
+    :data:`~repro.server.communicator.MAX_MESSAGE_BYTES` is neither read
+    from nor answered until its peer drains them, so a stalled reader
+    holds neither memory nor the other stations; and every session a
+    connection opened and did not close is closed for it, as failed,
+    however the connection ends.
+
+    The loop owns its sockets, its selector and its connection table —
+    arguments and locals of :meth:`_loop`, never attributes — so the
+    front-end shares nothing with the thread that calls :meth:`start`
+    and :meth:`stop` and needs no lock of its own.
     """
 
     def __init__(
@@ -413,124 +447,206 @@ class ServiceRunner:
         service: LabFlowService,
         host: str = "127.0.0.1",
         port: int = 0,
-        watchdog: LockOrderWatchdog | None = None,
     ) -> None:
         self._service = service
         self._host = host
         self._port = port
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._channels: set[Channel] = set()
-        # Any: watched Lock / real Lock, same protocol, no shared base.
-        # _channel_lock guards _channels AND _threads — the two
-        # containers both the acceptor and the stopping thread touch.
-        self._channel_lock: Any = (
-            watchdog.lock("runner.channels")
-            if watchdog is not None
-            else threading.Lock()
-        )
-        self._closing = threading.Event()
+        self._address: tuple[str, int] | None = None
+        # The loop thread and the socket whose closing wakes it.
+        self._running: tuple[threading.Thread, socket.socket] | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        if self._listener is None:
+        if self._address is None:
             raise ServerError("server is not running")
-        addr = self._listener.getsockname()
-        return str(addr[0]), int(addr[1])
+        return self._address
 
     def start(self) -> tuple[str, int]:
-        """Bind, listen and start accepting; returns the bound address."""
-        if self._listener is not None:
+        """Bind, listen and start the loop; returns the bound address."""
+        if self._running is not None:
             raise ServerError("server already started")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
         listener.listen()
-        self._listener = listener
-        acceptor = threading.Thread(
-            target=self._accept_loop,
-            args=(listener,),
-            name="labflow-accept",
+        listener.setblocking(False)
+        addr = listener.getsockname()
+        self._address = str(addr[0]), int(addr[1])
+        wakeup, waker = socket.socketpair()
+        thread = threading.Thread(
+            target=self._loop,
+            args=(listener, wakeup),
+            name="labflow-loop",
             daemon=True,
         )
-        acceptor.start()
-        with self._channel_lock:
-            self._threads.append(acceptor)
-        return self.address
+        thread.start()
+        self._running = thread, waker
+        return self._address
 
     def stop(self) -> None:
-        """Stop accepting, close connections, drain the service."""
-        self._closing.set()
-        if self._listener is not None:
-            try:
-                # shutdown() wakes the thread blocked in accept();
-                # close() alone leaves it sleeping until a connection.
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._channel_lock:
-            channels = list(self._channels)
-            threads = list(self._threads)
-            self._threads.clear()
-        for channel in channels:
-            channel.close()
-        # Join outside _channel_lock: exiting workers take it to drop
-        # their channel, and the acceptor takes it to register late ones.
-        for thread in threads:
-            thread.join(timeout=5.0)
-        self._listener = None
+        """Drain, then stop: the loop answers the complete frames it has
+        been sent, flushes, closes its connections (failing the sessions
+        they still hold) and ends; then the service shuts down.  A no-op
+        on a runner that is not running."""
+        running, self._running = self._running, None
+        if running is None:
+            return
+        thread, waker = running
+        waker.close()  # the loop's end of the pair reads EOF
+        thread.join()
+        self._address = None
         self._service.shutdown()
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed: shutting down
-            channel = Channel(conn)
-            worker = threading.Thread(
-                target=self._serve_connection,
-                args=(channel,),
-                name="labflow-conn",
-                daemon=True,
-            )
-            with self._channel_lock:
-                self._channels.add(channel)
-                self._threads.append(worker)
-            worker.start()
+    # -- the loop thread -----------------------------------------------------
 
-    def _serve_connection(self, channel: Channel) -> None:
+    def _loop(self, listener: socket.socket, wakeup: socket.socket) -> None:
+        selector = selectors.DefaultSelector()
+        selector.register(listener, selectors.EVENT_READ)
+        selector.register(wakeup, selectors.EVENT_READ)
+        connections: dict[int, _Connection] = {}  # by descriptor
+        owners: dict[str, _Connection] = {}  # session -> who opened it
         try:
-            while not self._closing.is_set():
-                try:
-                    request = channel.recv_request()
-                except ProtocolError as exc:
-                    channel.send_response(_error_response(exc))
-                    return
-                except OSError:
-                    return
-                if request is None:
-                    return  # clean EOF
-                try:
-                    channel.send_response(self._handle(request))
-                except OSError:
-                    return
-                if request.op == "bye":
-                    return
+            while True:
+                # Descriptor order: which unit reaches the service first
+                # depends on who was ready, not on the selector's insides.
+                for key, events in sorted(selector.select(), key=_descriptor):
+                    if key.fileobj is wakeup:
+                        return
+                    if key.fileobj is listener:
+                        self._accept(listener, selector, connections)
+                        continue
+                    conn = connections[key.fd]
+                    if self._turn(conn, events, owners):
+                        self._watch(selector, conn)
+                    else:
+                        selector.unregister(conn.sock)
+                        del connections[key.fd]
+                        self._drop(conn, owners)
         finally:
-            with self._channel_lock:
-                self._channels.discard(channel)
-            channel.close()
+            listener.close()
+            selector.close()
+            wakeup.close()
+            deadline = time.monotonic() + STOP_FLUSH_SECONDS
+            for fd in sorted(connections):
+                conn = connections[fd]
+                # What had arrived when stop() was called is answered
+                # before the connection goes.
+                if self._turn(conn, conn.mask, owners) and conn.out:
+                    self._flush(conn, deadline)
+                self._drop(conn, owners)
 
-    def _handle(self, request: Request) -> Response:
+    def _accept(
+        self,
+        listener: socket.socket,
+        selector: selectors.BaseSelector,
+        connections: dict[int, _Connection],
+    ) -> None:
         try:
-            return Response(ok=True, value=apply_request(self._service, request))
+            sock, _addr = listener.accept()
+        except OSError:
+            return  # the peer gave up between the readiness and the accept
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = connections[sock.fileno()] = _Connection(sock)
+        selector.register(sock, conn.mask)
+
+    def _turn(
+        self, conn: _Connection, events: int, owners: dict[str, _Connection]
+    ) -> bool:
+        """One ready connection: receive once, answer every frame that
+        completed, send once.  False when the connection is over."""
+        try:
+            if events & selectors.EVENT_READ:
+                self._receive(conn)
+            while not conn.finished:
+                if len(conn.out) > MAX_MESSAGE_BYTES:
+                    self._send(conn)
+                    if len(conn.out) > MAX_MESSAGE_BYTES:
+                        break  # the peer is not reading: answer no more yet
+                try:
+                    frame = conn.frames.take()
+                    if frame is None:
+                        break
+                    request = decode_request(frame)
+                except ProtocolError as exc:
+                    conn.out += encode_response(_error_response(exc))
+                    conn.finished = True
+                    break
+                conn.out += encode_response(self._handle(conn, request, owners))
+                if request.op == "bye":
+                    conn.finished = True
+            if conn.out:
+                self._send(conn)
+        except OSError:
+            return False  # reset: nobody left to answer
+        # A bug one frame can reach costs that frame's connection, as it
+        # cost its thread before; the other stations keep their server.
+        # lint: ignore[LF06] -- loop boundary; injected crashes are ReproErrors, answered above
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+            return False
+        return bool(conn.out) or not conn.finished
+
+    def _receive(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(conn.frames.room())
+        except BlockingIOError:
+            return  # the readiness was gone by the time we looked
+        if data:
+            conn.frames.feed(data)
+            return
+        conn.finished = True
+        if len(conn.frames):
+            conn.out += encode_response(_error_response(ProtocolError(
+                "unterminated message (peer died mid-line?)"
+            )))
+
+    def _send(self, conn: _Connection) -> None:
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            return
+        del conn.out[:sent]
+
+    def _watch(self, selector: selectors.BaseSelector, conn: _Connection) -> None:
+        """Wait for writability while replies are unsent, and for
+        readability unless they are past the bound."""
+        mask = 0
+        if conn.out:
+            mask |= selectors.EVENT_WRITE
+        if not conn.finished and len(conn.out) <= MAX_MESSAGE_BYTES:
+            mask |= selectors.EVENT_READ
+        if mask != conn.mask:
+            conn.mask = mask
+            selector.modify(conn.sock, mask)
+
+    def _flush(self, conn: _Connection, deadline: float) -> None:
+        try:
+            conn.sock.settimeout(max(deadline - time.monotonic(), 0.001))
+            conn.sock.sendall(conn.out)
+        except OSError:
+            pass  # reset, or still not reading: stop() waits no longer
+
+    def _drop(self, conn: _Connection, owners: dict[str, _Connection]) -> None:
+        """Close a connection; the sessions it opened and did not close
+        are closed for it, as failed."""
+        conn.sock.close()
+        for name in sorted(n for n, owner in owners.items() if owner is conn):
+            del owners[name]
+            self._service.close_session(name, failed=True)
+
+    def _handle(
+        self, conn: _Connection, request: Request, owners: dict[str, _Connection]
+    ) -> Response:
+        try:
+            value = apply_request(self._service, request)
         except ReproError as exc:
             return _error_response(exc)
+        if request.op == "open_session":
+            owners[request.session] = conn
+        elif request.op == "close_session":
+            owners.pop(request.session, None)
+        return Response(ok=True, value=value)
 
 
 def apply_request(service: LabFlowService, request: Request) -> object:
@@ -562,6 +678,10 @@ def apply_request(service: LabFlowService, request: Request) -> object:
         report = service.db.verify_storage()
         return {"ok": report.ok, "problems": list(report.problems)}
     return service.submit(request.session, op, request.args)
+
+
+def _descriptor(ready: tuple[selectors.SelectorKey, int]) -> int:
+    return ready[0].fd
 
 
 def _error_response(exc: ReproError) -> Response:

@@ -1,0 +1,447 @@
+"""The served front-end over a real socket: one loop thread, many peers.
+
+Every case drives an awkward peer — pipelining, dribbling, oversized,
+garbage, half a line, never reading, dropped — next to a second, healthy
+connection that must keep getting answers, because on one thread a peer
+that could stall the loop would stall everyone.
+"""
+
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.errors import ServerError
+from repro.labbase import LabBase
+from repro.obs import UnitTracer
+from repro.server import (
+    ClientRunner,
+    LabFlowService,
+    Request,
+    ServiceClient,
+    ServiceRunner,
+    bootstrap_schema,
+    communicator,
+    decode_response,
+    encode_request,
+    service_runner,
+)
+from repro.storage import ObjectStoreSM
+
+TIMEOUT = 10.0
+
+
+class Peer:
+    """A raw socket speaking the wire protocol, as badly as a test likes."""
+
+    def __init__(self, host, port, rcvbuf=None):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:  # before connect: it sizes the window
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(TIMEOUT)
+        self.sock.connect((host, port))
+        self.reader = self.sock.makefile("rb")
+
+    def send(self, *requests):
+        self.sock.sendall(b"".join(encode_request(r) for r in requests))
+
+    def reply(self):
+        line = self.reader.readline()
+        assert line.endswith(b"\n"), f"no reply, got {line!r}"
+        return decode_response(line)
+
+    def at_eof(self):
+        return self.reader.readline() == b""
+
+    def close(self):  # again at teardown does no harm
+        self.reader.close()
+        self.sock.close()
+
+
+@pytest.fixture
+def served(tmp_path):
+    sm = ObjectStoreSM(path=str(tmp_path / "db.pages"), checkpoint_every=1)
+    db = LabBase(sm)
+    bootstrap_schema(db)
+    tracer = UnitTracer()
+    service = LabFlowService(db, group_cap=4, tracer=tracer)
+    runner = ServiceRunner(service)
+    host, port = runner.start()
+    healthy = ServiceClient(host, port, "healthy")
+    healthy.create_material("clone", "h-0", 1, state="active")
+    peers = []
+
+    def connect(**kwargs):
+        peers.append(Peer(host, port, **kwargs))
+        return peers[-1]
+
+    yield connect, healthy, service, runner
+    for peer in peers:
+        peer.close()
+    runner.stop()
+    sm.close()
+
+
+def _still_served(healthy):
+    """The healthy connection gets a right answer, now."""
+    assert healthy.lookup("clone", "h-0") > 0
+    assert healthy.state_of(healthy.lookup("clone", "h-0")) == "active"
+
+
+def _until(condition, what):
+    deadline = time.monotonic() + TIMEOUT
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+# -- framing -----------------------------------------------------------------
+
+
+def test_pipelined_requests_are_answered_in_order_by_few_sends(served, monkeypatch):
+    connect, healthy, _service, _runner = served
+    sends = []
+    original = ServiceRunner._send
+
+    def counting(self, conn):
+        sends.append(len(conn.out))
+        original(self, conn)
+
+    monkeypatch.setattr(ServiceRunner, "_send", counting)
+    peer = connect()
+    count = 200
+    peer.send(
+        Request(op="open_session", session="p"),
+        *(
+            Request(
+                op="create_material", session="p",
+                args={"class_name": "clone", "key": f"p-{i}", "valid_time": i},
+            )
+            for i in range(count)
+        ),
+        *(
+            Request(op="lookup", session="p",
+                    args={"class_name": "clone", "key": f"p-{i}"})
+            for i in range(count)
+        ),
+    )
+    assert peer.reply().ok
+    created = [peer.reply().value for _ in range(count)]
+    assert created == sorted(created) and len(set(created)) == count
+    assert [peer.reply().value for _ in range(count)] == created
+    # 401 frames arrived in a handful of segments, and left in as many.
+    assert len(sends) <= 16
+    _still_served(healthy)
+
+
+def test_request_dribbled_a_byte_at_a_time(served):
+    connect, healthy, _service, _runner = served
+    peer = connect()
+    frame = encode_request(Request(op="ping"))
+    for index in range(len(frame)):
+        peer.sock.sendall(frame[index:index + 1])
+        if index == len(frame) // 2:
+            _still_served(healthy)  # half a frame holds nobody up
+    assert peer.reply().value == "pong"
+    _still_served(healthy)
+
+
+def test_oversized_unterminated_line_costs_its_connection_only(served, monkeypatch):
+    connect, healthy, _service, _runner = served
+    held = []
+    original = communicator.FrameBuffer.feed
+
+    def measuring(self, data):
+        original(self, data)
+        held.append(len(self))
+
+    monkeypatch.setattr(communicator.FrameBuffer, "feed", measuring)
+    peer = connect()
+    peer.sock.sendall(b"x" * (communicator.MAX_MESSAGE_BYTES + 1))
+    reply = peer.reply()
+    assert not reply.ok and reply.error_type == "ProtocolError"
+    assert "unterminated" in reply.error
+    assert peer.at_eof()
+    assert max(held) == communicator.MAX_MESSAGE_BYTES + 1
+    _still_served(healthy)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"this is not json\n",
+        b"[1, 2, 3]\n",
+        b'{"session": "nobody"}\n',
+        b"\xff\xfe\n",
+        b"[" * 100_000 + b"\n",
+    ],
+    ids=["garbage", "not-an-object", "no-op", "not-utf8", "nested-too-deep"],
+)
+def test_malformed_frame_costs_its_connection_only(served, line):
+    connect, healthy, _service, _runner = served
+    peer = connect()
+    peer.send(Request(op="ping"))
+    peer.sock.sendall(line + encode_request(Request(op="ping")))
+    assert peer.reply().value == "pong"  # what came before is answered
+    reply = peer.reply()
+    assert not reply.ok and reply.error_type == "ProtocolError"
+    assert peer.at_eof()  # what came after is not
+    _still_served(healthy)
+
+
+def test_eof_mid_line(served):
+    connect, healthy, _service, _runner = served
+    peer = connect()
+    peer.sock.sendall(encode_request(Request(op="ping"))[:-5])
+    peer.sock.shutdown(socket.SHUT_WR)
+    reply = peer.reply()
+    assert not reply.ok and reply.error_type == "ProtocolError"
+    assert peer.at_eof()
+    _still_served(healthy)
+
+
+def test_bye_closes_after_answering(served):
+    connect, healthy, _service, _runner = served
+    peer = connect()
+    peer.send(Request(op="ping"), Request(op="bye"), Request(op="ping"))
+    assert peer.reply().value == "pong"
+    assert peer.reply().value == "pong"  # bye's own answer
+    assert peer.at_eof()
+    _still_served(healthy)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        {"material_oid": 1e999},
+        {"material_oid": "seven"},
+        {"material_oid": None},
+        {"material_oid": [1]},
+    ],
+    ids=["infinite", "word", "null", "list"],
+)
+def test_bad_argument_is_a_typed_error_not_a_dead_connection(served, args):
+    connect, healthy, _service, _runner = served
+    peer = connect()
+    peer.send(
+        Request(op="open_session", session="p"),
+        Request(op="state_of", session="p", args=args),
+        Request(op="record_step", session="p", args={
+            "class_name": "measure", "valid_time": 1,
+            "involves": [args["material_oid"]],
+        }),
+        Request(op="ping"),
+    )
+    assert peer.reply().ok
+    for _ in range(2):
+        reply = peer.reply()
+        assert not reply.ok and reply.error_type == "ProtocolError"
+    assert peer.reply().value == "pong"
+    _still_served(healthy)
+
+
+def test_a_bug_behind_one_frame_costs_its_connection_only(served, monkeypatch, capsys):
+    connect, healthy, service, _runner = served
+
+    def broken():
+        raise RuntimeError("not a ReproError")
+
+    monkeypatch.setattr(service, "drain", broken)
+    peer = connect()
+    peer.send(Request(op="drain"))
+    assert peer.at_eof()
+    assert "RuntimeError: not a ReproError" in capsys.readouterr().err
+    _still_served(healthy)
+
+
+# -- many peers, slow peers --------------------------------------------------
+
+
+def test_sixty_four_simultaneous_connections(served):
+    connect, healthy, service, _runner = served
+    peers = [connect() for _ in range(64)]
+    for index, peer in enumerate(peers):
+        peer.send(Request(op="open_session", session=f"s{index}"))
+    for index, peer in enumerate(peers):
+        peer.send(Request(
+            op="create_material", session=f"s{index}",
+            args={"class_name": "clone", "key": f"k{index}", "valid_time": index},
+        ))
+    oids = []
+    for peer in peers:
+        assert peer.reply().ok
+        oids.append(peer.reply().value)
+    assert len(set(oids)) == 64
+    assert len(service.open_sessions()) == 65
+    names = [thread.name for thread in threading.enumerate()]
+    assert names.count("labflow-loop") == 1
+    _still_served(healthy)
+
+
+def test_peer_that_never_reads_is_paused_and_resumes(served, monkeypatch):
+    connect, healthy, service, _runner = served
+    bound = 32 * 1024
+    monkeypatch.setattr(service_runner, "MAX_MESSAGE_BYTES", bound)
+    oid = healthy.lookup("clone", "h-0")
+    members = 1500
+    for index in range(members):
+        healthy.create_material("clone", f"m-{index}", index, state="crowd")
+    healthy.drain()
+    reply_bytes = len(str(healthy.in_state("crowd")))
+    requests = 3000  # ~25 MB of answers: more than any socket buffer takes
+    assert requests * reply_bytes > 20 * 2**20
+
+    def answered():
+        return service.tracer.summary()["by_event"]["unit_end"]
+
+    before = answered()
+    stalled = connect(rcvbuf=4096)
+    stalled.send(Request(op="open_session", session="stalled"))
+    assert stalled.reply().ok
+    writer = threading.Thread(target=stalled.send, args=[
+        Request(op="in_state", session="stalled", args={"state": "crowd"})
+    ] * requests)
+    writer.start()
+
+    # The loop answers until the kernel takes no more and the unsent
+    # replies pass the bound, then leaves the rest of the requests be.
+    seen = [before]
+
+    def settled():
+        seen.append(answered())
+        return len(seen) > 5 and len(set(seen[-5:])) == 1
+
+    _until(settled, "the stalled peer to be paused")
+    paused_at = answered() - before
+    assert 0 < paused_at < requests
+    for _ in range(50):  # the other station is served meanwhile
+        assert healthy.state_of(oid) == "active"
+    assert answered() - before == paused_at + 50
+
+    # The peer reads: everything it asked for arrives, in order.
+    for _ in range(requests):
+        value = stalled.reply().value
+        assert len(value) == members
+    writer.join(TIMEOUT)
+    assert not writer.is_alive()
+    assert answered() - before == requests + 50
+    stalled.send(Request(op="ping"))
+    assert stalled.reply().value == "pong"
+
+
+# -- sessions belong to connections -----------------------------------------
+
+
+def test_dropped_client_leaks_nothing(served):
+    connect, healthy, service, _runner = served
+    db = service.db
+    peer = connect()
+    peer.send(
+        Request(op="open_session", session="a"),
+        Request(op="create_material", session="a",
+                args={"class_name": "clone", "key": "a-0", "valid_time": 1,
+                      "state": "active"}),
+    )
+    assert peer.reply().ok
+    oid = peer.reply().value
+    peer.send(Request(op="set_state", session="a",
+                      args={"material_oid": oid, "state": "busy", "valid_time": 2}))
+    assert peer.reply().ok
+    # Mid-group: two units pending under cap 4, X locks held.
+    assert db.storage.lock_manager.held_pages("a")
+    peer.close()  # no close_session, no bye
+
+    _until(lambda: "a" not in service.open_sessions(), "the session to go")
+    again = ServiceClient(*_runner.address, "a")  # the name is free again
+    assert again.state_of(oid) == "busy"
+    again.close()
+    healthy.drain()
+    assert db.storage.lock_manager.held_pages("a") == set()
+    assert db.storage.lock_manager.held_pages("healthy") == set()
+    assert db.cache.dirty_oid_set() == frozenset()
+    assert healthy.verify_ok()
+    done = [(s, op) for s, op, _args in service.completed_units() if s == "a"]
+    assert done == [("a", "create_material"), ("a", "set_state")]
+
+
+def test_session_closed_cleanly_is_not_closed_again(served):
+    """A name released by close_session may be taken by another
+    connection; the first connection's end must not take it back."""
+    connect, healthy, service, _runner = served
+    first, second = connect(), connect()
+    first.send(Request(op="open_session", session="n"),
+               Request(op="close_session", session="n"))
+    assert first.reply().ok and first.reply().ok
+    second.send(Request(op="open_session", session="n"))
+    assert second.reply().ok
+    first.close()
+    _still_served(healthy)
+    second.send(Request(op="ping"))
+    assert second.reply().value == "pong"
+    assert "n" in service.open_sessions()
+
+
+# -- stop --------------------------------------------------------------------
+
+
+def test_stop_answers_what_it_was_sent_then_ends_the_loop(served, monkeypatch):
+    connect, healthy, service, runner = served
+    entered, gate = threading.Event(), threading.Event()
+    original = service.stats_snapshot
+
+    def slow():
+        entered.set()
+        assert gate.wait(TIMEOUT)
+        return original()
+
+    monkeypatch.setattr(service, "stats_snapshot", slow)
+    busy, waiting = connect(), connect()
+    busy.send(Request(op="stats"))
+    assert entered.wait(TIMEOUT)  # the loop is inside busy's unit
+    waiting.send(Request(op="open_session", session="w"), Request(op="ping"))
+    shutdowns = []
+    monkeypatch.setattr(
+        service, "shutdown",
+        lambda shutdown=service.shutdown: (shutdowns.append(1), shutdown()),
+    )
+    stopper = threading.Thread(target=runner.stop)
+    stopper.start()
+    gate.set()
+    stopper.join(TIMEOUT)
+    assert not stopper.is_alive()
+
+    assert busy.reply().ok and busy.at_eof()
+    assert waiting.reply().ok and waiting.reply().value == "pong"
+    assert waiting.at_eof()
+    assert service.open_sessions() == []
+    assert not [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith("labflow-")
+    ]
+    runner.stop()  # a no-op: nothing to wake, join or shut down
+    assert shutdowns == [1]
+    with pytest.raises((ServerError, OSError)):
+        healthy.lookup("clone", "h-0")
+
+
+# -- verify on a live server -------------------------------------------------
+
+
+def test_verify_over_the_wire_while_another_station_is_mid_script(served):
+    connect, healthy, service, runner = served
+    station = ServiceClient(*runner.address, "station")
+    tally = {}
+    worker = threading.Thread(
+        target=lambda: tally.update(ClientRunner(station, seed=3).run(300))
+    )
+    worker.start()
+    verdicts = []
+    while worker.is_alive():
+        verdicts.append(healthy.verify_ok())
+    worker.join(TIMEOUT)
+    assert not worker.is_alive()
+    assert tally["steps"] > 0 and tally["conflicts"] == 0
+    assert len(verdicts) > 1 and all(verdicts)
+    station.close()
+    assert healthy.verify_ok()

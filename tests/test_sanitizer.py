@@ -19,7 +19,8 @@ from repro.analysis.core import (
     run_rules,
     stale_ignores,
 )
-from repro.analysis.main import default_root
+from repro.analysis.concurrency import model_for
+from repro.analysis.main import collect_paths, default_root, load_project
 from repro.analysis.rules import ALL_RULES, rules_by_id
 from repro.errors import SanitizerError
 from repro.obs.tracing import LOCK_RANKS, LOCK_SITES, UnitTracer
@@ -212,6 +213,53 @@ def test_lock_tables_agree_with_each_other():
     assert set(LOCK_RANKS) == set(LOCK_SITES)
     ranks = list(LOCK_RANKS.values())
     assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
+
+
+# ---------------------------------------------------------------------------
+# the served front-end: one rooted loop thread that owns its state
+# ---------------------------------------------------------------------------
+
+
+def _shipped_project(replace=None):
+    """The shipped tree as a project; ``replace`` maps a display path's
+    tail to substitute source text."""
+    project, errors = load_project(collect_paths([default_root()]))
+    assert not errors
+    if replace is None:
+        return project
+    modules = []
+    for module in project.modules:
+        for tail, text in replace.items():
+            if module.path.endswith(tail):
+                module = SourceModule(module.path, text)
+        modules.append(module)
+    return Project(modules)
+
+
+def test_front_end_is_one_rooted_loop_thread():
+    model = model_for(_shipped_project())
+    entries = {entry.label: entry for entry in model.entries}
+    loop = entries["thread:repro.server.service_runner.ServiceRunner._loop"]
+    assert not loop.multi  # one loop, not a worker per connection
+    assert [
+        label for label in entries
+        if label.startswith("thread:repro.server.service_runner")
+    ] == [loop.label]
+    reached = model.reach[loop.label]
+    assert "repro.server.service_runner.LabFlowService.submit" in reached
+    assert "repro.server.communicator.FrameBuffer.take" in reached
+
+
+def test_loop_state_moved_onto_the_runner_is_caught():
+    """The front-end has no lock because the loop's state is arguments
+    and locals; LF09 is what keeps it that way."""
+    anchor = "        connections: dict[int, _Connection] = {}  # by descriptor\n"
+    source = _shipped_source("server", "service_runner.py")
+    assert anchor in source, "mutation lost its anchor"
+    shared = source.replace(anchor, anchor + "        self._address = None\n")
+    project = _shipped_project({"server/service_runner.py": shared})
+    findings = run_rules(project, rules_by_id(["LF09"]))
+    assert any("ServiceRunner._address" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------

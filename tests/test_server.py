@@ -74,9 +74,21 @@ def test_decode_rejects_garbage():
 
 
 def test_encoding_is_deterministic():
-    request = Request(op="q", session="s", args={"b": 1, "a": 2})
-    assert encode_request(request) == encode_request(
-        Request(op="q", session="s", args={"a": 2, "b": 1})
+    """Sorted keys, default separators, ASCII escapes: the exact bytes,
+    so a captured exchange byte-compares across runs and across PRs."""
+    request = Request(op="q", session="s", args={"b": 1, "a": [2, "\u00b5"]})
+    assert encode_request(request) == (
+        b'{"args": {"a": [2, "\\u00b5"], "b": 1}, "op": "q", "session": "s"}\n'
+    )
+    response = Response(ok=True, value={"n": 7, "m": None, "f": 0.5})
+    assert encode_response(response) == (
+        b'{"error": "", "error_type": "", "ok": true, '
+        b'"value": {"f": 0.5, "m": null, "n": 7}}\n'
+    )
+    refusal = Response(ok=False, error="page 3", error_type="LockError")
+    assert encode_response(refusal) == (
+        b'{"error": "page 3", "error_type": "LockError", "ok": false, '
+        b'"value": null}\n'
     )
 
 
@@ -218,7 +230,7 @@ def test_retry_budget_exhausts_against_foreign_lock():
     """A lock held outside any group (a foreign client on the same SM)
     cannot be flushed away: the bounded retry gives up with LockError."""
     db = _served_db()
-    service = LabFlowService(db, retry_backoff=0.0)
+    service = LabFlowService(db)
     alice = LocalClient(service, "alice")
     oid = alice.create_material("clone", "a-0", 1, state="active")
     alice.drain()
@@ -337,9 +349,7 @@ def _commit_cost(tmp_path, label, group, sessions=4, rounds=6):
     )
     db = LabBase(sm)
     bootstrap_schema(db)
-    service = LabFlowService(
-        db, group_cap=sessions if group else 1, retry_backoff=0.0
-    )
+    service = LabFlowService(db, group_cap=sessions if group else 1)
     clients = [LocalClient(service, f"c{i}") for i in range(sessions)]
     oids, tick = _spread_clients(service, clients)
     service.drain()

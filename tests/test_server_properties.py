@@ -121,9 +121,7 @@ def _interleaved_run(cls, directory, codes, n_sessions, group):
     sm = cls(path=os.path.join(directory, "db.pages"), checkpoint_every=0)
     db = LabBase(sm)
     bootstrap_schema(db)
-    service = LabFlowService(
-        db, group_cap=3 if group else 1, retry_backoff=0.0
-    )
+    service = LabFlowService(db, group_cap=3 if group else 1)
     _drive_units(service, [f"s{i}" for i in range(n_sessions)], codes)
     completed = service.completed_units()
     service.shutdown()
@@ -186,7 +184,7 @@ def _served_crash_workload(path, injector=None):
     sm = ObjectStoreSM(path=path, checkpoint_every=1, fault_injector=injector)
     db = LabBase(sm)
     bootstrap_schema(db)
-    service = LabFlowService(db, group_cap=3, retry_backoff=0.0)
+    service = LabFlowService(db, group_cap=3)
     _drive_units(service, [f"s{i}" for i in range(_CRASH_SESSIONS)], _CRASH_CODES)
     service.shutdown()
     return sm
