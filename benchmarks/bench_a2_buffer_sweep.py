@@ -5,6 +5,10 @@ mattered; this sweep varies the simulated pool and shows where each
 server version's working set stops fitting.  The hot working set of the
 clustered store (OStore) fits in far fewer pages than Texas's
 interleaved layout — the same effect as E5, parameterized by memory.
+
+Read-ahead is pinned off, as in E5: Texas's allocation-order scan is the
+prefetcher's best case, and what it absorbs is experiment A5's subject,
+not the raw locality this sweep measures.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import pytest
 
 from repro.benchmark import BenchmarkConfig, LabFlowWorkload, server_spec
 from repro.labbase import LabBase
+from repro.storage.registry import backend
 from repro.util.fmt import format_table
 
 from _common import emit
@@ -27,12 +32,13 @@ def _faults(server: str, pool_pages: int, tmp_path: str) -> int:
     config = BenchmarkConfig(
         clones_per_interval=15,
         intervals=(0.5,),
-        buffer_pages=pool_pages,
         queries_per_intake=0,
-        db_dir=os.path.join(tmp_path, f"{server.replace('+', '_')}_{pool_pages}"),
     )
-    os.makedirs(config.db_dir, exist_ok=True)
-    sm = server_spec(server).make(config)
+    sm = backend(server).cls(
+        path=os.path.join(tmp_path, f"{server.lower()}_{pool_pages}.db"),
+        buffer_pages=pool_pages,
+        readahead_pages=0,
+    )
     db = LabBase(sm)
     workload = LabFlowWorkload(db, config)
     workload.run_all()

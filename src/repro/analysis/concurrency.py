@@ -1,11 +1,11 @@
-"""LF08/LF09 — the static prong of the concurrency sanitizer.
+"""LF08/LF09 — the static pass of the concurrency sanitizer.
 
 Both rules run over one interprocedural :class:`ConcurrencyModel` of the
 project:
 
 * an inventory of every lock attribute (``threading.Lock`` / ``RLock``
-  / ``Condition`` assigned to ``self._x``, including watchdog-wrapped
-  ones), mapped onto the ground-truth ordering table
+  / ``Condition`` assigned to ``self._x``), mapped onto the
+  ground-truth ordering table
   (``LOCK_RANKS`` / ``LOCK_SITES`` in ``repro.obs.tracing``);
 * a call graph with type-inference-lite receiver resolution (constructor
   assignments, parameter annotations, container element types);
@@ -81,14 +81,13 @@ _REGISTRY_PREFIXES = ("repro.server", "repro.obs")
 _POLICY_PREFIXES = ("repro.labbase.sessions", "repro.server")
 
 _LOCK_FACTORIES = frozenset({"Lock", "RLock"})
-_WATCHDOG_FACTORIES = frozenset({"lock", "rlock"})
 _THREAD_SAFE_FACTORIES = frozenset(
     {
         "Lock", "RLock", "Condition", "Event", "Semaphore",
         "BoundedSemaphore", "Barrier", "Queue", "SimpleQueue",
         "LifoQueue", "PriorityQueue", "local",
     }
-) | _WATCHDOG_FACTORIES
+)
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset(
@@ -152,13 +151,12 @@ def _call_name(node: ast.Call) -> str | None:
 
 @dataclass
 class LockDecl:
-    """One lock attribute: ``self._x = threading.Lock()`` (or wrapped)."""
+    """One lock attribute: ``self._x = threading.Lock()``."""
 
     owner: str          #: class name
     attr: str
     kind: str           #: ``lock`` | ``rlock`` | ``condition``
     alias_of: str | None   #: Condition over another attr of the class
-    watch_name: str | None  #: explicit watchdog registration name
     module: SourceModule
     node: ast.AST
 
@@ -434,18 +432,13 @@ class ConcurrencyModel:
     ) -> LockDecl | None:
         if value is None:
             return None
-        kind = alias_of = watch_name = None
+        kind = alias_of = None
         for call in ast.walk(value):
             if not isinstance(call, ast.Call):
                 continue
             name = _call_name(call)
             if name in _LOCK_FACTORIES:
                 kind = kind or name.lower()
-            elif name in _WATCHDOG_FACTORIES:
-                kind = kind or ("rlock" if name == "rlock" else "lock")
-                if call.args and isinstance(call.args[0], ast.Constant):
-                    if isinstance(call.args[0].value, str):
-                        watch_name = call.args[0].value
             elif name == "Condition":
                 kind = "condition"
                 if (
@@ -456,9 +449,7 @@ class ConcurrencyModel:
                     alias_of = call.args[0].attr
         if kind is None:
             return None
-        return LockDecl(
-            cls.name, attr, kind, alias_of, watch_name, cls.module, value
-        )
+        return LockDecl(cls.name, attr, kind, alias_of, cls.module, value)
 
     def _type_from_annotation(
         self, annotation: ast.expr
@@ -507,15 +498,13 @@ class ConcurrencyModel:
     # -- lock identity -------------------------------------------------------
 
     def lock_id(self, decl: LockDecl) -> str:
-        """Canonical id: watchdog name, ``LOCK_SITES`` name, or site path."""
+        """Canonical id: the ``LOCK_SITES`` name, or the site path."""
         if decl.alias_of is not None:
             cls = self.classes.get(decl.owner)
             if cls is not None:
                 aliased = cls.locks.get(decl.alias_of)
                 if aliased is not None and aliased.attr != decl.attr:
                     return self.lock_id(aliased)
-        if decl.watch_name is not None:
-            return decl.watch_name
         site = f"{decl.owner}.{decl.attr}"
         return self.site_ids.get(site, site)
 
@@ -1234,7 +1223,7 @@ class LockGraphRule(Rule):
                 if decl.alias_of is not None:
                     continue
                 site = f"{decl.owner}.{decl.attr}"
-                name = decl.watch_name or model.site_ids.get(site)
+                name = model.site_ids.get(site)
                 if name is None:
                     yield self.finding(
                         cls.module, decl.node,

@@ -263,12 +263,12 @@ def cmd_lint(args) -> int:
 
 
 def cmd_sanitize(args) -> int:
-    """Both sanitizer prongs in one command: static rules, then runtime.
+    """The concurrency sanitizer in one command: static rules, then fuzz.
 
     Static: LF08 (lock-order/2PL) + LF09 (unguarded shared state) over
-    the tree.  Runtime: a watchdog-instrumented served smoke run, then a
-    bounded schedule-fuzz sweep asserting serial equivalence on every
-    registered backend.  Exit 0 only if every prong is clean.
+    the tree.  Then a bounded schedule-fuzz sweep asserting serial
+    equivalence on every registered backend.  Exit 0 only if both are
+    clean.
     """
     import json as json_mod
 
@@ -286,10 +286,6 @@ def cmd_sanitize(args) -> int:
         return 2
     static_findings = run_rules(project, rules)
 
-    smoke = None if args.no_smoke else _sanitize_smoke(
-        clients=args.smoke_clients, units=args.smoke_units
-    )
-
     reports = [] if args.no_fuzz else fuzz_sweep(
         args.backends.split(",") if args.backends else None,
         seeds=tuple(range(args.seeds)),
@@ -297,9 +293,7 @@ def cmd_sanitize(args) -> int:
         units_per_session=args.units,
     )
 
-    fuzz_ok = all(r.identical and r.watchdog_violations == 0 for r in reports)
-    smoke_ok = smoke is None or bool(smoke["ok"])
-    ok = not static_findings and smoke_ok and fuzz_ok
+    ok = not static_findings and all(r.identical for r in reports)
 
     if args.format == "json":
         payload = {
@@ -316,7 +310,6 @@ def cmd_sanitize(args) -> int:
                 ],
                 "checked_files": len(project.modules),
             },
-            "smoke": smoke,
             "fuzz": [r.to_json() for r in reports],
             "ok": ok,
         }
@@ -329,65 +322,15 @@ def cmd_sanitize(args) -> int:
         f"static: {len(static_findings)} finding(s) in "
         f"{len(project.modules)} file(s) [LF08+LF09]"
     )
-    if smoke is not None:
-        print(
-            f"smoke:  {smoke['clients']} clients x {smoke['units']} units "
-            f"on {smoke['backend']}: "
-            f"{smoke['acquisitions']} acquisitions, "
-            f"{len(smoke['edges'])} lock-order edges, "
-            f"{len(smoke['violations'])} violation(s), "
-            f"verify {'OK' if smoke['verify_ok'] else 'FAILED'}"
-        )
-        for violation in smoke["violations"]:
-            print(f"        {violation}")
     for r in reports:
         status = "identical" if r.identical else "DIVERGED"
         print(
             f"fuzz:   {r.backend} seed={r.seed} sessions={r.sessions} "
             f"completed={r.completed_units} {status}, "
-            f"{r.watchdog_violations} watchdog violation(s)"
+            f"{r.commit_stalls} commit stall(s)"
         )
     print("sanitize: OK" if ok else "sanitize: FAILED")
     return 0 if ok else 1
-
-
-def _sanitize_smoke(*, clients: int, units: int) -> dict:
-    """One watchdog-instrumented served run over real sockets."""
-    from repro.obs.watchdog import LockOrderWatchdog
-    from repro.server import (
-        LabFlowService,
-        ServiceRunner,
-        bootstrap_schema,
-        run_concurrent_clients,
-    )
-    from repro.storage.registry import backends
-
-    info = backends(concurrent=True)[0]
-    sm = info.cls(path=None)  # type: ignore[call-arg]
-    db = LabBase(sm)
-    bootstrap_schema(db)
-    watchdog = LockOrderWatchdog()
-    service = LabFlowService(db, watchdog=watchdog)
-    runner = ServiceRunner(service)
-    host, port = runner.start()
-    try:
-        run_concurrent_clients(host, port, clients=clients, units=units)
-        service.drain()
-        verify_ok = db.verify_storage().ok
-    finally:
-        runner.stop()
-        sm.close()
-    digest = watchdog.summary()
-    return {
-        "backend": info.name,
-        "clients": clients,
-        "units": units,
-        "acquisitions": digest["acquisitions"],
-        "edges": digest["edges"],
-        "violations": digest["violations"],
-        "verify_ok": verify_ok,
-        "ok": bool(digest["ok"]) and verify_ok,
-    }
 
 
 def cmd_serve(args) -> int:
@@ -410,17 +353,7 @@ def cmd_serve(args) -> int:
     bootstrap_schema(db)
     trace_sink = open(args.trace, "w") if args.trace else None
     tracer = UnitTracer(sink=trace_sink) if trace_sink else None
-    watchdog = None
-    if args.sanitize:
-        from repro.obs.watchdog import LockOrderWatchdog
-
-        watchdog = LockOrderWatchdog(tracer=tracer)
-    service = LabFlowService(
-        db,
-        group_cap=args.group_cap,
-        tracer=tracer,
-        watchdog=watchdog,
-    )
+    service = LabFlowService(db, group_cap=args.group_cap, tracer=tracer)
     sample_sink = open(args.sample_log, "w") if args.sample_log else None
     stop_sampling = threading.Event()
     sampler_thread: threading.Thread | None = None
@@ -439,8 +372,7 @@ def cmd_serve(args) -> int:
     host, port = runner.start()
     print(f"serving {args.db or '<in-memory>'} [{args.server}] on "
           f"{host}:{port} "
-          f"(group-commit cap {args.group_cap}"
-          f"{', lock-order watchdog on' if watchdog else ''})")
+          f"(group-commit cap {args.group_cap})")
     try:
         if args.smoke:
             summary = run_concurrent_clients(
@@ -460,18 +392,6 @@ def cmd_serve(args) -> int:
                 print("verify: FAILED", file=sys.stderr)
                 return 1
             print("verify: OK")
-            if watchdog is not None:
-                digest = watchdog.summary()
-                print(
-                    f"watchdog: {digest['acquisitions']} acquisitions, "
-                    f"{len(digest['edges'])} lock-order edges, "  # type: ignore[arg-type]
-                    f"{len(digest['violations'])} violation(s)"  # type: ignore[arg-type]
-                )
-                if not digest["ok"]:
-                    for violation in digest["violations"]:  # type: ignore[attr-defined]
-                        print(f"  {violation}", file=sys.stderr)
-                    print("watchdog: FAILED", file=sys.stderr)
-                    return 1
             return 0
         try:
             threading.Event().wait()
@@ -672,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sanitize",
-        help="concurrency sanitizer: static LF08/LF09 pass + watchdog "
-             "smoke + schedule-fuzz sweep")
+        help="concurrency sanitizer: static LF08/LF09 pass + "
+             "schedule-fuzz sweep")
     p.add_argument("paths", nargs="*",
                    help="files or directories for the static pass "
                         "(default: the repro package)")
@@ -686,12 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fuzzed units per session (default 8)")
     p.add_argument("--backends", default=None, metavar="NAME,NAME,...",
                    help="fuzz only these backends (default: all registered)")
-    p.add_argument("--smoke-clients", type=int, default=3,
-                   help="clients in the watchdog smoke run (default 3)")
-    p.add_argument("--smoke-units", type=int, default=12,
-                   help="units per smoke client (default 12)")
-    p.add_argument("--no-smoke", action="store_true",
-                   help="skip the served watchdog smoke run")
     p.add_argument("--no-fuzz", action="store_true",
                    help="skip the schedule-fuzz sweep")
     p.set_defaults(func=cmd_sanitize)
@@ -722,9 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write interval counter samples here (JSONL)")
     p.add_argument("--sample-interval", type=float, default=1.0,
                    help="seconds between interval samples (default 1.0)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="wrap service locks in the lock-order watchdog; "
-                        "with --smoke, fail on any recorded violation")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("monitor",

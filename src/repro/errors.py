@@ -221,7 +221,3 @@ class ProtocolError(ServerError):
 
 class SessionError(ServerError):
     """A request against an unknown or closed served session."""
-
-
-class SanitizerError(ReproError):
-    """A concurrency-sanitizer violation (lock order, schedule fuzz)."""

@@ -45,21 +45,16 @@ DURATION_DIGITS = 9
 #: here; a thread may only acquire a lock whose rank is *strictly
 #: greater* than every lock it already holds (re-entrant re-acquisition
 #: of the same RLock excepted).  The tracer's own lock is deliberately
-#: the innermost *traced* lock: emission happens under the service
-#: mutex but never the other way around, so a monitor thread reading
+#: the innermost lock: emission happens under the service mutex but
+#: never the other way around, so a monitor thread reading
 #: ``summary()`` can never participate in a cycle with the unit path.
 #:
-#: Both enforcement prongs decode this table: rule LF08
-#: (:mod:`repro.analysis.concurrency`) reads the dict literal
-#: statically and flags any acquisition edge that violates the ranks,
-#: and :class:`~repro.obs.watchdog.LockOrderWatchdog` imports it at
-#: runtime and checks the actual per-thread acquisition order.  Ranks
-#: are spaced by 10 so a new lock can be slotted without renumbering.
+#: Rule LF08 (:mod:`repro.analysis.concurrency`) reads the dict literal
+#: statically and flags any acquisition edge that violates the ranks.
+#: Ranks are spaced so a new lock can be slotted without renumbering.
 LOCK_RANKS: dict[str, int] = {
-    "fuzz.gate": 0,
     "service.mutex": 10,
     "tracer.events": 30,
-    "watchdog.state": 40,
 }
 
 #: Where each ranked lock lives, as ``ClassName._attribute`` — the
@@ -68,10 +63,8 @@ LOCK_RANKS: dict[str, int] = {
 #: served core that is missing from this registry).  ``Condition``
 #: objects built over a registered lock share that lock's rank.
 LOCK_SITES: dict[str, str] = {
-    "fuzz.gate": "ScheduleFuzzer._gate_lock",
     "service.mutex": "LabFlowService._mutex",
     "tracer.events": "UnitTracer._lock",
-    "watchdog.state": "LockOrderWatchdog._state_lock",
 }
 
 
@@ -109,7 +102,7 @@ class UnitTracer:
     own lock rather than borrowing the service's.
 
     Lock order: ``_lock`` is ``tracer.events`` in :data:`LOCK_RANKS` —
-    the innermost traced lock.  Nothing called while it is held may
+    the innermost lock.  Nothing called while it is held may
     acquire any other registered lock (the emission path only touches
     the clock, the event list and the sink), so a reader thread polling
     ``summary()``/``jsonl()`` can never deadlock against the unit path
@@ -166,10 +159,6 @@ class UnitTracer:
 
     def group_flush(self, width: int, units: int) -> None:
         self._emit("group_flush", width=width, units=units)
-
-    def lock_order(self, held: str, acquired: str) -> None:
-        """A first-seen lock-acquisition edge, from the watchdog."""
-        self._emit("lock_order", held=held, acquired=acquired)
 
     # -- reading ------------------------------------------------------------
 

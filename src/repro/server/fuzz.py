@@ -6,22 +6,22 @@ an interleaved run must produce a database bit-identical to a serial
 replay of its own completion order (Section 7's serial-equivalence
 claim, exercised instead of assumed).
 
-Determinism is the whole design.  A :class:`ScheduleFuzzer` precomputes
-the entire schedule — which session runs each unit, and what that unit
-does — from one seed before any thread starts.  Worker threads then
-token-pass a *gate* lock: a thread runs its unit only while it holds the
-gate and the schedule says it is that thread's turn, so the execution
-order is exactly the precomputed schedule, every run, on every backend.
-The units still execute on real threads through the real service mutex,
-so the same run doubles as a :class:`~repro.obs.watchdog.LockOrderWatchdog`
-workout: the gate ranks *below* ``service.mutex`` in
-:data:`repro.obs.tracing.LOCK_RANKS`, making gate -> mutex -> tracer the
-sanctioned nesting and any drift a reported inversion.
+Determinism is the whole design.  :func:`run_schedule` derives the
+entire schedule — which session runs each unit, and what that unit
+does — from one seed before the first unit runs, then runs the units in
+that order on the calling thread, one client per session.  What is
+interleaved is the *sessions*: their units meet in the service's lock
+table and commit groups exactly as the served front-end's one loop
+thread would deliver them, so lock conflicts, early group closes and
+the retry path all run.  A thread per session would add nothing: the
+order is fixed before the first unit, and the service runs units one at
+a time whichever thread submits them (DESIGN.md §17).
 
 Backends that refuse concurrent sessions are still swept — with one
 session the schedule degenerates to serial, and the equivalence check
 becomes a replay-determinism check, which is exactly the guarantee those
-backends do make.
+backends do make.  Backends with no client sessions at all get the same
+driver over :class:`_DirectClient`.
 """
 
 from __future__ import annotations
@@ -29,13 +29,10 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import threading
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence
+from typing import Protocol, Sequence
 
-from repro.errors import LockError
 from repro.labbase.database import LabBase
-from repro.obs.watchdog import LockOrderWatchdog
 from repro.server.client_runner import MIX_STATES, LocalClient, bootstrap_schema
 from repro.server.service_runner import LabFlowService
 from repro.storage import registry
@@ -66,143 +63,14 @@ def make_schedule(
     return tuple(schedule)
 
 
-class ScheduleFuzzer:
-    """Drive one precomputed interleaving through a live service.
-
-    One worker thread per session; the gate lock (watchdog-wrapped when
-    a watchdog is supplied, rank 0 in the lock-order table) serialises
-    unit execution in schedule order.  All cross-thread state — the
-    schedule cursor, per-session material pools, the tally — is only
-    ever touched with the gate held.
-    """
-
-    def __init__(
-        self,
-        service: LabFlowService,
-        session_names: Sequence[str],
-        *,
-        units_per_session: int = DEFAULT_UNITS,
-        seed: int = 0,
-        watchdog: LockOrderWatchdog | None = None,
-    ) -> None:
-        if not session_names:
-            raise ValueError("the fuzzer needs at least one session")
-        if units_per_session < 1:
-            raise ValueError("units_per_session must be positive")
-        self._service = service
-        self._names = tuple(session_names)
-        rng = DeterministicRng(seed)
-        self._schedule = make_schedule(
-            len(self._names), units_per_session, rng.substream("schedule")
-        )
-        codes = rng.substream("codes")
-        self._codes = tuple(
-            codes.randint(0, _CODE_SPAN - 1) for _ in self._schedule
-        )
-        # Any: a watched Lock and a real Lock expose the same protocol
-        # (Condition included), but share no typeshed-visible base.
-        self._gate_lock: Any = (
-            watchdog.lock("fuzz.gate")
-            if watchdog is not None
-            else threading.Lock()
-        )
-        self._turn = threading.Condition(self._gate_lock)
-        self._pos = 0
-        self._tick = 0
-        self._failure: BaseException | None = None
-        self._clients: dict[str, LocalClient] = {}
-        self._own: dict[str, list[int]] = {}
-        self._tally = {
-            "creates": 0,
-            "steps": 0,
-            "state_sets": 0,
-            "queries": 0,
-            "conflicts": 0,
-        }
-
-    @property
-    def schedule(self) -> tuple[int, ...]:
-        return self._schedule
-
-    def run(self) -> dict[str, int]:
-        """Execute the schedule; returns the operation tally.
-
-        Any exception a unit raised on a worker thread (other than the
-        :class:`LockError` conflicts the tally counts) is re-raised
-        here, on the caller's thread.
-        """
-        with self._gate_lock:
-            for name in self._names:
-                client = LocalClient(self._service, name)
-                self._clients[name] = client
-                self._tick += 1
-                seed_oid = client.create_material(
-                    "clone", f"{name}-seed", self._tick, state="active"
-                )
-                self._own[name] = [seed_oid]
-                self._tally["creates"] += 1
-        workers = [
-            threading.Thread(
-                target=self._worker, args=(index,), name=f"fuzz-{name}"
-            )
-            for index, name in enumerate(self._names)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        with self._gate_lock:
-            for name in sorted(self._clients):
-                self._clients[name].close()
-            if self._failure is not None:
-                raise self._failure
-            return dict(self._tally)
-
-    # -- worker side ---------------------------------------------------------
-
-    def _worker(self, index: int) -> None:
-        name = self._names[index]
-        while True:
-            with self._gate_lock:
-                while (
-                    self._failure is None
-                    and self._pos < len(self._schedule)
-                    and self._schedule[self._pos] != index
-                ):
-                    self._turn.wait()
-                if self._failure is not None or self._pos >= len(
-                    self._schedule
-                ):
-                    self._turn.notify_all()
-                    return
-                code = self._codes[self._pos]
-                try:
-                    self._run_unit(name, code)
-                except LockError:
-                    self._tally["conflicts"] += 1
-                # lint: ignore[LF06] -- captured, re-raised by run()
-                except Exception as exc:
-                    self._failure = exc
-                self._pos += 1
-                self._turn.notify_all()
-
-    def _run_unit(self, name: str, code: int) -> None:
-        self._tick += 1
-        client = self._clients[name]
-        own = self._own[name]
-        pool = own + [self._own[other][0] for other in self._names]
-        _mix_unit(client, name, code, self._tick, own, pool, self._tally)
-
-
 class MixClient(Protocol):
     """The op surface the mix interpreter drives.
 
     Both the service-backed :class:`LocalClient` and the session-less
-    :class:`_DirectClient` satisfy it; typing the interpreter against
-    the protocol (not a union) also tells the concurrency sanitizer the
-    two implementations are distinct call targets, so the gate-held
-    threaded path is not conflated with the lock-free direct path.
+    :class:`_DirectClient` satisfy it.
     """
+
+    session: str
 
     def create_material(
         self,
@@ -231,12 +99,10 @@ class MixClient(Protocol):
 
 def _mix_unit(
     client: MixClient,
-    name: str,
     code: int,
     tick: int,
     own: list[int],
     pool: list[int],
-    tally: dict[str, int],
 ) -> None:
     """One unit of the mix, decoded from ``code``.
 
@@ -251,32 +117,69 @@ def _mix_unit(
         own.append(
             client.create_material(
                 "clone",
-                f"{name}-{tick}",
+                f"{client.session}-{tick}",
                 tick,
                 state=MIX_STATES[code % len(MIX_STATES)],
             )
         )
-        tally["creates"] += 1
     elif kind == 1:
         involves = [target]
         extra = pool[(code // 7) % len(pool)]
         if extra != target:
             involves.append(extra)
         client.record_step("measure", tick, involves, {"value": code})
-        tally["steps"] += 1
     elif kind == 2:
         client.set_state(target, MIX_STATES[code % len(MIX_STATES)], tick)
-        tally["state_sets"] += 1
     elif kind == 3:
         client.state_of(target)
-        tally["queries"] += 1
     else:
         client.history_len(target)
-        tally["queries"] += 1
+
+
+def run_schedule(
+    clients: Sequence[MixClient],
+    *,
+    units_per_session: int = DEFAULT_UNITS,
+    seed: int = 0,
+) -> None:
+    """Drive one seeded interleaving through ``clients``, one per session.
+
+    The schedule and every unit's op code are drawn from ``seed`` before
+    the first unit runs; the units then run in schedule order on the
+    calling thread, so the execution order is the same every run, on
+    every backend.  Whatever a unit raises ends the run — a
+    :class:`~repro.errors.LockError` past the service's retry budget
+    included, which needs a foreign lock holder the fuzzer never makes.
+    """
+    if not clients:
+        raise ValueError("the fuzzer needs at least one session")
+    if units_per_session < 1:
+        raise ValueError("units_per_session must be positive")
+    rng = DeterministicRng(seed)
+    schedule = make_schedule(
+        len(clients), units_per_session, rng.substream("schedule")
+    )
+    code_stream = rng.substream("codes")
+    codes = [code_stream.randint(0, _CODE_SPAN - 1) for _ in schedule]
+    own: list[list[int]] = []
+    tick = 0
+    for client in clients:
+        tick += 1
+        own.append(
+            [
+                client.create_material(
+                    "clone", f"{client.session}-seed", tick, state="active"
+                )
+            ]
+        )
+    for index, code in zip(schedule, codes):
+        tick += 1
+        pool = own[index] + [mine[0] for mine in own]
+        _mix_unit(clients[index], code, tick, own[index], pool)
 
 
 # ---------------------------------------------------------------------------
-# direct drive: the path for backends with no client sessions at all
+# direct drive: the client for backends with no client sessions at all
 # ---------------------------------------------------------------------------
 
 
@@ -419,40 +322,6 @@ class _DirectClient:
         return self._unit("history_len", {"material_oid": material_oid})
 
 
-def _direct_run(
-    db: LabBase,
-    names: Sequence[str],
-    schedule: Sequence[int],
-    codes: Sequence[int],
-) -> tuple[list[tuple[str, str, dict[str, object]]], dict[str, int]]:
-    """Run the schedule single-threaded, straight against the database."""
-    completed: list[tuple[str, str, dict[str, object]]] = []
-    clients = {name: _DirectClient(db, name, completed) for name in names}
-    own: dict[str, list[int]] = {}
-    tally = {
-        "creates": 0,
-        "steps": 0,
-        "state_sets": 0,
-        "queries": 0,
-        "conflicts": 0,
-    }
-    tick = 0
-    for name in names:
-        tick += 1
-        own[name] = [
-            clients[name].create_material(
-                "clone", f"{name}-seed", tick, state="active"
-            )
-        ]
-        tally["creates"] += 1
-    for pos, index in enumerate(schedule):
-        name = names[index]
-        tick += 1
-        pool = own[name] + [own[other][0] for other in names]
-        _mix_unit(clients[name], name, codes[pos], tick, own[name], pool, tally)
-    return completed, tally
-
-
 # ---------------------------------------------------------------------------
 # the sweep harness: fuzz a backend, replay serially, compare
 # ---------------------------------------------------------------------------
@@ -467,10 +336,12 @@ class FuzzReport:
     sessions: int
     units_per_session: int
     completed_units: int
-    conflicts: int
+    #: Commit groups the fuzzed service closed early to free a contended
+    #: lock — how hard the schedule made its sessions collide (0 for
+    #: direct-driven backends, which have no groups).
+    commit_stalls: int
     identical: bool
     fingerprint: str
-    watchdog_violations: int
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -479,10 +350,9 @@ class FuzzReport:
             "sessions": self.sessions,
             "units_per_session": self.units_per_session,
             "completed_units": self.completed_units,
-            "conflicts": self.conflicts,
+            "commit_stalls": self.commit_stalls,
             "identical": self.identical,
             "fingerprint": self.fingerprint,
-            "watchdog_violations": self.watchdog_violations,
         }
 
 
@@ -518,14 +388,13 @@ def fuzz_backend(
     seed: int = 0,
     sessions: int = DEFAULT_SESSIONS,
     units_per_session: int = DEFAULT_UNITS,
-    watchdog: LockOrderWatchdog | None = None,
 ) -> FuzzReport:
     """Fuzz one schedule, replay its completion order serially, compare.
 
     Non-concurrent backends run a single session (their contract), and
     backends with no session support at all run the schedule straight
-    against the database on one thread; the comparison still holds for
-    both, now as a replay-determinism check.
+    against the database; the comparison still holds for both, now as a
+    replay-determinism check.
     """
     info = registry.backend(backend_name)
     servable = hasattr(info.cls, "attach_client")
@@ -543,28 +412,24 @@ def fuzz_backend(
         )
         db = LabBase(store)
         bootstrap_schema(db)
+        completed: list[tuple[str, str, dict[str, object]]] = []
         if servable:
-            service = LabFlowService(db, group_cap=3, watchdog=watchdog)
-            fuzzer = ScheduleFuzzer(
-                service,
-                names,
-                units_per_session=units_per_session,
-                seed=seed,
-                watchdog=watchdog,
+            service = LabFlowService(db, group_cap=3)
+            clients = [LocalClient(service, name) for name in names]
+            run_schedule(
+                clients, units_per_session=units_per_session, seed=seed
             )
-            tally = fuzzer.run()
+            for client in clients:
+                client.close()
             completed = service.completed_units()
             service.shutdown()
         else:
-            rng = DeterministicRng(seed)
-            schedule = make_schedule(
-                len(names), units_per_session, rng.substream("schedule")
+            run_schedule(
+                [_DirectClient(db, name, completed) for name in names],
+                units_per_session=units_per_session,
+                seed=seed,
             )
-            codes = [
-                rng.substream("codes").randint(0, _CODE_SPAN - 1)
-                for _ in schedule
-            ]
-            completed, tally = _direct_run(db, names, schedule, codes)
+        commit_stalls = store.stats.commit_stalls
         assert db.verify_storage().ok
         if info.persistent:
             store.close()
@@ -608,12 +473,9 @@ def fuzz_backend(
         sessions=n_sessions,
         units_per_session=units_per_session,
         completed_units=len(completed),
-        conflicts=tally["conflicts"],
+        commit_stalls=commit_stalls,
         identical=fuzzed_print == serial_print,
         fingerprint=fuzzed_print,
-        watchdog_violations=(
-            0 if watchdog is None else len(watchdog.violations())
-        ),
     )
 
 
@@ -623,13 +485,8 @@ def fuzz_sweep(
     seeds: Sequence[int] = (0, 1),
     sessions: int = DEFAULT_SESSIONS,
     units_per_session: int = DEFAULT_UNITS,
-    sanitize: bool = True,
 ) -> list[FuzzReport]:
-    """Fuzz every backend (or the named ones) across ``seeds``.
-
-    With ``sanitize`` each run gets a fresh lock-order watchdog, so the
-    sweep also asserts the server's runtime lock discipline.
-    """
+    """Fuzz every backend (or the named ones) across ``seeds``."""
     names = (
         list(backend_names)
         if backend_names is not None
@@ -643,14 +500,12 @@ def fuzz_sweep(
     for name in names:
         # lint: ignore[LF08] -- sequential sweep, no locks held across runs
         for seed in seeds:
-            watchdog = LockOrderWatchdog() if sanitize else None
             reports.append(
                 fuzz_backend(
                     name,
                     seed=seed,
                     sessions=sessions,
                     units_per_session=units_per_session,
-                    watchdog=watchdog,
                 )
             )
     return reports

@@ -48,7 +48,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.errors import (
     DuplicateKeyError,
@@ -63,7 +63,6 @@ from repro.labbase.database import LabBase
 from repro.labbase.sessions import LockedPages, SessionManager
 from repro.obs.registry import gauges_from
 from repro.obs.tracing import UnitTracer
-from repro.obs.watchdog import LockOrderWatchdog
 from repro.server.commit import DEFAULT_GROUP_CAP, CommitCoordinator
 from repro.server.communicator import (
     MAX_MESSAGE_BYTES,
@@ -104,7 +103,6 @@ class LabFlowService:
         group_cap: int = DEFAULT_GROUP_CAP,
         max_retries: int = DEFAULT_MAX_RETRIES,
         tracer: UnitTracer | None = None,
-        watchdog: LockOrderWatchdog | None = None,
     ) -> None:
         if db.storage.in_transaction:
             raise TransactionError(
@@ -116,13 +114,7 @@ class LabFlowService:
         self._tracer = tracer
         self._coordinator = CommitCoordinator(db, cap=group_cap, tracer=tracer)
         self._max_retries = max(0, max_retries)
-        # Any: a watched RLock and a real RLock expose the same protocol
-        # (Condition included), but share no typeshed-visible base.
-        self._mutex: Any = (
-            watchdog.rlock("service.mutex")
-            if watchdog is not None
-            else threading.RLock()
-        )
+        self._mutex = threading.RLock()
         self._completed: deque[tuple[str, str, dict[str, object]]] = deque(
             maxlen=COMPLETED_LOG_UNITS
         )
@@ -254,16 +246,19 @@ class LabFlowService:
         cache.begin_unit()
         try:
             value = self._execute(name, op, args)
-        except ReproError as exc:
-            # The unit never happened: drop its buffered writes and put
-            # its locks back the way the acquisition found them.
+            t_executed = tracer.now() if tracer is not None else 0.0
+            cache.end_unit()
+        except BaseException as exc:
+            # The unit never happened, whatever it died of — a refusal
+            # or a bug, executing or draining: drop its buffered writes
+            # and put its locks back the way the acquisition found them.
+            # A unit left buffering would refuse every later unit of
+            # every session.
             cache.discard_unit()
             self._restore_unit_locks(name, taken)
             if tracer is not None:
                 tracer.abort(name, op, error_type=type(exc).__name__)
             raise
-        t_executed = tracer.now() if tracer is not None else 0.0
-        cache.end_unit()
         if op in _UPDATE_OPS:
             self._completed.append((name, op, dict(args)))
             self._coordinator.note_unit(name)

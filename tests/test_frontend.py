@@ -255,6 +255,27 @@ def test_a_bug_behind_one_frame_costs_its_connection_only(served, monkeypatch, c
     _still_served(healthy)
 
 
+def test_a_bug_inside_one_unit_costs_its_connection_only(served, monkeypatch, capsys):
+    """``drain`` above is not a unit; this bug strikes with the unit's
+    locks taken and the object cache buffering for it."""
+    connect, healthy, _service, _runner = served
+    oid = healthy.lookup("clone", "h-0")
+    healthy.drain()
+
+    def broken(self, material_oid, state, valid_time):
+        raise ValueError("not a ReproError")
+
+    monkeypatch.setattr(LabBase, "set_state", broken)
+    peer = connect()
+    peer.send(Request(op="open_session", session="p"))
+    assert peer.reply().ok
+    peer.send(Request(op="set_state", session="p",
+                      args={"material_oid": oid, "state": "busy", "valid_time": 2}))
+    assert peer.at_eof()
+    assert "ValueError: not a ReproError" in capsys.readouterr().err
+    _still_served(healthy)
+
+
 # -- many peers, slow peers --------------------------------------------------
 
 

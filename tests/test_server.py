@@ -202,6 +202,46 @@ def test_failed_unit_discards_writes_and_restores_locks():
     db.storage.close()
 
 
+def test_unit_dying_of_a_bug_is_discarded_like_any_other(monkeypatch):
+    """A unit that dies of a non-ReproError never happened either: the
+    cache leaves buffering mode and the unit's locks go back, so the
+    other stations keep their server (they were refused forever with
+    "a unit of work is already buffering")."""
+    db = _served_db()
+    service = LabFlowService(db)
+    a = LocalClient(service, "a")
+    b = LocalClient(service, "b")
+    oid = a.create_material("clone", "a-0", 1, state="active")
+    service.drain()
+    set_state = LabBase.set_state
+    armed = [True]
+
+    def fails_once(self, material_oid, state, valid_time):
+        if armed:
+            armed.clear()
+            self.cache.write(material_oid, self.cache.read(material_oid))
+            raise ValueError("a bug, with a write buffered")
+        set_state(self, material_oid, state, valid_time)
+
+    monkeypatch.setattr(LabBase, "set_state", fails_once)
+    with pytest.raises(ValueError):
+        a.set_state(oid, "busy", 2)
+    assert db.cache.dirty_oid_set() == frozenset()
+    a.close(failed=True)  # what the loop does with the connection
+
+    assert b.state_of(oid) == "active"  # the next query ...
+    b.set_state(oid, "done", 3)  # ... and the next update, on the same page
+    service.drain()
+    for name in ("a", "b"):
+        assert db.storage.lock_manager.held_pages(name) == set()
+    assert db.verify_storage().ok
+    assert [(s, op) for s, op, _args in service.completed_units()] == [
+        ("a", "create_material"), ("b", "set_state"),
+    ]
+    service.shutdown()
+    db.storage.close()
+
+
 def test_pending_group_blocks_then_stall_flushes():
     """Strict 2PL: a group-pending unit's X locks stall a conflicting
     session; the conflict force-closes the group (a commit_stall) and
