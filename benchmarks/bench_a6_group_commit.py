@@ -10,6 +10,12 @@ cap 1: one storage commit per update unit).  Reported per setting: wall clock pe
 update unit, storage commits, mean group width, vectored I/O batches
 and checkpoint bytes per unit.
 
+One more leg is *contended*: two sessions drawing every target from one
+page, 60 % updates / 40 % locking queries.  There an update meets the
+page lock of a commit-mate and shares it — no stall — while a query
+that meets a pending writer closes the group early, so this is the leg
+whose ``commit_stalls`` is not 0 by construction.
+
 The acceptance floor pinned here (and in tests/test_server.py): at four
 sessions, grouping must make *strictly* fewer io_batches + meta bytes
 per committed step than the sequential per-unit baseline.
@@ -33,6 +39,12 @@ from _common import emit
 
 _SESSION_COUNTS = (1, 2, 4, 8)
 _ROUNDS = 24
+
+#: The contended leg's script, repeated: six updates (the first four
+#: fill a group of cap 4, two stay pending), then four locking queries
+#: (the first meets the pending two and stalls, the rest find no group).
+_CONTENDED_PATTERN = "UUUUUUQQQQ"
+_CONTENDED_CAP = 4
 
 
 def _spread_sessions(sm, clients):
@@ -124,6 +136,72 @@ def _run(sessions: int, group: bool) -> dict:
     }
 
 
+def _run_contended() -> dict:
+    """Two sessions, one page, scripted and single-threaded like the
+    sweep: units alternate between the sessions, targets rotate over
+    four materials created back to back."""
+    with tempfile.TemporaryDirectory() as workdir:
+        sm = ObjectStoreSM(
+            path=os.path.join(workdir, "db.pages"), checkpoint_every=1
+        )
+        db = LabBase(sm)
+        bootstrap_schema(db)
+        service = LabFlowService(db, group_cap=_CONTENDED_CAP)
+        clients = [LocalClient(service, f"c{i}") for i in range(2)]
+        oids = [
+            clients[n % 2].create_material("clone", f"hot-{n}", n + 1, state="active")
+            for n in range(4)
+        ]
+        tick = len(oids)
+        for client, oid in zip(clients, oids):
+            tick += 1
+            client.record_step("measure", tick, [oid], {"value": tick})
+        service.drain()
+        assert len({page for oid in oids for page in sm.pages_of(oid)}) == 1
+
+        before = sm.stats.snapshot()
+        stalls = {"U": 0, "Q": 0}
+        units = {"U": 0, "Q": 0}
+        for turn, kind in enumerate(_CONTENDED_PATTERN * _ROUNDS):
+            client, oid = clients[turn % 2], oids[(turn // 2) % len(oids)]
+            stalls_before = sm.stats.commit_stalls
+            tick += 1
+            if kind == "Q":
+                if turn % 4 < 2:
+                    client.most_recent(oid, "value")
+                else:
+                    client.state_of(oid)
+            elif turn % 4 < 2:
+                client.record_step("measure", tick, [oid], {"value": tick})
+            else:
+                client.set_state(oid, "busy" if tick % 2 else "active", tick)
+            units[kind] += 1
+            stalls[kind] += sm.stats.commit_stalls - stalls_before
+        service.drain()
+        delta = sm.stats.delta(before)
+
+        service.shutdown()
+        assert db.verify_storage().ok
+        sm.close()
+
+    return {
+        "sessions": len(clients),
+        "units": units["U"] + units["Q"],
+        "update_units": units["U"],
+        "query_units": units["Q"],
+        "commits": delta["commits"],
+        "group_commits": delta["group_commits"],
+        "sessions_per_group": delta["sessions_per_group"],
+        "group_width": metric("group_width").compute(delta),
+        "commit_stalls": delta["commit_stalls"],
+        "commit_stall_ratio": metric("commit_stall_ratio").compute(delta),
+        "update_stalls": stalls["U"],
+        "query_stalls": stalls["Q"],
+        "lock_waits": delta["lock_waits"],
+        "page_writes": delta["page_writes"],
+    }
+
+
 @pytest.fixture(scope="module")
 def sweep():
     return {
@@ -168,10 +246,32 @@ def test_a6_emit_table(benchmark, sweep):
         title="A6: group commit across concurrent sessions (E8-style mix)",
         align_right=(2, 3, 4, 5, 6, 7, 8),
     )
+    contended = _run_contended()
+    text += "\n\n" + format_table(
+        ["units", "updates", "queries", "commits", "width", "stalls",
+         "by updates", "by queries", "stall ratio"],
+        [[
+            f"{contended['units']}",
+            f"{contended['update_units']}",
+            f"{contended['query_units']}",
+            f"{contended['commits']}",
+            f"{contended['group_width']:.2f}",
+            f"{contended['commit_stalls']}",
+            f"{contended['update_stalls']}",
+            f"{contended['query_stalls']}",
+            f"{contended['commit_stall_ratio']:.2f}",
+        ]],
+        title=(
+            "A6 contended: two sessions on one page, "
+            f"group cap {_CONTENDED_CAP}, 60% updates / 40% locking queries"
+        ),
+        align_right=tuple(range(9)),
+    )
     payload = {
         f"s{sessions}_{'on' if group else 'off'}": run
         for (sessions, group), run in sweep.items()
     }
+    payload["contended"] = contended
     # gauge_block: BENCH_A6's gauges describe the grouped four-session
     # point, the one the acceptance floor below is pinned on
     payload["gauge_block"] = "s4_on"
@@ -195,6 +295,14 @@ def test_a6_emit_table(benchmark, sweep):
     assert sweep[(8, True)]["group_width"] > sweep[(2, True)]["group_width"]
     for sessions in _SESSION_COUNTS:
         assert sweep[(sessions, False)]["group_width"] <= 1.0
+
+    # the contended leg: an update builds on its commit-mates' pages, so
+    # only a query — an observer — ever closes a group early, and not
+    # every group
+    assert contended["update_stalls"] == 0
+    assert contended["query_stalls"] == contended["commit_stalls"] > 0
+    assert 0.0 < contended["commit_stall_ratio"] < 1.0
+    assert contended["group_width"] > 1.0
 
 
 @pytest.mark.parametrize("group", [True, False], ids=["group_on", "group_off"])

@@ -116,9 +116,9 @@ def check_shapes(comparison: ComparisonResult) -> list[ShapeCheck]:
         checks.append(ShapeCheck(
             "S5", "Texas+TC user CPU >= OStore user CPU (clustering in "
                   "client code)",
-            # 5% relative slack, plus two os.times clock ticks: at tiny
-            # scale the totals are ~0.1 s and the 10 ms granularity
-            # alone can flip the raw comparison.
+            # 5% relative slack, plus 20 ms: at tiny scale the totals
+            # are ~0.1 s and one run drifts from the next by more than
+            # the clustering costs.
             tc_cpu >= ostore_cpu * 0.95 - 0.02,
             f"{tc_cpu:.3f}s vs {ostore_cpu:.3f}s",
         ))

@@ -28,6 +28,7 @@ refuse every other reader for the life of the session.)
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
 
@@ -174,12 +175,22 @@ class SessionManager:
         self._sessions[name] = session
         return session
 
-    def lock_object(self, client: str, oid: int, exclusive: bool) -> LockedPages:
+    def lock_object(
+        self,
+        client: str,
+        oid: int,
+        exclusive: bool,
+        mates: Collection[str] = (),
+    ) -> LockedPages:
         """Lock one object's page(s); returns what the call changed.
 
         All-or-nothing: a conflict on a later page of a chunked object
         restores the pages this call already touched (new locks
-        released, upgrades downgraded) before re-raising.
+        released, upgrades downgraded) before re-raising.  ``mates`` are
+        the clients whose pending work commits with this request's: an
+        exclusive request shares their pages instead of conflicting
+        (:meth:`~repro.storage.locks.LockManager.acquire`), and what it
+        restores on failure is still only its own.
 
         A *newly granted* lock is a hand-off point: another client may
         have updated the object since this client last saw it, so the
@@ -194,7 +205,9 @@ class SessionManager:
         taken = LockedPages()
         try:
             for page_id in self._pages_of(oid):
-                grant = self._sm.lock_page(client, page_id, exclusive=exclusive)
+                grant = self._sm.lock_page(
+                    client, page_id, exclusive=exclusive, mates=mates
+                )
                 if grant is LockGrant.NEW:
                     taken.new.append(page_id)
                 elif grant is LockGrant.UPGRADED:
@@ -207,7 +220,11 @@ class SessionManager:
         return taken
 
     def lock_objects(
-        self, client: str, oids: Iterable[int], exclusive: bool
+        self,
+        client: str,
+        oids: Iterable[int],
+        exclusive: bool,
+        mates: Collection[str] = (),
     ) -> LockedPages:
         """Lock several objects in globally consistent (oid) order.
 
@@ -223,7 +240,7 @@ class SessionManager:
             return taken
         try:
             for oid in sorted(set(int(oid) for oid in oids)):
-                taken.extend(self.lock_object(client, oid, exclusive))
+                taken.extend(self.lock_object(client, oid, exclusive, mates))
         except LockError:
             self._restore_pages(client, taken)
             raise

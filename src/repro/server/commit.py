@@ -23,9 +23,16 @@ Counters (all rendered by the benchmark reports):
 * ``group_commits`` — storage commits that closed a group;
 * ``sessions_per_group`` — distinct sessions fused into those groups
   (so ``sessions_per_group / group_commits`` is the mean batch width);
-* ``commit_stalls`` — groups forced closed early because a waiting
-  session conflicted with locks the group still held (bumped by the
-  service, which owns conflict handling).
+* ``commit_stalls`` — groups forced closed early because a unit
+  conflicted with locks the group still held (bumped by the service,
+  which owns conflict handling).  That unit is a *query*: it would
+  observe pages the group has not made durable.  An update unit does
+  not stall on the group — it is about to join it, so the sessions in
+  it (:meth:`CommitCoordinator.pending_sessions`) are its commit-mates
+  and it shares their page locks; closing the group to let it in would
+  only make the group it joins narrower.  On the end-to-end benchmark's
+  hot mix two conflicts in three were of that kind (1 723 of 2 555;
+  EXPERIMENTS.md "E2E — PR 23").
 """
 
 from __future__ import annotations
@@ -59,9 +66,10 @@ class CommitCoordinator:
         """Completed update units waiting for the group to close."""
         return len(self._pending)
 
-    def pending_sessions(self) -> list[str]:
-        """Distinct sessions with units in the open group, sorted."""
-        return sorted(set(self._pending))
+    def pending_sessions(self) -> set[str]:
+        """The sessions with units in the open group: each other's
+        commit-mates, and those of the next update unit to join."""
+        return set(self._pending)
 
     def note_unit(self, session: str) -> None:
         """Record one completed update unit for ``session``."""

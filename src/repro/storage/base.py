@@ -146,9 +146,11 @@ class PagedStorageManager(StorageManager):
         self._closed = False
         self._in_txn = False
         # Undo journal for abort: old directory entries (or _ABSENT for
-        # oids created in the txn) plus small-state copies.  A journal
-        # instead of a full metadata snapshot keeps begin() O(changes),
-        # not O(database) — essential for the per-transaction stream.
+        # oids created in the txn) plus small-state copies — per segment
+        # its marks (:meth:`_segment_marks`), never its page list.  A
+        # journal instead of a full metadata snapshot keeps begin()
+        # O(changes), not O(database) — essential for the
+        # per-transaction stream.
         self._undo_dir: dict[int, object] | None = None
         self._undo_small: dict | None = None
 
@@ -249,10 +251,16 @@ class PagedStorageManager(StorageManager):
             "page_high": self._page_alloc.high_water,
             "roots": dict(self._roots),
             "intern": self._codec.intern_names(),
-            "segments": {
-                seg.segment_id: (len(seg.page_ids), sorted(seg.free_candidates))
-                for seg in self._segments.values()
-            },
+            "segments": self._segment_marks(),
+        }
+
+    def _segment_marks(self) -> dict[int, tuple[int, list[int]]]:
+        """Per segment id, how many pages it has and its free candidates:
+        all of a segment that can change between two checkpoints or
+        inside a transaction, where a page list only ever grows."""
+        return {
+            seg.segment_id: (len(seg.page_ids), sorted(seg.free_candidates))
+            for seg in self._segments.values()
         }
 
     def _meta_delta(self, marks: dict) -> dict:
@@ -550,7 +558,7 @@ class PagedStorageManager(StorageManager):
             "roots": dict(self._roots),
             "oid_high": self._oid_alloc.high_water,
             "page_high": self._page_alloc.high_water,
-            "segments": [seg.to_meta() for seg in self._segments.values()],
+            "segments": self._segment_marks(),
         }
         self._in_txn = True
         self._begin_caches()
@@ -606,12 +614,15 @@ class PagedStorageManager(StorageManager):
         self._roots = self._undo_small["roots"]
         self._oid_alloc = OidAllocator(start=self._undo_small["oid_high"])
         self._page_alloc = OidAllocator(start=self._undo_small["page_high"])
-        self._segments = {}
-        self._segment_by_id = {}
-        for seg_meta in self._undo_small["segments"]:
-            segment = Segment.from_meta(seg_meta)
-            self._segments[segment.name] = segment
-            self._segment_by_id[segment.segment_id] = segment
+        marks = self._undo_small["segments"]
+        for segment in list(self._segments.values()):
+            if segment.segment_id not in marks:  # created in the transaction
+                del self._segments[segment.name]
+                del self._segment_by_id[segment.segment_id]
+                continue
+            page_count, free_candidates = marks[segment.segment_id]
+            del segment.page_ids[page_count:]
+            segment.free_candidates = set(free_candidates)
         self._index_pages()
         self._undo_dir = None
         self._undo_small = None

@@ -91,6 +91,14 @@ class PageFile:
         self._meta_base = 0
         self._meta_frames = 0
         self._frames_read: list[dict] = []
+        #: File mode: the handle frames are appended through, opened by
+        #: the first append after a base is read or written and kept —
+        #: a checkpoint then costs a write and an fsync, not an open.
+        self._meta_file: io.BufferedRandom | None = None
+        #: The file may hold bytes past the last valid frame (:meth:`read_meta`
+        #: found some, or an append did not finish): the next append cuts
+        #: them off before it lands.
+        self._meta_torn = False
         if path is not None:
             # A compaction that died before its rename publishes nothing.
             if os.path.exists(path + ".meta.tmp"):
@@ -328,6 +336,7 @@ class PageFile:
         if self._file is not None:
             self._file.close()
             self._file = None
+        self._close_meta_file()
 
     # -- metadata side file ---------------------------------------------------
 
@@ -374,7 +383,11 @@ class PageFile:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, meta_path)
+            # The rename swapped the inode: a kept handle would append
+            # to the unlinked file.  The next append opens the new one.
+            self._close_meta_file()
         self._meta_base, self._meta_frames = len(data), 0
+        self._meta_torn = False
         return len(data)
 
     def _append_meta(self, data: bytes) -> None:
@@ -385,13 +398,24 @@ class PageFile:
             assert self._mem_meta is not None
             del self._mem_meta[valid:]
             self._mem_meta += data
-        else:
-            with open(meta_path, "r+b") as handle:
-                handle.truncate(valid)
-                handle.seek(valid)
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
+            return
+        handle = self._meta_file
+        if handle is None:
+            handle = self._meta_file = open(meta_path, "r+b")
+        if self._meta_torn:
+            handle.truncate(valid)
+        # An append that dies partway leaves a tail of its own.
+        self._meta_torn = True
+        handle.seek(valid)
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+        self._meta_torn = False
+
+    def _close_meta_file(self) -> None:
+        if self._meta_file is not None:
+            self._meta_file.close()
+            self._meta_file = None
 
     def read_meta(self) -> dict | None:
         """Load the metadata base, or None if none was ever written.
@@ -433,6 +457,7 @@ class PageFile:
                 f"{meta_path or '<memory>'}: corrupt metadata blob: {exc}"
             ) from exc
         self._meta_base, self._meta_frames = base_bytes, offset - base_bytes
+        self._meta_torn = len(blob) > offset
         self._frames_read = frames
         return base
 

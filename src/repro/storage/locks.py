@@ -23,10 +23,23 @@ acquisition that fails partway must undo exactly what it changed:
   lock the client held before the failed call, and keeping it EXCLUSIVE
   would wrongly refuse other readers for the life of the session;
 * a :attr:`~LockGrant.HELD` no-op needs no undo at all.
+
+Commit-mates
+------------
+
+An EXCLUSIVE lock exists so that nobody *observes* pages that are not
+yet durable.  A writer whose work will be made durable by the same
+commit as the holder's — in execution order, or not at all — is not an
+observer: the caller names such holders as the request's *mates*, and an
+EXCLUSIVE request does not conflict with them.  Both become holders of
+the page and each gives back only its own hold.  A SHARED request takes
+no mates: a reader conflicts with any other client's EXCLUSIVE hold,
+also on a page it co-holds itself.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -51,11 +64,19 @@ class LockGrant(Enum):
 class _PageLock:
     holders: dict[str, LockMode] = field(default_factory=dict)
 
-    def compatible(self, client: str, mode: LockMode) -> bool:
+    def compatible(
+        self, client: str, mode: LockMode, mates: Collection[str] = ()
+    ) -> bool:
+        """Whether ``client`` may hold the page in ``mode`` next to its
+        other holders: a writer next to its ``mates`` only, a reader
+        next to readers only."""
         for holder, held in self.holders.items():
             if holder == client:
                 continue
-            if mode is LockMode.EXCLUSIVE or held is LockMode.EXCLUSIVE:
+            if mode is LockMode.EXCLUSIVE:
+                if holder not in mates:
+                    return False
+            elif held is LockMode.EXCLUSIVE:
                 return False
         return True
 
@@ -68,7 +89,13 @@ class LockManager:
         self._client_pages: dict[str, set[int]] = {}
         self._stats = stats or StorageStats()
 
-    def acquire(self, client: str, page_id: int, mode: LockMode) -> LockGrant:
+    def acquire(
+        self,
+        client: str,
+        page_id: int,
+        mode: LockMode,
+        mates: Collection[str] = (),
+    ) -> LockGrant:
         """Grant a lock or raise :class:`LockError` on conflict.
 
         Re-acquiring a held lock is a no-op (:attr:`LockGrant.HELD`);
@@ -77,22 +104,33 @@ class LockManager:
         tells a multi-page caller how to back out on partial failure:
         release NEW pages, downgrade UPGRADED ones.
 
+        ``mates`` are the clients whose pending work commits together
+        with this request's (see the module docstring): an EXCLUSIVE
+        request is granted next to their holds, of either mode.  A
+        SHARED request ignores them, and one for a page the client
+        holds is a no-op only while no other client holds it
+        EXCLUSIVE — a co-holder asking to read conflicts like anyone.
+
         The conflict path mutates nothing but ``lock_waits`` — retrying
         the same request must not double-count ``lock_acquisitions`` or
         disturb :meth:`holders`.
         """
         lock = self._locks.get(page_id)
-        held = lock.holders.get(client) if lock is not None else None
-        if held is mode or (held is LockMode.EXCLUSIVE and mode is LockMode.SHARED):
-            return LockGrant.HELD
-        if lock is not None and not lock.compatible(client, mode):
-            self._stats.lock_waits += 1
-            raise LockError(
-                f"client {client!r} cannot lock page {page_id} in mode "
-                f"{mode.value}: held by {sorted(h for h in lock.holders if h != client)}"
-            )
+        held = None
         if lock is None:
             lock = self._locks[page_id] = _PageLock()
+        else:
+            held = lock.holders.get(client)
+            if held is LockMode.EXCLUSIVE and mode is LockMode.EXCLUSIVE:
+                return LockGrant.HELD
+            if not lock.compatible(client, mode, mates):
+                self._stats.lock_waits += 1
+                raise LockError(
+                    f"client {client!r} cannot lock page {page_id} in mode "
+                    f"{mode.value}: held by {sorted(h for h in lock.holders if h != client)}"
+                )
+            if held is not None and mode is LockMode.SHARED:
+                return LockGrant.HELD
         lock.holders[client] = mode
         if held is None:
             self._client_pages.setdefault(client, set()).add(page_id)

@@ -16,6 +16,7 @@ What the paper attributes to ObjectStore, and what this class models:
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
@@ -78,18 +79,26 @@ class ObjectStoreSM(PagedStorageManager):
         self._clients.discard(client)
         self._lock_manager.release_all(client)
 
-    def lock_page(self, client: str, page_id: int, exclusive: bool = False) -> LockGrant:
+    def lock_page(
+        self,
+        client: str,
+        page_id: int,
+        exclusive: bool = False,
+        mates: Collection[str] = (),
+    ) -> LockGrant:
         """Acquire a page lock on behalf of an attached client.
 
         Returns the :class:`LockGrant` kind (NEW / UPGRADED / HELD), so
         a multi-page caller knows how to back each page out if the
-        acquisition fails partway.
+        acquisition fails partway.  ``mates`` are the clients an
+        exclusive request may share the page with
+        (:meth:`LockManager.acquire`).
         """
         self._check_open()
         if client not in self._clients:
             raise StorageError(f"client {client!r} is not attached")
         mode = LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
-        return self._lock_manager.acquire(client, page_id, mode)
+        return self._lock_manager.acquire(client, page_id, mode, mates)
 
     def unlock_page(self, client: str, page_id: int) -> bool:
         """Release one page lock (backing out a failed multi-page grab)."""

@@ -12,12 +12,14 @@ page cache, so OS majflt would read 0 for every version and the comparison
 would vanish.  We therefore meter *simulated* major faults: buffer-pool
 misses reported by the storage layer, which is exactly the quantity the
 paper's majflt numbers proxied.  Real elapsed and CPU time are still
-measured with :func:`time.perf_counter` and :func:`os.times`.
+measured, with :func:`time.perf_counter` and :func:`resource.getrusage`
+(microseconds; :func:`os.times` counts 10 ms ticks, which at tiny scale
+is a tenth of a whole run).
 """
 
 from __future__ import annotations
 
-import os
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -89,11 +91,11 @@ class ResourceMeter:
         return int(getattr(self._fault_source, "major_faults", 0))
 
     def _snapshot(self) -> _Snapshot:
-        times = os.times()
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         return _Snapshot(
             wall=time.perf_counter(),
-            user=times.user,
-            sys=times.system,
+            user=usage.ru_utime,
+            sys=usage.ru_stime,
             faults=self._read_faults(),
         )
 

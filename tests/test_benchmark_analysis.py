@@ -4,15 +4,32 @@ import pytest
 
 from repro.benchmark import TINY, run_comparison
 from repro.benchmark.analysis import check_shapes, failed_checks, render_checks
+from repro.benchmark.harness import run_server
+from repro.benchmark.servers import server_spec
 
 
 @pytest.fixture(scope="module")
 def comparison(tmp_path_factory):
-    config = TINY.with_(
-        db_dir=str(tmp_path_factory.mktemp("shape_dbs")),
-        clones_per_interval=8,
-    )
-    return run_comparison(config)
+    """One run of every server — and, for the two whose CPU time S5
+    compares, the cheapest of three interleaved runs (OStore, TC, OStore,
+    TC, ...): the totals are ~0.1 s on a CPU whose speed drifts by a
+    quarter, and every count of a rerun is the first run's."""
+
+    def config(label):
+        return TINY.with_(
+            db_dir=str(tmp_path_factory.mktemp(label)), clones_per_interval=8
+        )
+
+    result = run_comparison(config("shape_dbs"))
+    for round_ in range(2):
+        for index, kept in enumerate(result.runs):
+            if kept.server not in ("OStore", "Texas+TC"):
+                continue
+            rerun = run_server(server_spec(kept.server), config(f"rerun{round_}"))
+            assert rerun.final_stats == kept.final_stats
+            if rerun.total_usage().user_cpu_sec < kept.total_usage().user_cpu_sec:
+                result.runs[index] = rerun
+    return result
 
 
 def test_every_claim_holds_on_a_real_run(comparison):

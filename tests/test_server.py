@@ -242,10 +242,9 @@ def test_unit_dying_of_a_bug_is_discarded_like_any_other(monkeypatch):
     db.storage.close()
 
 
-def test_pending_group_blocks_then_stall_flushes():
-    """Strict 2PL: a group-pending unit's X locks stall a conflicting
-    session; the conflict force-closes the group (a commit_stall) and
-    the retry proceeds."""
+def _alice_pending_on_a_page_bob_wants():
+    """alice's update pending in the open group, holding page P
+    EXCLUSIVE; returns a material on P for bob to go after."""
     db = _served_db()
     service = LabFlowService(db, group_cap=100)
     alice = LocalClient(service, "alice")
@@ -255,13 +254,81 @@ def test_pending_group_blocks_then_stall_flushes():
     b = bob.create_material("clone", "b-0", 2, state="active")
     service.drain()
     alice.set_state(a, "busy", 3)  # pending: X lock held until group close
+    page = db.storage.pages_of(a)[0]
+    # distinct pages: contend on the same material directly
+    target = b if page in db.storage.pages_of(b) else a
+    return db, service, alice, bob, target, page
+
+
+def test_pending_group_blocks_then_stall_flushes():
+    """Strict 2PL for whoever observes: a group-pending unit's X locks
+    stall a conflicting query; the conflict force-closes the group (a
+    commit_stall) and the retry answers."""
+    db, service, _alice, bob, target, _page = _alice_pending_on_a_page_bob_wants()
+    stats = db.storage.stats
+    stalls_before, commits_before = stats.commit_stalls, stats.commits
+    expected = db.state_of(target)
+    # same page: must stall-flush, then read what is now durable
+    assert bob.state_of(target) == expected
+    assert stats.commit_stalls == stalls_before + 1
+    assert stats.commits == commits_before + 1
+    assert service._coordinator.pending_units == 0
+    service.shutdown()
+    db.storage.close()
+
+
+def test_commit_mates_update_shares_the_page_without_a_stall():
+    """bob's update meets the lock of a session whose unit sits in the
+    group bob's is about to join: no conflict — both hold the page, both
+    units are in one group, and one commit at drain makes them durable."""
+    db, service, _alice, bob, target, page = _alice_pending_on_a_page_bob_wants()
+    stats = db.storage.stats
+    before = stats.snapshot()
+    bob.set_state(target, "done", 4)
+    assert stats.delta(before)["commit_stalls"] == 0
+    assert stats.delta(before)["lock_waits"] == 0
+    assert stats.delta(before)["commits"] == 0
+    assert service._coordinator.pending_units == 2
+    assert set(db.storage.lock_manager.holders(page)) == {"alice", "bob"}
+    assert service.drain() == 2
+    delta = stats.delta(before)
+    assert delta["commits"] == delta["group_commits"] == 1
+    assert delta["sessions_per_group"] == 2
+    assert db.storage.lock_manager.holders(page) == {}
+    assert db.verify_storage().ok
+    assert bob.state_of(target) == "done"
+    service.shutdown()
+    db.storage.close()
+
+
+def test_co_holder_query_stalls_like_any_observer():
+    """Sharing a page to write it is not a licence to read it: bob's
+    query on the page he co-holds with alice closes the group first."""
+    db, service, _alice, bob, target, page = _alice_pending_on_a_page_bob_wants()
+    bob.set_state(target, "done", 4)
+    stats = db.storage.stats
+    before = stats.snapshot()
+    assert bob.state_of(target) == "done"
+    delta = stats.delta(before)
+    assert delta["commit_stalls"] == 1 and delta["commits"] == 1
+    assert delta["sessions_per_group"] == 2
+    assert db.storage.lock_manager.holders(page) == {}
+    service.shutdown()
+    db.storage.close()
+
+
+def test_unit_dying_on_a_shared_page_gives_back_only_its_own_hold():
+    db, service, alice, bob, target, page = _alice_pending_on_a_page_bob_wants()
     stalls_before = db.storage.stats.commit_stalls
-    if set(db.storage.pages_of(a)) & set(db.storage.pages_of(b)):
-        bob.set_state(b, "busy", 4)  # same page: must stall-flush, then win
-        assert db.storage.stats.commit_stalls == stalls_before + 1
-    else:  # distinct pages: contend on the same material directly
-        bob.set_state(a, "busy", 4)
-        assert db.storage.stats.commit_stalls == stalls_before + 1
+    with pytest.raises(SchemaError):
+        bob.record_step("measure", 4, [target], {"no_such_attr": 1})
+    assert db.storage.stats.commit_stalls == stalls_before
+    assert set(db.storage.lock_manager.holders(page)) == {"alice"}
+    assert db.storage.lock_manager.held_pages("bob") == set()
+    assert service._coordinator.pending_units == 1  # alice's, untouched
+    alice.set_state(target, "done", 5)
+    service.drain()
+    assert db.storage.lock_manager.holders(page) == {}
     service.shutdown()
     db.storage.close()
 

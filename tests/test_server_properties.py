@@ -19,6 +19,10 @@ Two families:
   every surviving record still deserializable.  A write-point/byte
   determinism test pins that the served workload is replayable at all.
 
+  A second, scripted group holds two sessions' updates to *one* page
+  (commit-mates sharing its lock): killed at every write point of its
+  close, the page comes back with both updates or with neither.
+
 Set ``CRASH_MATRIX_STRIDE=k`` to test every k-th write point (CI smoke).
 """
 
@@ -30,7 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.storage as storage_module
-from repro.errors import InjectedCrashError, StorageError
+from repro.errors import InjectedCrashError, StorageError, UnknownOidError
 from repro.labbase import LabBase
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
 from repro.storage import FaultInjector, ObjectStoreSM
@@ -69,13 +73,16 @@ def _file_bytes(directory):
     return blobs
 
 
-def _drive_units(service, names, codes):
+def _drive_units(service, names, codes, hot_page=False):
     """Deterministic interleaved interpreter over the service.
 
     Each code picks a session, an operation kind, and a target; every
     session starts with one seed material, and the pool each session
     draws targets from includes every session's seed — so interleavings
     genuinely contend on shared pages and exercise the stall path.
+    With ``hot_page`` the seeds are the whole pool: created back to
+    back they share one page, so every update meets a commit-mate's
+    lock and every query a pending writer's.
     """
     clients = {name: LocalClient(service, name) for name in names}
     own = {name: [] for name in names}
@@ -87,11 +94,15 @@ def _drive_units(service, names, codes):
                 "clone", f"{name}-seed", tick, state="active"
             )
         )
+    seeds = [own[name][0] for name in names]
+    if hot_page:
+        pages_of = service.db.storage.pages_of
+        assert len({page for oid in seeds for page in pages_of(oid)}) == 1
     for code in codes:
         tick += 1
         name = names[code % len(names)]
         client = clients[name]
-        pool = own[name] + [own[other][0] for other in names]
+        pool = seeds if hot_page else own[name] + seeds
         target = pool[code % len(pool)]
         kind = code % 5
         if kind == 0:
@@ -116,13 +127,15 @@ def _drive_units(service, names, codes):
         clients[name].close()
 
 
-def _interleaved_run(cls, directory, codes, n_sessions, group):
+def _interleaved_run(cls, directory, codes, n_sessions, group, hot_page):
     """Run the interleaved mix; returns (completed units, file bytes)."""
     sm = cls(path=os.path.join(directory, "db.pages"), checkpoint_every=0)
     db = LabBase(sm)
     bootstrap_schema(db)
     service = LabFlowService(db, group_cap=3 if group else 1)
-    _drive_units(service, [f"s{i}" for i in range(n_sessions)], codes)
+    _drive_units(
+        service, [f"s{i}" for i in range(n_sessions)], codes, hot_page
+    )
     completed = service.completed_units()
     service.shutdown()
     assert db.verify_storage().ok
@@ -156,14 +169,15 @@ def _serial_replay(cls, directory, completed):
     codes=st.lists(st.integers(0, 9999), min_size=5, max_size=40),
     n_sessions=st.integers(min_value=2, max_value=4),
     group=st.booleans(),
+    hot_page=st.booleans(),
 )
 def test_interleaved_sessions_equal_serial_witness(
-    cls, codes, n_sessions, group
+    cls, codes, n_sessions, group, hot_page
 ):
     with tempfile.TemporaryDirectory() as interleaved_dir:
         with tempfile.TemporaryDirectory() as serial_dir:
             completed, interleaved = _interleaved_run(
-                cls, interleaved_dir, codes, n_sessions, group
+                cls, interleaved_dir, codes, n_sessions, group, hot_page
             )
             serial = _serial_replay(cls, serial_dir, completed)
             assert interleaved == serial
@@ -210,10 +224,10 @@ def test_served_write_points_and_bytes_are_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def _audit_after_crash(path):
+def _audit_after_crash(path, cls=ObjectStoreSM):
     """The legal-outcome trichotomy, at the served-workload level."""
     try:
-        reopened = ObjectStoreSM(path=path)
+        reopened = cls(path=path)
     except StorageError:
         return  # outcome 1: detectably damaged, refuses to open
     try:
@@ -248,3 +262,83 @@ def test_served_group_commit_crash_matrix(tmp_path, torn):
                 FaultInjector(crash_after_writes=crash_at, torn_write=torn),
             )
         _audit_after_crash(path)
+
+
+# -- one group, two sessions' updates to one page ------------------------------
+
+
+def _shared_page_group(cls, path, injector, setup_writes=None):
+    """alice and bob each move their own material, both on one page, in
+    one group; returns the two oids.  ``setup_writes`` receives the
+    write points spent before the group's first unit."""
+    sm = cls(path=path, checkpoint_every=1, fault_injector=injector)
+    db = LabBase(sm)
+    bootstrap_schema(db)
+    service = LabFlowService(db, group_cap=100)
+    alice = LocalClient(service, "alice")
+    bob = LocalClient(service, "bob")
+    a = alice.create_material("clone", "a-0", 1, state="active")
+    b = bob.create_material("clone", "b-0", 2, state="active")
+    service.drain()
+    assert sm.pages_of(a) == sm.pages_of(b)
+    if setup_writes is not None:
+        setup_writes.append(injector.writes_seen)
+    stalls = sm.stats.commit_stalls
+    alice.set_state(a, "busy", 3)
+    bob.set_state(b, "busy", 4)
+    alice.record_step("measure", 5, [a, b], {"value": 1})
+    bob.record_step("measure", 6, [b], {"value": 2})
+    assert sm.stats.commit_stalls == stalls  # mates throughout: one group
+    assert service.drain() == 4
+    service.shutdown()
+    sm.close()
+    return a, b
+
+
+def _state_after_reopen(sm, oid):
+    try:
+        return sm.read(oid)["state"]
+    except UnknownOidError:
+        return None  # its page was torn and discarded
+
+
+@pytest.mark.parametrize(
+    "cls", CONCURRENT_CLASSES, ids=lambda cls: cls.__name__
+)
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+def test_shared_page_group_crash_is_all_or_nothing(tmp_path, cls, torn):
+    """The two sessions' updates share a page, so they share a write
+    point: wherever the group's one commit dies, reopen (recovered if it
+    asks to be) shows alice's and bob's update together or not at all."""
+    count_dir = tmp_path / "count"
+    count_dir.mkdir()
+    injector = FaultInjector()
+    setup_writes = []
+    a, b = _shared_page_group(
+        cls, str(count_dir / "db.pages"), injector, setup_writes
+    )
+    first, total = setup_writes[0], injector.writes_seen
+    assert total - first >= 2  # at least the shared page and the frame
+
+    seen = set()
+    for crash_at in range(first, total):
+        directory = tmp_path / f"crash-{crash_at}"
+        directory.mkdir()
+        path = str(directory / "db.pages")
+        with pytest.raises(InjectedCrashError):
+            _shared_page_group(
+                cls,
+                path,
+                FaultInjector(crash_after_writes=crash_at, torn_write=torn),
+            )
+        _audit_after_crash(path, cls)
+        reopened = cls(path=path)
+        try:
+            states = (
+                _state_after_reopen(reopened, a), _state_after_reopen(reopened, b)
+            )
+        finally:
+            reopened.close()
+        assert states[0] == states[1], f"write point {crash_at}: {states}"
+        seen.add(states[0])
+    assert {"active", "busy"} <= seen  # both sides of the commit were swept

@@ -401,6 +401,26 @@ def test_torn_meta_tail_is_ignored_then_cut_off(tmp_path, cut):
     final.close()
 
 
+def test_append_after_a_base_rewrite_lands_in_the_new_file(tmp_path):
+    """The rename that publishes a new base swaps the inode under the
+    name: the next frame must follow the new base, not trail the
+    unlinked file an earlier append went to."""
+    path = os.path.join(tmp_path, "pages.db")
+    disk = PageFile(path)
+    disk.write_meta({"v": 1})
+    disk.write_meta({"epoch": 2}, append=True)
+    disk.write_meta({"v": 2, "pad": "x" * 500})  # compaction: a new file
+    disk.write_meta({"epoch": 4}, append=True)
+    disk.write_meta({"epoch": 5}, append=True)
+    assert os.path.getsize(path + ".meta") == disk.meta_size_bytes
+    # abandoned, not closed: whoever finds the files replays the frames
+    reopened = PageFile(path)
+    assert reopened.read_meta() == {"v": 2, "pad": "x" * 500}
+    assert reopened.read_meta_frames() == [{"epoch": 4}, {"epoch": 5}]
+    reopened.close()
+    disk.close()
+
+
 def test_stale_meta_tmp_is_removed_at_open(tmp_path):
     path = os.path.join(tmp_path, "pages.db")
     disk = PageFile(path)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ConcurrencyUnsupportedError, LockError
+from repro.labbase import LabBase
+from repro.labbase.sessions import SessionManager
 from repro.storage import ObjectStoreSM, TexasSM
 from repro.storage.locks import LockGrant, LockManager, LockMode
 from repro.storage.stats import StorageStats
@@ -167,6 +169,135 @@ def test_failed_upgrade_mutates_nothing():
     assert locks.holders(1) == {"a": LockMode.SHARED, "b": LockMode.SHARED}
     assert stats.lock_acquisitions == 2
     assert stats.lock_upgrades == 0
+
+
+# -- commit-mates: writers whose work commits together ---------------------
+
+
+def test_mate_shares_an_exclusive_page():
+    """An EXCLUSIVE request does not conflict with a mate's hold: both
+    become holders, and the newcomer's grant is NEW (its to give back)."""
+    stats = StorageStats()
+    locks = LockManager(stats)
+    locks.acquire("a", 1, LockMode.EXCLUSIVE)
+    grant = locks.acquire("b", 1, LockMode.EXCLUSIVE, mates={"a"})
+    assert grant is LockGrant.NEW
+    assert locks.holders(1) == {"a": LockMode.EXCLUSIVE, "b": LockMode.EXCLUSIVE}
+    assert locks.held_pages("b") == {1}
+    assert stats.lock_acquisitions == 2 and stats.lock_waits == 0
+    # a co-holder asking again in the same mode changes nothing
+    assert locks.acquire("b", 1, LockMode.EXCLUSIVE) is LockGrant.HELD
+
+
+def test_non_mate_still_conflicts_and_mutates_nothing():
+    stats = StorageStats()
+    locks = LockManager(stats)
+    locks.acquire("a", 1, LockMode.EXCLUSIVE)
+    locks.acquire("b", 1, LockMode.EXCLUSIVE, mates={"a"})
+    before = locks.holders(1)
+    with pytest.raises(LockError):
+        # c commits with a, but b is nobody to it: one stranger is enough
+        locks.acquire("c", 1, LockMode.EXCLUSIVE, mates={"a"})
+    with pytest.raises(LockError):
+        locks.acquire("c", 1, LockMode.EXCLUSIVE)
+    assert locks.holders(1) == before
+    assert locks.held_pages("c") == set()
+    assert stats.lock_acquisitions == 2 and stats.lock_waits == 2
+
+
+def test_shared_request_takes_no_mates():
+    """A reader observes: it conflicts with a mate's EXCLUSIVE hold like
+    with anyone's."""
+    stats = StorageStats()
+    locks = LockManager(stats)
+    locks.acquire("a", 1, LockMode.EXCLUSIVE)
+    with pytest.raises(LockError):
+        locks.acquire("b", 1, LockMode.SHARED, mates={"a"})
+    assert locks.holders(1) == {"a": LockMode.EXCLUSIVE}
+    assert stats.lock_waits == 1
+
+
+def test_exclusive_holder_may_read_only_while_sole_holder():
+    """X-held + S-asked is the HELD no-op only for a sole holder: on a
+    page co-held with a mate the read would observe the mate's pending
+    work, so it conflicts — and the asker keeps its EXCLUSIVE hold."""
+    stats = StorageStats()
+    locks = LockManager(stats)
+    locks.acquire("a", 1, LockMode.EXCLUSIVE)
+    assert locks.acquire("a", 1, LockMode.SHARED) is LockGrant.HELD
+    locks.acquire("b", 1, LockMode.EXCLUSIVE, mates={"a"})
+    for asker in ("a", "b"):
+        with pytest.raises(LockError):
+            locks.acquire(asker, 1, LockMode.SHARED)
+    assert locks.holders(1) == {"a": LockMode.EXCLUSIVE, "b": LockMode.EXCLUSIVE}
+    assert stats.lock_waits == 2
+    locks.release_all("a")
+    assert locks.acquire("b", 1, LockMode.SHARED) is LockGrant.HELD
+
+
+def test_mate_may_upgrade_next_to_a_mates_hold():
+    locks = LockManager()
+    locks.acquire("a", 1, LockMode.SHARED)
+    locks.acquire("b", 1, LockMode.SHARED)
+    grant = locks.acquire("a", 1, LockMode.EXCLUSIVE, mates={"b"})
+    assert grant is LockGrant.UPGRADED
+    assert locks.holders(1) == {"a": LockMode.EXCLUSIVE, "b": LockMode.SHARED}
+    assert locks.downgrade("a", 1)
+    assert locks.holders(1) == {"a": LockMode.SHARED, "b": LockMode.SHARED}
+
+
+def test_each_co_holder_gives_back_only_its_own_hold():
+    locks = LockManager()
+    for page in (1, 2):
+        locks.acquire("a", page, LockMode.EXCLUSIVE)
+        locks.acquire("b", page, LockMode.EXCLUSIVE, mates={"a"})
+    assert locks.release("b", 1)
+    assert locks.holders(1) == {"a": LockMode.EXCLUSIVE}
+    assert locks.held_pages("b") == {2}
+    assert locks.release_all("a") == 2
+    assert locks.holders(1) == {}
+    assert locks.holders(2) == {"b": LockMode.EXCLUSIVE}
+    assert locks.held_pages("a") == set()
+    # what a left behind is b's alone: a stranger still conflicts on it
+    with pytest.raises(LockError):
+        locks.acquire("c", 2, LockMode.EXCLUSIVE)
+    assert locks.release_all("b") == 1
+    assert locks.holders(2) == {}
+
+
+def test_partial_grab_failing_on_a_foreign_lock_spares_the_mates_entries():
+    """A multi-page acquisition that shares its first page with a mate
+    and then meets a stranger's lock restores exactly what it changed:
+    its own new hold goes, the mate's stays."""
+    sm = ObjectStoreSM(codec="pickle")
+    db = LabBase(sm)
+    db.define_material_class("clone")
+    oids = [db.create_material("clone", f"c-{n}", n + 1) for n in range(60)]
+    first, last = oids[0], oids[-1]
+    page_first, page_last = sm.pages_of(first)[0], sm.pages_of(last)[0]
+    assert page_first != page_last
+    manager = SessionManager(db)
+    for name in ("alice", "bob", "outsider"):
+        manager.open_session(name)
+    manager.lock_object("alice", first, exclusive=True)
+    manager.lock_object("outsider", last, exclusive=True)
+    waits = sm.stats.lock_waits
+    with pytest.raises(LockError):
+        manager.lock_objects("bob", [last, first], exclusive=True, mates={"alice"})
+    assert sm.stats.lock_waits == waits + 1
+    assert sm.lock_manager.held_pages("bob") == set()
+    assert sm.lock_manager.holders(page_first) == {"alice": LockMode.EXCLUSIVE}
+    assert sm.lock_manager.holders(page_last) == {"outsider": LockMode.EXCLUSIVE}
+    # with the stranger gone the same request shares alice's page
+    manager.release("outsider")
+    taken = manager.lock_objects(
+        "bob", [last, first], exclusive=True, mates={"alice"}
+    )
+    assert sorted(taken.new) == sorted({page_first, page_last})
+    assert sm.lock_manager.holders(page_first) == {
+        "alice": LockMode.EXCLUSIVE, "bob": LockMode.EXCLUSIVE,
+    }
+    sm.close()
 
 
 # -- the usability difference the paper reports ---------------------------

@@ -111,6 +111,86 @@ def test_abort_undoes_delete(any_sm):
     assert any_sm.read(oid) == "precious"
 
 
+def _segment_metas(sm):
+    return [segment.to_meta() for segment in sm.segments()]
+
+
+def test_abort_restores_every_segment_exactly(persistent_sm):
+    """New pages, a new segment and freed space, all in one transaction:
+    abort puts every segment's metadata back as begin() found it, and
+    the store goes on allocating from there."""
+    sm = persistent_sm
+    hot = sm.create_segment("hot")
+    kept = [sm.allocate_write("k" * 900, segment=hot) for _ in range(12)]
+    kept += [sm.allocate_write("d" * 900) for _ in range(12)]
+    sm.delete(kept.pop(2))  # a free candidate from before the transaction
+    sm.commit()
+    before = _segment_metas(sm)
+    highs = (sm._oid_alloc.high_water, sm._page_alloc.high_water)
+
+    sm.begin()
+    cold = sm.create_segment("cold")  # a segment that must vanish
+    fresh = [sm.allocate_write("c" * 900, segment=cold) for _ in range(6)]
+    fresh += [sm.allocate_write("n" * 900, segment=hot) for _ in range(9)]  # new pages
+    for oid in kept[::3]:
+        sm.delete(oid)  # freed space: new free candidates
+    assert _segment_metas(sm) != before
+    sm.abort()
+
+    assert _segment_metas(sm) == before
+    assert (sm._oid_alloc.high_water, sm._page_alloc.high_water) == highs
+    assert sm.segment_names() == [segment["name"] for segment in before]
+    assert all(sm.exists(oid) for oid in kept)
+    assert not any(sm.exists(oid) for oid in fresh)
+    # and a second round lands exactly where the aborted one did
+    sm.begin()
+    cold = sm.create_segment("cold")
+    again = [sm.allocate_write("c" * 900, segment=cold) for _ in range(6)]
+    sm.commit()
+    assert again == fresh[:6]
+    assert sm.verify().ok
+
+
+def test_begin_copies_no_page_list(monkeypatch):
+    """begin() records what a transaction can change — page *counts* —
+    so its cost does not grow with the file: on a 20 000-page segment it
+    serializes no segment and copies no ``page_ids`` list."""
+    from repro.storage.segment import Segment
+
+    class SpiedPageIds(list):
+        copies = 0
+
+        def __iter__(self):
+            SpiedPageIds.copies += 1
+            return super().__iter__()
+
+        def copy(self):
+            SpiedPageIds.copies += 1
+            return super().copy()
+
+        def __getitem__(self, index):
+            if isinstance(index, slice):
+                SpiedPageIds.copies += 1
+            return super().__getitem__(index)
+
+    sm = ObjectStoreSM()
+    keep = sm.allocate_write("keep")
+    segment = sm.segments()[0]
+    segment.page_ids = SpiedPageIds(segment.page_ids + list(range(100, 20_100)))
+    to_meta_calls = []
+    to_meta = Segment.to_meta
+    monkeypatch.setattr(
+        Segment, "to_meta", lambda self: to_meta_calls.append(self) or to_meta(self)
+    )
+    sm.begin()
+    assert to_meta_calls == [] and SpiedPageIds.copies == 0
+    sm.write(keep, "changed")
+    sm.abort()
+    assert to_meta_calls == []
+    assert sm.read(keep) == "keep"
+    assert len(segment.page_ids) == 20_001
+
+
 def test_nested_begin_rejected(any_sm):
     any_sm.begin()
     with pytest.raises(TransactionError):
