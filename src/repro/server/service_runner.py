@@ -65,6 +65,7 @@ against.
 
 from __future__ import annotations
 
+import errno
 import selectors
 import socket
 import sys
@@ -109,6 +110,11 @@ STOP_FLUSH_SECONDS = 5.0
 #: schedule fuzzer replay (hundreds of units at most); a server that
 #: runs for days must not keep every unit's arguments forever.
 COMPLETED_LOG_UNITS = 65_536
+
+#: ``accept`` failures that last until this process closes a descriptor
+#: (its own limit, the system's, or kernel memory), unlike a peer that
+#: gave up between the readiness and the ``accept``.
+_OUT_OF_DESCRIPTORS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 
 _UPDATE_OPS = frozenset({"create_material", "record_step", "set_state"})
 _QUERY_OPS = frozenset(
@@ -457,9 +463,11 @@ class ServiceRunner:
     writability; a connection whose unsent replies pass
     :data:`~repro.server.communicator.MAX_MESSAGE_BYTES` is neither read
     from nor answered until its peer drains them, so a stalled reader
-    holds neither memory nor the other stations; and every session a
+    holds neither memory nor the other stations; every session a
     connection opened and did not close is closed for it, as failed,
-    however the connection ends.
+    however the connection ends; and at the descriptor limit the loop
+    stops watching the listener until it drops a connection, so the
+    peers that wait in the kernel's backlog cost no CPU.
 
     The loop owns its sockets, its selector and its connection table —
     arguments and locals of :meth:`_loop`, never attributes — so the
@@ -530,6 +538,7 @@ class ServiceRunner:
         selector.register(wakeup, selectors.EVENT_READ)
         connections: dict[int, _Connection] = {}  # by descriptor
         owners: dict[str, _Connection] = {}  # session -> who opened it
+        listening = True
         try:
             while True:
                 # Descriptor order: which unit reaches the service first
@@ -538,7 +547,12 @@ class ServiceRunner:
                     if key.fileobj is wakeup:
                         return
                     if key.fileobj is listener:
-                        self._accept(listener, selector, connections)
+                        if not self._accept(listener, selector, connections):
+                            # Out of descriptors: the waiting peer keeps the
+                            # listener readable, and a watched readable
+                            # listener would wake every poll, forever.
+                            selector.unregister(listener)
+                            listening = False
                         continue
                     conn = connections[key.fd]
                     if self._turn(conn, events, owners):
@@ -547,6 +561,9 @@ class ServiceRunner:
                         selector.unregister(conn.sock)
                         del connections[key.fd]
                         self._drop(conn, owners)
+                        if not listening:  # a descriptor is free again
+                            selector.register(listener, selectors.EVENT_READ)
+                            listening = True
         finally:
             listener.close()
             selector.close()
@@ -565,15 +582,22 @@ class ServiceRunner:
         listener: socket.socket,
         selector: selectors.BaseSelector,
         connections: dict[int, _Connection],
-    ) -> None:
+    ) -> bool:
+        """Take one waiting connection.  False when this process has no
+        descriptor (or memory) left for it: watch the listener again only
+        once a connection has been dropped."""
         try:
             sock, _addr = listener.accept()
-        except OSError:
-            return  # the peer gave up between the readiness and the accept
+        except OSError as exc:
+            # Anything else (ConnectionAbortedError, BlockingIOError, a
+            # network error accept(2) hands over) is a peer that gave up
+            # between the readiness and the accept.
+            return exc.errno not in _OUT_OF_DESCRIPTORS
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = connections[sock.fileno()] = _Connection(sock)
         selector.register(sock, conn.mask)
+        return True
 
     def _turn(
         self, conn: _Connection, events: int, owners: dict[str, _Connection]

@@ -8,6 +8,19 @@ runs the same stream against every server version).
 ``DeterministicRng`` wraps :class:`random.Random` with the domain-specific
 draws the generators need, plus named substreams so that adding draws in
 one part of the generator does not perturb another.
+
+``dna`` draws its bases in bulk and still consumes exactly the
+Mersenne-Twister words a per-base ``random.choice("ACGT")`` loop would.
+``choice`` over four items is ``_randbelow(4)``: ``getrandbits(3)``, the
+top 3 bits of one 32-bit output, drawn again while it is 4 or more.
+``getrandbits(32 * n)`` is the next ``n`` outputs, the first in the least
+significant 32 bits.  So each output's top byte, ``to_bytes(4 * n,
+"little")[3::4]``, is a base when it is below 128 (its top 3 bits are
+0-3) and a rejected draw otherwise.  Asking for exactly as many words as
+bases are still missing never draws one the loop would not have drawn:
+the loop needs at least one word per base.  The string and the
+generator's state afterwards are therefore the loop's, which is what
+keeps every later draw, every database byte and every count unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +30,10 @@ from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
-_BASES = "ACGT"
+# A word's top byte -> its base: 0-31 A, 32-63 C, 64-95 G, 96-127 T; the
+# bytes from 128 up are rejected draws, deleted by the same translate.
+_TOP_BYTE_TO_BASE = bytes(b"ACGT"[top >> 5] if top < 128 else 0 for top in range(256))
+_REJECTED = bytes(range(128, 256))
 
 
 class DeterministicRng:
@@ -78,8 +94,16 @@ class DeterministicRng:
     # -- domain draws -------------------------------------------------------
 
     def dna(self, length: int) -> str:
-        """A random DNA sequence of the given length."""
-        return "".join(self._random.choice(_BASES) for _ in range(length))
+        """A random DNA sequence of the given length (the string, and the
+        state left behind, of ``length`` draws of ``choice("ACGT")``)."""
+        parts: list[bytes] = []
+        missing = length
+        while missing > 0:
+            words = self._random.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+            bases = words[3::4].translate(_TOP_BYTE_TO_BASE, _REJECTED)
+            parts.append(bases)
+            missing -= len(bases)
+        return b"".join(parts).decode("ascii")
 
     def identifier(self, prefix: str, width: int = 6) -> str:
         """A synthetic lab identifier such as ``clone-004217``."""

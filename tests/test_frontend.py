@@ -6,7 +6,10 @@ connection that must keep getting answers, because on one thread a peer
 that could stall the loop would stall everyone.
 """
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -349,6 +352,95 @@ def test_peer_that_never_reads_is_paused_and_resumes(served, monkeypatch):
     assert answered() - before == requests + 50
     stalled.send(Request(op="ping"))
     assert stalled.reply().value == "pong"
+
+
+# A server whose process runs out of descriptors once its first client is
+# in: every hole below the highest open descriptor is filled, and the
+# limit allows none above it.
+_SERVE_AT_THE_FD_LIMIT = """
+import os, resource, sys, threading
+from repro.labbase import LabBase
+from repro.server import LabFlowService, ServiceRunner, bootstrap_schema
+from repro.storage import ObjectStoreSM
+
+db = LabBase(ObjectStoreSM())
+bootstrap_schema(db)
+runner = ServiceRunner(LabFlowService(db))
+_host, port = runner.start()
+loop = next(t for t in threading.enumerate() if t.name == "labflow-loop")
+print(port, loop.native_id, flush=True)
+sys.stdin.readline()
+highest = max(map(int, os.listdir("/proc/self/fd")))
+fd = os.open(os.devnull, os.O_RDONLY)
+while fd <= highest:
+    fd = os.open(os.devnull, os.O_RDONLY)
+os.close(fd)
+_soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (highest + 1, hard))
+print("limited", flush=True)
+sys.stdin.readline()
+runner.stop()
+"""
+
+
+def _cpu_seconds(pid, tid):
+    """User + system CPU of one thread, from ``/proc``."""
+    with open(f"/proc/{pid}/task/{tid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_at_the_descriptor_limit_the_loop_waits_without_spinning():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    server = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_AT_THE_FD_LIMIT],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    peers = []
+    try:
+        port, loop_tid = map(int, server.stdout.readline().split())
+        first = Peer("127.0.0.1", port)
+        peers.append(first)
+        first.send(Request(op="ping"))
+        assert first.reply().value == "pong"
+        server.stdin.write("limit\n")
+        server.stdin.flush()
+        assert server.stdout.readline().strip() == "limited"
+
+        # The kernel completes their handshakes; accept has nowhere to
+        # put them.
+        waiting = [Peer("127.0.0.1", port) for _ in range(12)]
+        peers.extend(waiting)
+        for peer in waiting:
+            peer.send(Request(op="ping"))
+        time.sleep(0.2)
+        before = _cpu_seconds(server.pid, loop_tid)
+        time.sleep(1.0)
+        assert _cpu_seconds(server.pid, loop_tid) - before < 0.1
+
+        first.send(Request(op="ping"))
+        assert first.reply().value == "pong"
+        first.close()  # frees one descriptor: the first waiting peer gets it
+        assert waiting[0].reply().value == "pong"
+        # ...and the eleven still waiting cost nothing either.
+        before = _cpu_seconds(server.pid, loop_tid)
+        time.sleep(0.5)
+        assert _cpu_seconds(server.pid, loop_tid) - before < 0.05
+        waiting[0].send(Request(op="ping"))
+        assert waiting[0].reply().value == "pong"
+    finally:
+        for peer in peers:
+            peer.close()
+        server.stdin.close()  # the server stops
+        try:
+            server.wait(TIMEOUT)
+        finally:
+            server.kill()
+            server.stdout.close()
 
 
 # -- sessions belong to connections -----------------------------------------

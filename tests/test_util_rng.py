@@ -1,10 +1,20 @@
 """Unit + property tests for the deterministic RNG."""
 
+import hashlib
 import string
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.benchmark import TINY, LabFlowWorkload, server_spec
+from repro.labbase import LabBase
 from repro.util.rng import DeterministicRng
+
+
+def reference_dna(rng, length):
+    """The per-base loop ``DeterministicRng.dna`` must reproduce word for
+    word: one ``random.choice`` over the four bases per base."""
+    return "".join(rng.choice("ACGT") for _ in range(length))
 
 
 def test_same_seed_same_stream():
@@ -79,3 +89,67 @@ def test_substream_reproducible_property(seed, name):
 def test_randint_within_bounds(seed, low, span):
     value = DeterministicRng(seed).randint(low, low + span)
     assert low <= value <= low + span
+
+
+# -- dna draws the per-base loop's words, in bulk ----------------------------
+
+_OTHER_DRAWS = {
+    "gaussian_int": lambda rng: rng.gaussian_int(400, 120, minimum=50),
+    "identifier": lambda rng: rng.identifier("gb"),
+    "randint": lambda rng: rng.randint(0, 10_000),
+    "chance": lambda rng: rng.chance(0.3),
+}
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**64),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=2_000),
+            st.sampled_from(sorted(_OTHER_DRAWS)),
+        ),
+        max_size=8,
+    ),
+)
+def test_dna_matches_the_per_base_loop_and_leaves_the_same_state(seed, draws):
+    shipped, reference = DeterministicRng(seed), DeterministicRng(seed)
+    for draw in draws:
+        if isinstance(draw, int):
+            assert shipped.dna(draw) == reference_dna(reference, draw)
+        else:
+            assert _OTHER_DRAWS[draw](shipped) == _OTHER_DRAWS[draw](reference)
+    # The generators are still aligned: whatever is drawn next agrees.
+    assert shipped.dna(17) == reference_dna(reference, 17)
+    assert shipped.randint(0, 2**64) == reference.randint(0, 2**64)
+
+
+def _stream_files(tmp_path, server, monkeypatch, dna):
+    monkeypatch.setattr(DeterministicRng, "dna", dna)
+    config = TINY.with_(db_dir=str(tmp_path))
+    sm = server_spec(server).make(config)
+    LabFlowWorkload(LabBase(sm), config).run_all()
+    stats = sm.stats.snapshot()
+    sm.close()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    return digests, stats
+
+
+@pytest.mark.parametrize("server", ["OStore", "Texas"])
+def test_whole_stream_is_the_per_base_loops_byte_for_byte(tmp_path, server, monkeypatch):
+    """The E1 stream written with the reference ``dna`` and with the
+    shipped one: the same database files and the same counters."""
+    calls = []
+
+    def counted_reference(rng, length):
+        calls.append(length)
+        return reference_dna(rng, length)
+
+    shipped = _stream_files(tmp_path / "shipped", server, monkeypatch, DeterministicRng.dna)
+    reference = _stream_files(tmp_path / "reference", server, monkeypatch, counted_reference)
+    assert calls, "the stream drew no DNA"
+    assert {name.rsplit(".", 1)[-1] for name in shipped[0]} >= {"db", "meta"}
+    assert shipped == reference
