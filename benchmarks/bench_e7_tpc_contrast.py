@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.benchmark import BenchmarkConfig, LabFlowWorkload
-from repro.benchmark.baselines import (
+from repro.benchmark.tpc_contrast import (
     DebitCreditWorkload,
     labflow_stream_statistics,
 )

@@ -1,28 +1,26 @@
-"""LF08/LF09 — the static pass of the concurrency sanitizer.
+"""LF08 — the static pass of the concurrency sanitizer: page-lock discipline.
 
-Both rules run over one interprocedural :class:`ConcurrencyModel` of the
+The served core runs every unit on the one thread that owns the service
+(``LabFlowService`` refuses any other), so there are no ``threading``
+locks left to order.  What still needs proving is the discipline of the
+*page* locks ``LockManager`` hands out: they are logical, held across
+the interleaved units of many sessions, and a protocol slip on an error
+path stays latent until one interleaving hits it.
+
+The rule runs over one interprocedural :class:`ConcurrencyModel` of the
 project:
 
-* an inventory of every lock attribute (``threading.Lock`` / ``RLock``
-  / ``Condition`` assigned to ``self._x``), mapped onto the
-  ground-truth ordering table
-  (``LOCK_RANKS`` / ``LOCK_SITES`` in ``repro.obs.tracing``);
 * a call graph with type-inference-lite receiver resolution (constructor
   assignments, parameter annotations, container element types);
-* a held-lock fixpoint: for every function, the set of lock contexts it
-  can be entered under, propagated through ``with <lock>:`` bodies and
-  call sites;
-* the thread entry points (``threading.Thread(target=...)`` sites plus
-  the public surface of thread-creating classes) and per-entry
-  reachability.
+* per function, whether it can (transitively) acquire, release or
+  downgrade page locks;
+* per ``for`` loop, whether it iterates a canonically ordered source
+  (``sorted`` results tracked through locals).
 
-**LF08** (lock order / strict 2PL) reports:
+**LF08** (strict 2PL over the page locks) reports, on the 2PL policy
+layer (``repro.labbase.sessions`` + ``repro.server``):
 
-* a lock attribute in the served core missing from ``LOCK_SITES``;
-* an acquisition edge that inverts the ranks, re-acquires a
-  non-reentrant lock, or participates in a cycle of the edge graph;
-* on the 2PL policy layer (``repro.labbase.sessions`` + ``repro.server``),
-  a page-lock release outside an ``except``/``finally`` unwind path and
+* a page-lock release outside an ``except``/``finally`` unwind path and
   not covered by a justified ``# lint: ignore[LF08]`` — moving a release
   before unit end becomes a visible diff;
 * a rollback handler that partially unwinds page locks
@@ -33,17 +31,9 @@ project:
   dataflow check (``sorted`` results tracked through locals, acquisition
   detected through callees).
 
-**LF09** (shared-state confinement) flags mutable module globals and
-``self.`` attributes reachable from more than one thread entry point
-whose accesses are not all dominated by one common ``with <lock>``.
-Exemptions: state frozen after ``__init__``, thread-safe containers
-(locks, ``Event``, ``Queue`` ...), and classes confined to a single
-entry's call subtree (per-thread instances).
-
 The model is deliberately conservative-but-honest: unresolved calls add
-no edges, so the rules under-report rather than guess; the fixture
-corpus under ``tests/lint_fixtures/LF08,LF09/`` pins what must be
-caught.
+no edges, so the rule under-reports rather than guesses; the fixture
+corpus under ``tests/lint_fixtures/LF08/`` pins what must be caught.
 """
 
 from __future__ import annotations
@@ -60,34 +50,9 @@ from repro.analysis.core import (
     _receiver_is_self,
 )
 
-#: Where the ground-truth ordering table lives in the shipped tree.
-_TRACING_MODULE = "repro.obs.tracing"
-
-#: Modules the sanitizer analyses for shared state (LF09) and whose
-#: policy code LF08's 2PL checks cover.
-_SCOPE_PREFIXES = (
-    "repro.server",
-    "repro.storage.locks",
-    "repro.storage.objcache",
-    "repro.labbase.sessions",
-    "repro.obs",
-)
-
-#: Modules whose lock attributes must appear in ``LOCK_SITES``.
-_REGISTRY_PREFIXES = ("repro.server", "repro.obs")
-
 #: Modules that own the strict-2PL *policy* (release timing).  The lock
 #: manager itself (``storage/locks.py``) is mechanism, not policy.
 _POLICY_PREFIXES = ("repro.labbase.sessions", "repro.server")
-
-_LOCK_FACTORIES = frozenset({"Lock", "RLock"})
-_THREAD_SAFE_FACTORIES = frozenset(
-    {
-        "Lock", "RLock", "Condition", "Event", "Semaphore",
-        "BoundedSemaphore", "Barrier", "Queue", "SimpleQueue",
-        "LifoQueue", "PriorityQueue", "local",
-    }
-)
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset(
@@ -124,14 +89,6 @@ _FALLBACK_DENY = frozenset(
 )
 
 
-def in_sanitizer_scope(name: str) -> bool:
-    return name.startswith(_SCOPE_PREFIXES)
-
-
-def in_lock_registry(name: str) -> bool:
-    return name.startswith(_REGISTRY_PREFIXES)
-
-
 def in_lock_policy(name: str) -> bool:
     return name.startswith(_POLICY_PREFIXES)
 
@@ -150,18 +107,6 @@ def _call_name(node: ast.Call) -> str | None:
 
 
 @dataclass
-class LockDecl:
-    """One lock attribute: ``self._x = threading.Lock()``."""
-
-    owner: str          #: class name
-    attr: str
-    kind: str           #: ``lock`` | ``rlock`` | ``condition``
-    alias_of: str | None   #: Condition over another attr of the class
-    module: SourceModule
-    node: ast.AST
-
-
-@dataclass
 class FuncInfo:
     """One function/method, addressable by qualified name."""
 
@@ -172,43 +117,15 @@ class FuncInfo:
     nested_in: str | None = None   #: parent function qualname
 
     # Populated by the scanner:
-    accesses: list["AccessEvent"] = field(default_factory=list)
-    acquires: list["AcquireEvent"] = field(default_factory=list)
     calls: list["CallEvent"] = field(default_factory=list)
     loops: list["LoopEvent"] = field(default_factory=list)
     direct_names: set[str] = field(default_factory=set)  #: called names
-
-    @property
-    def is_init(self) -> bool:
-        return self.node.name in ("__init__", "__post_init__")
-
-
-@dataclass
-class AccessEvent:
-    """One read/write of tracked state inside one function."""
-
-    item: tuple[str, str]   #: (class name | module name, attribute/global)
-    write: bool
-    in_init: bool
-    func: str
-    node: ast.AST
-    held: frozenset[str]    #: locks held locally at the access
-
-
-@dataclass
-class AcquireEvent:
-    lock: str               #: canonical lock id
-    kind: str               #: lock | rlock | condition
-    func: str
-    node: ast.AST
-    held: frozenset[str]    #: locks held locally *before* this one
 
 
 @dataclass
 class CallEvent:
     callee: str             #: resolved qualname
     node: ast.AST
-    held: frozenset[str]
 
 
 @dataclass
@@ -223,13 +140,6 @@ class LoopEvent:
 
 
 @dataclass
-class ThreadEntry:
-    label: str
-    roots: tuple[str, ...]  #: function qualnames
-    multi: bool             #: more than one thread may run this entry
-
-
-@dataclass
 class ClassInfo:
     name: str
     module: SourceModule
@@ -237,10 +147,6 @@ class ClassInfo:
     bases: tuple[str, ...]
     methods: dict[str, FuncInfo] = field(default_factory=dict)
     attr_types: dict[str, tuple[str, str]] = field(default_factory=dict)
-    locks: dict[str, LockDecl] = field(default_factory=dict)
-    #: attrs whose assigned value is a thread-safe primitive
-    safe_attrs: set[str] = field(default_factory=set)
-    creates_threads: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +155,7 @@ class ClassInfo:
 
 
 class ConcurrencyModel:
-    """Everything LF08/LF09 need, built once per project."""
+    """Everything LF08 needs, built once per project."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
@@ -259,24 +165,11 @@ class ConcurrencyModel:
         self.module_funcs: dict[tuple[str, str], str] = {}
         #: per module: imported name -> (source module, source name)
         self.imports: dict[str, dict[str, tuple[str, str]]] = {}
-        self.ranks: dict[str, int] = {}
-        self.sites: dict[str, str] = {}     #: canonical name -> Class._attr
-        self.site_ids: dict[str, str] = {}  #: Class._attr -> canonical name
-        self.entries: list[ThreadEntry] = []
-        self.table_module: SourceModule | None = None
-        self._module_mutable_cache: dict[str, set[str]] = {}
 
         self._index()
-        self._decode_tables()
         self._infer_attr_types()
         for info in list(self.functions.values()):
             _FunctionScanner(self, info).run()
-        self._find_entries()
-        self.contexts_all = self._propagate(seed_all=True)
-        self.contexts_entry = self._propagate(seed_all=False)
-        self.reach: dict[str, set[str]] = {
-            entry.label: self._reachable(entry.roots) for entry in self.entries
-        }
         self._close_flags()
 
     # -- indexing ------------------------------------------------------------
@@ -347,32 +240,7 @@ class ConcurrencyModel:
             if isinstance(child, ast.stmt):
                 self._index_nested(module, child, owner, parent)
 
-    # -- ordering tables -----------------------------------------------------
-
-    def _decode_tables(self) -> None:
-        candidates = [self.project.module(_TRACING_MODULE)]
-        candidates += [m for m in self.project if m is not candidates[0]]
-        for module in candidates:
-            if module is None:
-                continue
-            ranks = _dict_literal(module.tree, "LOCK_RANKS", int)
-            sites = _dict_literal(module.tree, "LOCK_SITES", str)
-            if ranks is not None and sites is not None:
-                self.ranks = {
-                    key: value
-                    for key, value in ranks.items()
-                    if isinstance(value, int)
-                }
-                self.sites = {
-                    key: value
-                    for key, value in sites.items()
-                    if isinstance(value, str)
-                }
-                self.site_ids = {site: name for name, site in sites.items()}
-                self.table_module = module
-                return
-
-    # -- attribute types and lock declarations -------------------------------
+    # -- attribute types -----------------------------------------------------
 
     def _infer_attr_types(self) -> None:
         for cls in self.classes.values():
@@ -407,49 +275,13 @@ class ConcurrencyModel:
             and _receiver_is_self(target.value)
         ):
             return
-        attr = target.attr
-        decl = self._lock_from_value(cls, attr, value)
-        if decl is not None:
-            cls.locks.setdefault(attr, decl)
-            cls.safe_attrs.add(attr)
-            return
-        if value is not None and any(
-            isinstance(call, ast.Call)
-            and _call_name(call) in _THREAD_SAFE_FACTORIES
-            for call in ast.walk(value)
-        ):
-            cls.safe_attrs.add(attr)
         inferred = None
         if annotation is not None:
             inferred = self._type_from_annotation(annotation)
         if inferred is None and value is not None:
             inferred = self._type_from_value(cls, value)
         if inferred is not None:
-            cls.attr_types.setdefault(attr, inferred)
-
-    def _lock_from_value(
-        self, cls: ClassInfo, attr: str, value: ast.expr | None
-    ) -> LockDecl | None:
-        if value is None:
-            return None
-        kind = alias_of = None
-        for call in ast.walk(value):
-            if not isinstance(call, ast.Call):
-                continue
-            name = _call_name(call)
-            if name in _LOCK_FACTORIES:
-                kind = kind or name.lower()
-            elif name == "Condition":
-                kind = "condition"
-                if (
-                    call.args
-                    and isinstance(call.args[0], ast.Attribute)
-                    and _receiver_is_self(call.args[0].value)
-                ):
-                    alias_of = call.args[0].attr
-        if kind is None:
-            return None
-        return LockDecl(cls.name, attr, kind, alias_of, cls.module, value)
+            cls.attr_types.setdefault(target.attr, inferred)
 
     def _type_from_annotation(
         self, annotation: ast.expr
@@ -494,25 +326,6 @@ class ConcurrencyModel:
             return self._type_from_value(cls, value.body) or \
                 self._type_from_value(cls, value.orelse)
         return None
-
-    # -- lock identity -------------------------------------------------------
-
-    def lock_id(self, decl: LockDecl) -> str:
-        """Canonical id: the ``LOCK_SITES`` name, or the site path."""
-        if decl.alias_of is not None:
-            cls = self.classes.get(decl.owner)
-            if cls is not None:
-                aliased = cls.locks.get(decl.alias_of)
-                if aliased is not None and aliased.attr != decl.attr:
-                    return self.lock_id(aliased)
-        site = f"{decl.owner}.{decl.attr}"
-        return self.site_ids.get(site, site)
-
-    def lock_decl(self, cls_name: str | None, attr: str) -> LockDecl | None:
-        if cls_name is None:
-            return None
-        cls = self.classes.get(cls_name)
-        return cls.locks.get(attr) if cls is not None else None
 
     # -- call resolution -----------------------------------------------------
 
@@ -630,114 +443,6 @@ class ConcurrencyModel:
             queue.extend(info.bases)
         return None
 
-    # -- thread entry points -------------------------------------------------
-
-    def _find_entries(self) -> None:
-        thread_sites: list[tuple[FuncInfo, ast.Call, bool]] = []
-        for info in self.functions.values():
-            loops = 0
-            for node, depth in _walk_with_loop_depth(info.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and _call_name(node) == "Thread"
-                ):
-                    thread_sites.append((info, node, depth > 0))
-                    loops += 1
-        creators: set[str] = set()
-        for info, call, multi in thread_sites:
-            creators.add(info.qualname)
-            if info.owner is not None:
-                cls = self.classes.get(info.owner)
-                if cls is not None:
-                    cls.creates_threads = True
-            target = self._thread_target(call, info)
-            if target is not None:
-                label = f"thread:{target}"
-                self.entries.append(ThreadEntry(label, (target,), multi))
-        # "main" = the public surface of thread-creating scope classes and
-        # the thread-creating scope functions themselves — code the
-        # launching thread keeps running while workers are live.
-        main_roots: set[str] = set()
-        for cls in self.classes.values():
-            if not cls.creates_threads:
-                continue
-            if not in_sanitizer_scope(cls.module.name):
-                continue
-            for name, method in cls.methods.items():
-                if not name.startswith("_") and not _is_property(method.node):
-                    main_roots.add(method.qualname)
-        for info, _call, _multi in thread_sites:
-            if in_sanitizer_scope(info.module.name) and info.owner is None:
-                root = self.functions.get(info.nested_in or info.qualname)
-                if root is not None:
-                    main_roots.add(root.qualname)
-        if main_roots:
-            self.entries.append(
-                ThreadEntry("main", tuple(sorted(main_roots)), False)
-            )
-
-    def _thread_target(self, call: ast.Call, ctx: FuncInfo) -> str | None:
-        target: ast.expr | None = None
-        for keyword in call.keywords:
-            if keyword.arg == "target":
-                target = keyword.value
-        if target is None:
-            return None
-        if isinstance(target, ast.Attribute) and _receiver_is_self(
-            target.value
-        ):
-            if ctx.owner is not None:
-                resolved = self.lookup_method(ctx.owner, target.attr)
-                return resolved.qualname if resolved is not None else None
-        if isinstance(target, ast.Name):
-            resolved = self._resolve_name(target.id, ctx)
-            return resolved[0] if resolved else None
-        return None
-
-    # -- held-context fixpoint ----------------------------------------------
-
-    def _propagate(self, *, seed_all: bool) -> dict[str, set[frozenset[str]]]:
-        contexts: dict[str, set[frozenset[str]]] = {
-            name: set() for name in self.functions
-        }
-        worklist: list[tuple[str, frozenset[str]]] = []
-        if seed_all:
-            roots: Iterable[str] = self.functions
-        else:
-            roots = [
-                root for entry in self.entries for root in entry.roots
-            ]
-        for root in roots:
-            if root in contexts:
-                worklist.append((root, frozenset()))
-        while worklist:
-            name, ctx = worklist.pop()
-            if ctx in contexts[name]:
-                continue
-            contexts[name].add(ctx)
-            info = self.functions[name]
-            for call in info.calls:
-                callee_ctx = ctx | call.held
-                if (
-                    call.callee in contexts
-                    and callee_ctx not in contexts[call.callee]
-                ):
-                    worklist.append((call.callee, callee_ctx))
-        return contexts
-
-    def _reachable(self, roots: tuple[str, ...]) -> set[str]:
-        seen: set[str] = set()
-        frontier = [root for root in roots if root in self.functions]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for call in self.functions[name].calls:
-                if call.callee not in seen and call.callee in self.functions:
-                    frontier.append(call.callee)
-        return seen
-
     # -- transitive 2PL flags ------------------------------------------------
 
     def _close_flags(self) -> None:
@@ -772,57 +477,8 @@ def _is_property(node: ast.FunctionDef) -> bool:
     )
 
 
-def _dict_literal(
-    tree: ast.AST, name: str, value_type: type
-) -> dict[str, object] | None:
-    """A module-level ``NAME: ... = {str: value_type}`` literal, decoded."""
-    for node in ast.walk(tree):
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign):
-            target, value = node.target, node.value
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        table: dict[str, object] = {}
-        for key, item in zip(value.keys, value.values):
-            if not (
-                isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-                and isinstance(item, ast.Constant)
-                and isinstance(item.value, value_type)
-            ):
-                return None
-            table[key.value] = item.value
-        return table
-    return None
-
-
-def _walk_with_loop_depth(
-    fn: ast.FunctionDef,
-) -> Iterator[tuple[ast.AST, int]]:
-    """Walk a function, tracking enclosing loop/comprehension depth."""
-
-    def visit(node: ast.AST, depth: int) -> Iterator[tuple[ast.AST, int]]:
-        for child in ast.iter_child_nodes(node):
-            yield child, depth
-            inner = depth
-            if isinstance(
-                child,
-                (ast.For, ast.While, ast.ListComp, ast.SetComp,
-                 ast.GeneratorExp, ast.DictComp),
-            ):
-                inner = depth + 1
-            yield from visit(child, inner)
-
-    yield from visit(fn, 0)
-
-
 # ---------------------------------------------------------------------------
-# Function scanner: events with locally-held lock sets
+# Function scanner: calls and loops, in statement order
 # ---------------------------------------------------------------------------
 
 
@@ -846,87 +502,42 @@ class _FunctionScanner:
                     self.local_types[arg.arg] = inferred
 
     def run(self) -> None:
-        self._stmts(self.info.node.body, frozenset())
+        for stmt in self.info.node.body:
+            self._stmt(stmt)
 
-    # -- statement walk with held tracking -----------------------------------
+    # -- statement walk ------------------------------------------------------
 
-    def _stmts(self, stmts: list[ast.stmt], held: frozenset[str]) -> None:
-        for stmt in stmts:
-            self._stmt(stmt, held)
+    def _children(self, node: ast.AST) -> None:
+        """Scan a node's statements and expressions in source order."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                self._stmt(child)
+            elif isinstance(child, ast.expr):
+                self._expr(child)
+            else:  # withitem, excepthandler, match_case ...
+                self._children(child)
 
-    def _stmt(self, stmt: ast.stmt, held: frozenset[str]) -> None:
+    def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return  # nested scopes are scanned separately
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            inner = set(held)
-            for item in stmt.items:
-                self._expr(item.context_expr, frozenset(inner))
-                lock = self._lock_of(item.context_expr)
-                if lock is not None:
-                    lock_id, kind = lock
-                    self.info.acquires.append(
-                        AcquireEvent(
-                            lock_id, kind, self.info.qualname,
-                            item.context_expr, frozenset(inner),
-                        )
-                    )
-                    inner.add(lock_id)
-            self._stmts(stmt.body, frozenset(inner))
-            return
         if isinstance(stmt, ast.For):
-            self._expr(stmt.iter, held)
-            self._record_loop(stmt, held)
+            self._expr(stmt.iter)
+            self._record_loop(stmt)
             self._bind_loop_target(stmt)
-            self._stmts(stmt.body, held)
-            self._stmts(stmt.orelse, held)
+            for part in stmt.body + stmt.orelse:
+                self._stmt(part)
             return
-        if isinstance(stmt, ast.While):
-            self._expr(stmt.test, held)
-            self._stmts(stmt.body, held)
-            self._stmts(stmt.orelse, held)
-            return
-        if isinstance(stmt, ast.If):
-            self._expr(stmt.test, held)
-            self._stmts(stmt.body, held)
-            self._stmts(stmt.orelse, held)
-            return
-        if isinstance(stmt, ast.Try):
-            self._stmts(stmt.body, held)
-            for handler in stmt.handlers:
-                self._stmts(handler.body, held)
-            self._stmts(stmt.orelse, held)
-            self._stmts(stmt.finalbody, held)
-            return
-        # Simple statements: scan expressions, track assignments.
-        if isinstance(stmt, ast.Assign):
-            self._expr(stmt.value, held)
+        self._children(stmt)
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            inferred = self.model._type_from_annotation(stmt.annotation)
+            if inferred is not None:
+                self.local_types[stmt.target.id] = inferred
+            if stmt.value is not None:
+                self._bind_local(stmt.target.id, stmt.value)
+        elif isinstance(stmt, ast.Assign):
             for target in stmt.targets:
-                self._target(target, held)
                 if isinstance(target, ast.Name):
                     self._bind_local(target.id, stmt.value)
-            return
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._expr(stmt.value, held)
-            self._target(stmt.target, held)
-            if isinstance(stmt.target, ast.Name):
-                inferred = self.model._type_from_annotation(stmt.annotation)
-                if inferred is not None:
-                    self.local_types[stmt.target.id] = inferred
-                if stmt.value is not None:
-                    self._bind_local(stmt.target.id, stmt.value)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            self._expr(stmt.value, held)
-            self._target(stmt.target, held)
-            return
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self._target(target, held)
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._expr(child, held)
 
     def _bind_loop_target(self, stmt: ast.For) -> None:
         if not isinstance(stmt.target, ast.Name):
@@ -956,127 +567,28 @@ class _FunctionScanner:
 
     # -- expression scan -----------------------------------------------------
 
-    def _expr(self, expr: ast.expr, held: frozenset[str]) -> None:
-        for node in self._expr_nodes(expr):
-            if isinstance(node, ast.Call):
-                self._call(node, held)
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ):
-                self._access(node, write=False, held=held)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                self._global_access(node, write=False, held=held)
-
-    def _target(self, target: ast.expr, held: frozenset[str]) -> None:
-        """A store target: record writes to tracked state."""
-        if isinstance(target, ast.Attribute):
-            self._access(target, write=True, held=held)
-            self._expr(target.value, held)
-        elif isinstance(target, ast.Subscript):
-            if isinstance(target.value, ast.Attribute):
-                self._access(target.value, write=True, held=held)
-            elif isinstance(target.value, ast.Name):
-                self._global_access(target.value, write=True, held=held)
-            self._expr(target.slice, held)
-        elif isinstance(target, ast.Name):
-            self._global_access(target, write=True, held=held)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._target(element, held)
-
-    def _expr_nodes(self, expr: ast.expr) -> Iterator[ast.AST]:
-        """Walk an expression, skipping deferred bodies (lambdas)."""
+    def _expr(self, expr: ast.expr) -> None:
+        """Record every call in an expression, skipping deferred bodies
+        (lambdas)."""
         stack: list[ast.AST] = [expr]
         while stack:
             node = stack.pop()
             if isinstance(node, ast.Lambda):
                 continue
-            yield node
+            if isinstance(node, ast.Call):
+                self._call(node)
             stack.extend(ast.iter_child_nodes(node))
 
-    def _call(self, call: ast.Call, held: frozenset[str]) -> None:
+    def _call(self, call: ast.Call) -> None:
         name = _call_name(call)
         if name is not None:
             self.info.direct_names.add(name)
-        # Mutator call on tracked state == a write.
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in _MUTATORS
-        ):
-            recv = call.func.value
-            if isinstance(recv, ast.Attribute):
-                self._access(recv, write=True, held=held)
-            elif isinstance(recv, ast.Name):
-                self._global_access(recv, write=True, held=held)
-        # ``lock.acquire()`` outside a with-statement.
-        if (
-            name == "acquire"
-            and isinstance(call.func, ast.Attribute)
-        ):
-            lock = self._lock_of(call.func.value)
-            if lock is not None:
-                self.info.acquires.append(
-                    AcquireEvent(
-                        lock[0], lock[1], self.info.qualname, call, held
-                    )
-                )
         for callee in self.model.resolve_call(call, self.info, self.local_types):
-            self.info.calls.append(CallEvent(callee, call, held))
-
-    def _access(
-        self, node: ast.Attribute, write: bool, held: frozenset[str]
-    ) -> None:
-        if not _receiver_is_self(node.value) or self.info.owner is None:
-            return
-        cls = self.model.classes.get(self.info.owner)
-        if cls is None or not in_sanitizer_scope(cls.module.name):
-            return
-        if node.attr in cls.safe_attrs:
-            return
-        self.info.accesses.append(
-            AccessEvent(
-                (cls.name, node.attr), write, self.info.is_init,
-                self.info.qualname, node, held,
-            )
-        )
-
-    def _global_access(
-        self, node: ast.Name, write: bool, held: frozenset[str]
-    ) -> None:
-        module = self.info.module
-        if not in_sanitizer_scope(module.name):
-            return
-        if node.id not in _module_mutables(self.model, module):
-            return
-        self.info.accesses.append(
-            AccessEvent(
-                (module.name, node.id), write, self.info.is_init,
-                self.info.qualname, node, held,
-            )
-        )
-
-    # -- lock expression resolution ------------------------------------------
-
-    def _lock_of(self, expr: ast.expr) -> tuple[str, str] | None:
-        """``self._x`` (or typed ``obj._x``) naming a lock declaration."""
-        if not isinstance(expr, ast.Attribute):
-            return None
-        decl: LockDecl | None = None
-        if _receiver_is_self(expr.value):
-            decl = self.model.lock_decl(self.info.owner, expr.attr)
-        else:
-            recv_type = self.model._expr_type(
-                expr.value, self.info, self.local_types
-            )
-            if recv_type is not None and recv_type[0] == "inst":
-                decl = self.model.lock_decl(recv_type[1], expr.attr)
-        if decl is None:
-            return None
-        return self.model.lock_id(decl), decl.kind
+            self.info.calls.append(CallEvent(callee, call))
 
     # -- loop classification (sorted-iteration dataflow) ---------------------
 
-    def _record_loop(self, stmt: ast.For, held: frozenset[str]) -> None:
+    def _record_loop(self, stmt: ast.For) -> None:
         body_names: set[str] = set()
         body_callees: set[str] = set()
         for part in stmt.body:
@@ -1125,60 +637,8 @@ class _FunctionScanner:
         return False
 
 
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                     ast.SetComp)
-
-
-def _module_mutables(model: ConcurrencyModel, module: SourceModule) -> set[str]:
-    """Module-level names bound to mutable containers (cached per module)."""
-    cache = model._module_mutable_cache
-    if module.name in cache:
-        return cache[module.name]
-    names: set[str] = set()
-    for node in module.tree.body:
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign):
-            target, value = node.target, node.value
-        if not isinstance(target, ast.Name):
-            continue
-        if isinstance(value, _MUTABLE_LITERALS):
-            # Constant tables (dict literals read, never written) are
-            # only tracked if some function in the module writes them.
-            names.add(target.id)
-    if not names:
-        cache[module.name] = names
-        return names
-    written: set[str] = set()
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for child in ast.walk(node):
-            if isinstance(child, ast.Global):
-                written.update(set(child.names) & names)
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in _MUTATORS
-                and isinstance(child.func.value, ast.Name)
-                and child.func.value.id in names
-            ):
-                written.add(child.func.value.id)
-            elif (
-                isinstance(child, ast.Subscript)
-                and isinstance(child.ctx, (ast.Store, ast.Del))
-                and isinstance(child.value, ast.Name)
-                and child.value.id in names
-            ):
-                written.add(child.value.id)
-    cache[module.name] = written
-    return written
-
-
 # ---------------------------------------------------------------------------
-# Shared model cache (both rules run over one build)
+# Shared model cache (one build per project)
 # ---------------------------------------------------------------------------
 
 _MODEL_CACHE: dict[int, ConcurrencyModel] = {}
@@ -1195,108 +655,21 @@ def model_for(project: Project) -> ConcurrencyModel:
 
 
 # ---------------------------------------------------------------------------
-# LF08 — lock order, deadlock shape, strict 2PL
+# LF08 — strict 2PL over the page locks
 # ---------------------------------------------------------------------------
 
 
-class LockGraphRule(Rule):
+class PageLockRule(Rule):
     id = "LF08"
-    title = "lock acquisition must follow the ranked order and strict 2PL"
+    title = "page locks follow strict 2PL and a canonical acquisition order"
 
     def check(self, project: Project) -> Iterable[Finding]:
         model = model_for(project)
-        yield from self._check_registry(model)
-        yield from self._check_edges(model)
         yield from self._check_release_sites(model)
         yield from self._check_rollback_downgrade(model)
         yield from self._check_sorted_loops(model)
 
-    # -- (a) every served-core lock is registered ----------------------------
-
-    def _check_registry(self, model: ConcurrencyModel) -> Iterator[Finding]:
-        if not model.sites:
-            return  # no ordering table in this project — nothing to check
-        for cls in model.classes.values():
-            if not in_lock_registry(cls.module.name):
-                continue
-            for decl in cls.locks.values():
-                if decl.alias_of is not None:
-                    continue
-                site = f"{decl.owner}.{decl.attr}"
-                name = model.site_ids.get(site)
-                if name is None:
-                    yield self.finding(
-                        cls.module, decl.node,
-                        f"lock attribute {site} is not registered in "
-                        "LOCK_SITES; every lock in the served core must "
-                        "declare its rank in the ordering table",
-                    )
-                elif name not in model.ranks:
-                    yield self.finding(
-                        cls.module, decl.node,
-                        f"lock {name!r} ({site}) has a LOCK_SITES entry but "
-                        "no LOCK_RANKS rank",
-                    )
-        table = model.table_module
-        if table is not None:
-            mismatch = set(model.sites) ^ set(model.ranks)
-            for name in sorted(mismatch):
-                yield self.finding(
-                    table, table.tree,
-                    f"lock {name!r} appears in only one of LOCK_RANKS / "
-                    "LOCK_SITES; the two tables must list the same locks",
-                )
-
-    # -- (b) acquisition edges: inversions, self-deadlock, cycles ------------
-
-    def _check_edges(self, model: ConcurrencyModel) -> Iterator[Finding]:
-        edges: dict[tuple[str, str], AcquireEvent] = {}
-        for info in model.functions.values():
-            for event in info.acquires:
-                for ctx in model.contexts_all[info.qualname]:
-                    full = ctx | event.held
-                    for held in full:
-                        if held != event.lock:
-                            edges.setdefault((held, event.lock), event)
-                    if event.lock in full and event.kind == "lock":
-                        yield self.finding(
-                            info.module, event.node,
-                            f"non-reentrant lock {event.lock!r} can be "
-                            "re-acquired while already held (self-deadlock)",
-                        )
-        for (held, acquired), event in sorted(edges.items()):
-            held_rank = model.ranks.get(held)
-            rank = model.ranks.get(acquired)
-            info = model.functions[event.func]
-            if held_rank is not None and rank is not None and held_rank >= rank:
-                yield self.finding(
-                    info.module, event.node,
-                    f"lock order inversion: acquires {acquired!r} "
-                    f"(rank {rank}) while {held!r} (rank {held_rank}) "
-                    "can be held",
-                )
-        graph: dict[str, set[str]] = {}
-        for held, acquired in edges:
-            graph.setdefault(held, set()).add(acquired)
-        cyclic = _nodes_on_cycles(graph)
-        reported: set[tuple[str, str]] = set()
-        for (held, acquired), event in sorted(edges.items()):
-            if held in cyclic and acquired in cyclic and (
-                held, acquired
-            ) not in reported:
-                if model.ranks.get(held) is not None and model.ranks.get(
-                    acquired
-                ) is not None:
-                    continue  # already reported as an inversion pair
-                reported.add((held, acquired))
-                info = model.functions[event.func]
-                yield self.finding(
-                    info.module, event.node,
-                    f"potential deadlock: acquisition edge {held!r} -> "
-                    f"{acquired!r} lies on a cycle of the lock graph",
-                )
-
-    # -- (c) strict 2PL: release only on unwind/commit boundaries ------------
+    # -- strict 2PL: release only on unwind/commit boundaries ----------------
 
     def _check_release_sites(self, model: ConcurrencyModel) -> Iterator[Finding]:
         callers: dict[str, list[tuple[FuncInfo, int]]] = {}
@@ -1392,7 +765,7 @@ class LockGraphRule(Rule):
                 "lock-upgrade leak: an upgraded page would stay EXCLUSIVE",
             )
 
-    # -- (d) sorted-iteration dataflow ---------------------------------------
+    # -- sorted-iteration dataflow -------------------------------------------
 
     def _check_sorted_loops(self, model: ConcurrencyModel) -> Iterator[Finding]:
         for info in model.functions.values():
@@ -1444,197 +817,4 @@ def _unwind_spans(tree: ast.AST) -> list[tuple[int, int]]:
     return spans
 
 
-def _nodes_on_cycles(graph: dict[str, set[str]]) -> set[str]:
-    """Nodes in a strongly connected component of size > 1 (or a self-loop)."""
-    index_counter = [0]
-    indices: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    result: set[str] = set()
-    nodes = set(graph) | {n for targets in graph.values() for n in targets}
-
-    def strongconnect(node: str) -> None:
-        work: list[tuple[str, Iterator[str]]] = [
-            (node, iter(sorted(graph.get(node, ()))))
-        ]
-        indices[node] = low[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        while work:
-            current, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in indices:
-                    indices[child] = low[child] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(graph.get(child, ())))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[current] = min(low[current], indices[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[current])
-            if low[current] == indices[current]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == current:
-                        break
-                if len(component) > 1 or current in graph.get(current, ()):
-                    result.update(component)
-
-    for node in sorted(nodes):
-        if node not in indices:
-            strongconnect(node)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# LF09 — shared mutable state must be lock-dominated
-# ---------------------------------------------------------------------------
-
-
-class SharedStateRule(Rule):
-    id = "LF09"
-    title = "state shared across thread entry points needs one common lock"
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        model = model_for(project)
-        items: dict[tuple[str, str], list[AccessEvent]] = {}
-        for info in model.functions.values():
-            for event in info.accesses:
-                items.setdefault(event.item, []).append(event)
-        for item in sorted(items):
-            yield from self._check_item(model, item, items[item])
-
-    def _check_item(
-        self,
-        model: ConcurrencyModel,
-        item: tuple[str, str],
-        events: list[AccessEvent],
-    ) -> Iterator[Finding]:
-        # Frozen after construction: no writes outside __init__ anywhere.
-        if not any(e.write and not e.in_init for e in events):
-            return
-        live = [
-            e for e in events
-            if not e.in_init and model.contexts_entry[e.func]
-        ]
-        if not live:
-            return
-        labels: set[str] = set()
-        for event in live:
-            for entry in model.entries:
-                if event.func in model.reach[entry.label]:
-                    labels.add(entry.label)
-        weight = sum(
-            2 if self._entry(model, label).multi else 1 for label in labels
-        )
-        if weight < 2:
-            return
-        if self._confined(model, item, labels):
-            return
-        module = self._item_module(model, item)
-        if module is None:
-            return
-        common: set[str] | None = None
-        worst: AccessEvent | None = None
-        for event in live:
-            must = self._must_held(model, event)
-            common = must if common is None else common & must
-            if not must and worst is None:
-                worst = event
-        if common:
-            return
-        owner, attr = item
-        where = ", ".join(sorted(labels))
-        if worst is not None:
-            yield self.finding(
-                module, worst.node,
-                f"{owner}.{attr} is reachable from multiple thread entry "
-                f"points ({where}) but this access holds no lock; guard "
-                "every read/write with one registered lock",
-            )
-        else:
-            first = min(live, key=lambda e: getattr(e.node, "lineno", 0))
-            yield self.finding(
-                module, first.node,
-                f"{owner}.{attr} is reachable from multiple thread entry "
-                f"points ({where}) but its accesses hold no common lock",
-            )
-
-    def _must_held(
-        self, model: ConcurrencyModel, event: AccessEvent
-    ) -> set[str]:
-        contexts = model.contexts_entry[event.func]
-        must: set[str] | None = None
-        for ctx in contexts:
-            full = set(ctx | event.held)
-            must = full if must is None else must & full
-        return must or set()
-
-    def _entry(self, model: ConcurrencyModel, label: str) -> ThreadEntry:
-        for entry in model.entries:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
-
-    def _item_module(
-        self, model: ConcurrencyModel, item: tuple[str, str]
-    ) -> SourceModule | None:
-        owner, _attr = item
-        cls = model.classes.get(owner)
-        if cls is not None:
-            return cls.module
-        return model.project.module(owner)
-
-    def _confined(
-        self,
-        model: ConcurrencyModel,
-        item: tuple[str, str],
-        labels: set[str],
-    ) -> bool:
-        """Instances confined to one multi entry's call subtree are
-        per-thread: each worker builds its own object."""
-        if len(labels) != 1:
-            return False
-        label = next(iter(labels))
-        entry = self._entry(model, label)
-        if not entry.multi:
-            return False
-        owner, _attr = item
-        if owner not in model.classes:
-            return False
-        reach = model.reach[label]
-        other_reach: set[str] = set()
-        for other in model.entries:
-            if other.label != label:
-                other_reach |= model.reach[other.label]
-        init = model.lookup_method(owner, "__init__")
-        if init is None:
-            return False
-        init_name = init.qualname
-        constructed_in_entry = False
-        for info in model.functions.values():
-            if not any(call.callee == init_name for call in info.calls):
-                continue
-            if info.qualname in other_reach:
-                return False
-            if info.qualname in reach:
-                constructed_in_entry = True
-            elif model.contexts_entry[info.qualname]:
-                return False
-        return constructed_in_entry
-
-
-CONCURRENCY_RULES: tuple[Rule, ...] = (LockGraphRule(), SharedStateRule())
+CONCURRENCY_RULES: tuple[Rule, ...] = (PageLockRule(),)

@@ -18,24 +18,22 @@ LF04 lock-ordering discipline: a loop that acquires locks must iterate a
      partial grabs (or a context manager)
 LF06 no broad exception handling on storage/labbase paths (``except
      Exception`` / bare ``except`` without a bare re-raise)
-LF08 lock-order / strict-2PL discipline over the served core: every
-     lock is registered in ``LOCK_RANKS``/``LOCK_SITES``, no
-     acquisition edge inverts the ranks or closes a cycle, releases
-     happen only on unwind/commit boundaries, rollback handlers that
-     drop page locks restore upgrades, and lock-acquiring loops
-     iterate canonically ordered sources (interprocedural; defined in
+LF08 strict 2PL over the served core's page locks: releases happen
+     only on unwind/commit boundaries, rollback handlers that drop
+     page locks restore upgrades, and lock-acquiring loops iterate
+     canonically ordered sources (interprocedural; defined in
      ``repro.analysis.concurrency``)
-LF09 shared-state confinement: mutable module globals and ``self.``
-     attributes reachable from more than one thread entry point must
-     have every access dominated by one common ``with <lock>``
-     (defined in ``repro.analysis.concurrency``)
 ==== =======================================================================
 
 Ids are never reused.  LF05 (counter hygiene) and LF07 (metric-registry
 hygiene) are retired: they cross-checked hand-copied lists of counter
 and gauge names, and those lists are now derived from the
 ``StorageStats`` fields and ``repro.obs.registry.DERIVED_METRICS``, so
-there is no second copy left to disagree with the first.
+there is no second copy left to disagree with the first.  The
+shared-state confinement rule (the id after LF08) is retired with
+LF08's lock-rank checks: ``LabFlowService`` answers only the thread
+that owns it and raises for any other, so no service state is shared
+between threads and no ``threading`` lock is left to rank.
 """
 
 from __future__ import annotations

@@ -263,10 +263,10 @@ def cmd_lint(args) -> int:
 
 
 def cmd_sanitize(args) -> int:
-    """The concurrency sanitizer in one command: static rules, then fuzz.
+    """The concurrency sanitizer in one command: static rule, then fuzz.
 
-    Static: LF08 (lock-order/2PL) + LF09 (unguarded shared state) over
-    the tree.  Then a bounded schedule-fuzz sweep asserting serial
+    Static: LF08 (page-lock strict 2PL and acquisition order) over the
+    tree.  Then a bounded schedule-fuzz sweep asserting serial
     equivalence on every registered backend.  Exit 0 only if both are
     clean.
     """
@@ -277,7 +277,7 @@ def cmd_sanitize(args) -> int:
     from repro.analysis.rules import rules_by_id
     from repro.server.fuzz import fuzz_sweep
 
-    rules = rules_by_id(["LF08", "LF09"])
+    rules = rules_by_id(["LF08"])
     roots = list(args.paths) or [default_root()]
     project, errors = load_project(collect_paths(roots))
     if errors:
@@ -320,7 +320,7 @@ def cmd_sanitize(args) -> int:
         print(finding.render())
     print(
         f"static: {len(static_findings)} finding(s) in "
-        f"{len(project.modules)} file(s) [LF08+LF09]"
+        f"{len(project.modules)} file(s) [LF08]"
     )
     for r in reports:
         status = "identical" if r.identical else "DIVERGED"
@@ -336,7 +336,7 @@ def cmd_sanitize(args) -> int:
 def cmd_serve(args) -> int:
     import threading
 
-    from repro.obs import IntervalSampler, UnitTracer, gauges_from
+    from repro.obs import UnitTracer, gauges_from
     from repro.server import (
         LabFlowService,
         ServiceRunner,
@@ -355,54 +355,48 @@ def cmd_serve(args) -> int:
     tracer = UnitTracer(sink=trace_sink) if trace_sink else None
     service = LabFlowService(db, group_cap=args.group_cap, tracer=tracer)
     sample_sink = open(args.sample_log, "w") if args.sample_log else None
-    stop_sampling = threading.Event()
-    sampler_thread: threading.Thread | None = None
-    if sample_sink:
-        sampler = IntervalSampler(service.stats_snapshot, sink=sample_sink)
-
-        def sampling_loop() -> None:
-            while not stop_sampling.wait(args.sample_interval):
-                sampler.sample()
-
-        sampler_thread = threading.Thread(
-            target=sampling_loop, name="labflow-sampler", daemon=True
-        )
-        sampler_thread.start()
     runner = ServiceRunner(service, host=args.host, port=args.port)
     host, port = runner.start()
     print(f"serving {args.db or '<in-memory>'} [{args.server}] on "
           f"{host}:{port} "
           f"(group-commit cap {args.group_cap})")
+    stop_sampling = None
     try:
-        if args.smoke:
+        try:
+            if sample_sink:
+                from repro.obs.monitor import start_sample_log
+
+                stop_sampling = start_sample_log(
+                    host, port, interval=args.sample_interval, sink=sample_sink
+                )
+            if not args.smoke:
+                try:
+                    threading.Event().wait()
+                except KeyboardInterrupt:
+                    print("shutting down")
+                return 0
             summary = run_concurrent_clients(
                 host, port, clients=args.smoke, units=args.units
             )
             for name in sorted(summary):
                 print(f"  {name}: {summary[name]}")
-            stats = service.stats_snapshot()
-            print(stats_report(
-                stats, gauges_from(stats), title="smoke-run storage counters"
-            ))
-            service.drain()
-            report = db.verify_storage()
-            if not report.ok:
-                for problem in report.problems:
-                    print(f"  {problem}", file=sys.stderr)
-                print("verify: FAILED", file=sys.stderr)
-                return 1
-            print("verify: OK")
-            return 0
-        try:
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            print("shutting down")
+        finally:
+            if stop_sampling is not None:
+                stop_sampling()
+            runner.stop()  # drains; this thread owns the service again
+        stats = service.stats_snapshot()
+        print(stats_report(
+            stats, gauges_from(stats), title="smoke-run storage counters"
+        ))
+        report = db.verify_storage()
+        if not report.ok:
+            for problem in report.problems:
+                print(f"  {problem}", file=sys.stderr)
+            print("verify: FAILED", file=sys.stderr)
+            return 1
+        print("verify: OK")
         return 0
     finally:
-        runner.stop()
-        stop_sampling.set()
-        if sampler_thread is not None:
-            sampler_thread.join(timeout=5.0)
         if sample_sink:
             sample_sink.close()
         if trace_sink:
@@ -592,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sanitize",
-        help="concurrency sanitizer: static LF08/LF09 pass + "
+        help="concurrency sanitizer: static LF08 pass + "
              "schedule-fuzz sweep")
     p.add_argument("paths", nargs="*",
                    help="files or directories for the static pass "

@@ -1,12 +1,15 @@
-"""``repro monitor``: attach to a running server and watch it work.
+"""Wire clients that watch a running server work.
 
-The monitor opens a plain protocol channel to a live ``repro serve``,
-polls the ``sample`` operation on an interval, turns successive counter
-snapshots into interval :class:`~repro.obs.sampler.Sample` rows and
-streams them as a live table (fixed column widths, so rows printed a
+``repro monitor`` opens a plain protocol channel to a live ``repro
+serve``, polls the ``sample`` operation on an interval, turns successive
+counter snapshots into interval :class:`~repro.obs.sampler.Sample` rows
+and streams them as a live table (fixed column widths, so rows printed a
 minute apart still line up under the original header).  On detach it
 prints the server's per-phase unit histograms when tracing is enabled
-over there.
+over there.  ``repro serve --sample-log`` runs the same kind of client
+inside the server's process (:func:`start_sample_log`): the service
+answers only its loop thread, so a sampler asks the loop like anyone
+else.
 
 This module intentionally lives outside ``repro.obs.__init__``'s
 import surface: it imports the server package, which itself imports
@@ -16,24 +19,72 @@ import surface: it imports the server package, which itself imports
 from __future__ import annotations
 
 import socket
+import threading
 import time
 from typing import IO, Callable
 
 from repro.errors import ProtocolError, ServerError
 from repro.obs.clock import Clock, system_clock
 from repro.obs.render import render_phase_histograms, render_sample_table
-from repro.obs.sampler import Sample, sample_from_snapshots
+from repro.obs.sampler import IntervalSampler, Sample, sample_from_snapshots
 from repro.server.communicator import Channel, Request
 
 
-def fetch_sample(channel: Channel) -> dict[str, object]:
-    """One ``sample`` round trip; raises on error responses."""
-    response = channel.roundtrip(Request(op="sample"))
+def fetch(channel: Channel, op: str) -> dict[str, object]:
+    """One sessionless round trip (``sample``, ``stats``); raises on
+    error responses."""
+    response = channel.roundtrip(Request(op=op))
     if not response.ok:
-        raise ServerError(f"sample failed: {response.error}")
+        raise ServerError(f"{op} failed: {response.error}")
     if not isinstance(response.value, dict):
-        raise ProtocolError("sample response is not an object")
+        raise ProtocolError(f"{op} response is not an object")
     return response.value
+
+
+def _counters(raw: object) -> dict[str, int]:
+    if not isinstance(raw, dict):
+        raise ProtocolError("no counters in the response")
+    return {str(k): int(v) for k, v in raw.items()}
+
+
+def _connect(host: str, port: int) -> Channel:
+    try:
+        sock = socket.create_connection((host, port), timeout=10.0)
+    except OSError as exc:
+        raise ServerError(f"cannot reach {host}:{port}: {exc}") from exc
+    return Channel(sock)
+
+
+def start_sample_log(
+    host: str, port: int, *, interval: float, sink: IO[str]
+) -> Callable[[], None]:
+    """``repro serve --sample-log``: a client thread that polls ``stats``
+    every ``interval`` seconds over its own connection into an
+    :class:`IntervalSampler` writing to ``sink``.  It opens no session
+    and reaches the service only through the loop, like ``repro
+    monitor``.  Returns the function that takes one last sample, stops
+    the thread and closes the connection — call it before the server
+    stops."""
+    channel = _connect(host, port)
+    sampler = IntervalSampler(
+        lambda: _counters(fetch(channel, "stats")), sink=sink
+    )
+    stopping = threading.Event()
+
+    def poll() -> None:
+        while not stopping.wait(interval):
+            sampler.sample()
+        sampler.sample()
+
+    thread = threading.Thread(target=poll, name="labflow-sampler", daemon=True)
+    thread.start()
+
+    def stop() -> None:
+        stopping.set()
+        thread.join()
+        channel.close()
+
+    return stop
 
 
 def monitor(
@@ -52,11 +103,7 @@ def monitor(
     rendered text).  ``clock`` and ``sleep`` are injectable so the
     deterministic tests replay a poll schedule without wall time.
     """
-    try:
-        sock = socket.create_connection((host, port), timeout=10.0)
-    except OSError as exc:
-        raise ServerError(f"cannot reach {host}:{port}: {exc}") from exc
-    channel = Channel(sock)
+    channel = _connect(host, port)
     collected: list[Sample] = []
     header_lines = render_sample_table([]).splitlines()
     out.write(f"monitoring {host}:{port} (interval {interval:g}s)\n")
@@ -68,11 +115,8 @@ def monitor(
         previous: dict[str, int] | None = None
         last_t: float | None = None
         for _poll in range(samples):
-            payload = fetch_sample(channel)
-            raw = payload.get("counters")
-            if not isinstance(raw, dict):
-                raise ProtocolError("sample payload has no counters")
-            counters = {str(k): int(v) for k, v in raw.items()}  # type: ignore[call-overload]
+            payload = fetch(channel, "sample")
+            counters = _counters(payload.get("counters"))
             t = clock()
             dt = 0.0 if last_t is None else t - last_t
             observation = sample_from_snapshots(

@@ -77,8 +77,9 @@ class IntervalSampler:
     """Polls a counter source into a growing list of :class:`Sample`.
 
     The caller owns the cadence: each :meth:`sample` call takes one
-    observation.  The server's sampling thread calls it on a timer; the
-    deterministic tests call it directly with a manual clock.
+    observation.  ``repro serve --sample-log`` calls it on a timer from
+    a wire client's thread (:func:`repro.obs.monitor.start_sample_log`);
+    the deterministic tests call it directly with a manual clock.
     """
 
     def __init__(

@@ -19,7 +19,6 @@ the event list itself.
 from __future__ import annotations
 
 import json
-import threading
 from typing import IO
 
 from repro.obs.clock import Clock, system_clock
@@ -38,34 +37,6 @@ HISTOGRAM_BOUNDS: tuple[float, ...] = (
 #: Durations are rounded to nanoseconds before they enter an event, so
 #: the JSONL stream never depends on float repr tails.
 DURATION_DIGITS = 9
-
-#: The global lock order of the served stack — THE ground-truth table.
-#:
-#: Every ``threading`` lock in the served core has exactly one entry
-#: here; a thread may only acquire a lock whose rank is *strictly
-#: greater* than every lock it already holds (re-entrant re-acquisition
-#: of the same RLock excepted).  The tracer's own lock is deliberately
-#: the innermost lock: emission happens under the service mutex but
-#: never the other way around, so a monitor thread reading
-#: ``summary()`` can never participate in a cycle with the unit path.
-#:
-#: Rule LF08 (:mod:`repro.analysis.concurrency`) reads the dict literal
-#: statically and flags any acquisition edge that violates the ranks.
-#: Ranks are spaced so a new lock can be slotted without renumbering.
-LOCK_RANKS: dict[str, int] = {
-    "service.mutex": 10,
-    "tracer.events": 30,
-}
-
-#: Where each ranked lock lives, as ``ClassName._attribute`` — the
-#: static pass uses this to map lock attributes it discovers in the
-#: source onto rank-table entries (and flags any lock attribute in the
-#: served core that is missing from this registry).  ``Condition``
-#: objects built over a registered lock share that lock's rank.
-LOCK_SITES: dict[str, str] = {
-    "service.mutex": "LabFlowService._mutex",
-    "tracer.events": "UnitTracer._lock",
-}
 
 
 class PhaseHistogram:
@@ -97,16 +68,10 @@ class PhaseHistogram:
 class UnitTracer:
     """Collects span events and per-phase duration histograms.
 
-    Thread-safe: the service emits under its own mutex, but the monitor
-    path reads summaries from other threads, so the tracer carries its
-    own lock rather than borrowing the service's.
-
-    Lock order: ``_lock`` is ``tracer.events`` in :data:`LOCK_RANKS` —
-    the innermost lock.  Nothing called while it is held may
-    acquire any other registered lock (the emission path only touches
-    the clock, the event list and the sink), so a reader thread polling
-    ``summary()``/``jsonl()`` can never deadlock against the unit path
-    that emits under the service mutex.
+    Single-threaded, like the service that feeds it: every event comes
+    from the thread that owns the service, and a reader on another
+    thread asks that thread — the ``sample`` op carries
+    :meth:`summary` over the wire.
     """
 
     def __init__(
@@ -114,7 +79,6 @@ class UnitTracer:
     ) -> None:
         self._clock = clock
         self._sink = sink
-        self._lock = threading.Lock()
         self._seq = 0
         self.events: list[dict[str, object]] = []
         self.histograms: dict[str, PhaseHistogram] = {
@@ -147,12 +111,9 @@ class UnitTracer:
             "exec": round(exec_seconds, DURATION_DIGITS),
             "drain": round(drain_seconds, DURATION_DIGITS),
         }
-        with self._lock:
-            for phase in PHASES:
-                self.histograms[phase].record(durations[phase])
-            self._emit_locked(
-                "unit_end", session=session, op=op, durations=durations
-            )
+        for phase in PHASES:
+            self.histograms[phase].record(durations[phase])
+        self._emit("unit_end", session=session, op=op, durations=durations)
 
     def abort(self, session: str, op: str, error_type: str) -> None:
         self._emit("abort", session=session, op=op, error_type=error_type)
@@ -164,35 +125,28 @@ class UnitTracer:
 
     def summary(self) -> dict[str, object]:
         """A JSON-safe digest: event counts and phase histograms."""
-        with self._lock:
-            by_event: dict[str, int] = {}
-            for event in self.events:
-                name = str(event["event"])
-                by_event[name] = by_event.get(name, 0) + 1
-            return {
-                "events": len(self.events),
-                "by_event": by_event,
-                "histograms": {
-                    phase: hist.as_dict()
-                    for phase, hist in self.histograms.items()
-                },
-            }
+        by_event: dict[str, int] = {}
+        for event in self.events:
+            name = str(event["event"])
+            by_event[name] = by_event.get(name, 0) + 1
+        return {
+            "events": len(self.events),
+            "by_event": by_event,
+            "histograms": {
+                phase: hist.as_dict()
+                for phase, hist in self.histograms.items()
+            },
+        }
 
     def jsonl(self) -> str:
         """The full event stream as sorted-JSON JSONL."""
-        with self._lock:
-            return "".join(
-                json.dumps(event, sort_keys=True) + "\n"
-                for event in self.events
-            )
+        return "".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in self.events
+        )
 
     # -- internals ----------------------------------------------------------
 
     def _emit(self, name: str, **fields: object) -> None:
-        with self._lock:
-            self._emit_locked(name, **fields)
-
-    def _emit_locked(self, name: str, **fields: object) -> None:
         event: dict[str, object] = {
             "event": name,
             "seq": self._seq,

@@ -15,7 +15,8 @@ Decomposition (see DESIGN.md §13):
 * :mod:`~repro.server.service_runner` — the deterministic synchronous
   service core (:class:`LabFlowService`) and the socket front-end
   (:class:`ServiceRunner`): one event-loop thread for every connection,
-  answering each ``recv``'s complete frames in order with one ``send``;
+  answering each ``recv``'s complete frames in order with one ``send``,
+  and the one thread the service answers while it runs;
 * :mod:`~repro.server.commit` — the group-commit coordinator;
 * :mod:`~repro.server.client_runner` — client proxies and the scripted
   deterministic mix used by the CI smoke run and bench_a6.

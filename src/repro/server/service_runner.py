@@ -6,13 +6,15 @@ order, all-or-nothing), then the operation runs with its object writes
 buffered in the shared object cache, then the unit drains — its writes
 reach the storage manager in oid order — and, for updates, joins the
 open commit group (:mod:`repro.server.commit`).  Units execute one at a
-time under the service mutex; concurrency is in the *interleaving* of
-sessions' units, exactly like the page-server model the paper
-describes.  :class:`ServiceRunner` puts the core behind a socket: one
-event-loop thread serves every connection (the mutex serialises units
-anyway, so a thread per connection bought only GIL hand-offs), and the
-mutex stays for the callers that are not the loop — the interval
-sampler's thread and ``--smoke``'s main thread.
+time on the one thread that owns the service; concurrency is in the
+*interleaving* of sessions' units, exactly like the page-server model
+the paper describes.  :class:`ServiceRunner` puts the core behind a
+socket: one event-loop thread serves every connection and owns the
+service while it runs.  Every other thread is refused with a
+:class:`~repro.errors.ServerError` before the service touches any
+state, so there is nothing for a lock to guard; a client that wants to
+read a live server (``repro monitor``, ``repro serve --sample-log``)
+asks over the wire like any other.
 
 Lock discipline (strict two-phase for updates):
 
@@ -143,10 +145,26 @@ class LabFlowService:
         self._tracer = tracer
         self._coordinator = CommitCoordinator(db, cap=group_cap, tracer=tracer)
         self._max_retries = max(0, max_retries)
-        self._mutex = threading.RLock()
         self._completed: deque[tuple[str, str, dict[str, object]]] = deque(
             maxlen=COMPLETED_LOG_UNITS
         )
+        self._owner = threading.get_ident()
+
+    # -- ownership -----------------------------------------------------------
+
+    def adopt(self) -> None:
+        """The calling thread becomes the owner: the one thread the
+        service answers.  The thread that built the service owns it
+        until then; :class:`ServiceRunner` hands it to its loop and
+        takes it back once the loop has ended."""
+        self._owner = threading.get_ident()
+
+    def _check_owner(self) -> None:
+        if threading.get_ident() != self._owner:
+            raise ServerError(
+                f"the service belongs to thread {_thread_name(self._owner)}; "
+                f"thread {_thread_name(threading.get_ident())} may not call it"
+            )
 
     # -- introspection -------------------------------------------------------
 
@@ -155,8 +173,8 @@ class LabFlowService:
         return self._db
 
     def open_sessions(self) -> list[str]:
-        with self._mutex:
-            return self._sessions.open_sessions()
+        self._check_owner()
+        return self._sessions.open_sessions()
 
     def completed_units(self) -> list[tuple[str, str, dict[str, object]]]:
         """The last :data:`COMPLETED_LOG_UNITS` update units in completion
@@ -167,42 +185,42 @@ class LabFlowService:
         layout — produces a bit-identical database: the serial witness
         the property tests compare against.
         """
-        with self._mutex:
-            return [(s, op, dict(args)) for s, op, args in self._completed]
+        self._check_owner()
+        return [(s, op, dict(args)) for s, op, args in self._completed]
 
     @property
     def tracer(self) -> UnitTracer | None:
         return self._tracer
 
     def stats_snapshot(self) -> dict[str, int]:
-        with self._mutex:
-            return self._db.storage.stats.snapshot()
+        self._check_owner()
+        return self._db.storage.stats.snapshot()
 
     def sample(self) -> dict[str, object]:
         """One observability poll: counters, gauges and service state.
 
-        This is what the ``sample`` protocol op and the server's own
-        interval sampler read; everything in it is JSON-safe.
+        This is what the ``sample`` protocol op answers; everything in
+        it is JSON-safe.
         """
-        with self._mutex:
-            counters = self._db.storage.stats.snapshot()
-            payload: dict[str, object] = {
-                "counters": counters,
-                "gauges": gauges_from(counters),
-                "pending_units": self._coordinator.pending_units,
-                "open_sessions": len(self._sessions.open_sessions()),
-            }
-            if self._tracer is not None:
-                payload["trace"] = self._tracer.summary()
-            return payload
+        self._check_owner()
+        counters = self._db.storage.stats.snapshot()
+        payload: dict[str, object] = {
+            "counters": counters,
+            "gauges": gauges_from(counters),
+            "pending_units": self._coordinator.pending_units,
+            "open_sessions": len(self._sessions.open_sessions()),
+        }
+        if self._tracer is not None:
+            payload["trace"] = self._tracer.summary()
+        return payload
 
     # -- session lifecycle ---------------------------------------------------
 
     def open_session(self, name: str) -> None:
+        self._check_owner()
         if not name:
             raise SessionError("session name must be non-empty")
-        with self._mutex:
-            self._sessions.open_session(name)
+        self._sessions.open_session(name)
 
     def close_session(self, name: str, failed: bool = False) -> None:
         """Detach a session; its group-pending units stay committed.
@@ -211,9 +229,9 @@ class LabFlowService:
         already in the open group were executed and drained, so they
         remain part of the group and become durable when it closes.
         """
-        with self._mutex:
-            if self._sessions.is_open(name):
-                self._sessions.detach(name, failed=failed)
+        self._check_owner()
+        if self._sessions.is_open(name):
+            self._sessions.detach(name, failed=failed)
 
     # -- the unit-of-work surface -------------------------------------------
 
@@ -227,37 +245,37 @@ class LabFlowService:
         raises the final :class:`LockError` only when the budget is
         exhausted.
         """
+        self._check_owner()
         call_args: dict[str, object] = dict(args or {})
         if op not in _UPDATE_OPS and op not in _QUERY_OPS:
             raise ProtocolError(f"unknown operation {op!r}")
-        with self._mutex:
-            if not self._sessions.is_open(name):
-                raise SessionError(f"no open session {name!r}")
-            attempts = 0
-            while True:
-                try:
-                    return self._run_unit(name, op, call_args)
-                except LockError:
-                    attempts += 1
-                    if self._tracer is not None:
-                        self._tracer.lock_wait(name, op, attempt=attempts)
-                    self._flush_conflicting_group()
-                    if attempts > self._max_retries:
-                        raise
+        if not self._sessions.is_open(name):
+            raise SessionError(f"no open session {name!r}")
+        attempts = 0
+        while True:
+            try:
+                return self._run_unit(name, op, call_args)
+            except LockError:
+                attempts += 1
+                if self._tracer is not None:
+                    self._tracer.lock_wait(name, op, attempt=attempts)
+                self._flush_conflicting_group()
+                if attempts > self._max_retries:
+                    raise
 
     def drain(self) -> int:
         """Close the open group now; returns the units made durable."""
-        with self._mutex:
-            pending = self._coordinator.pending_units
-            self._close_group()
-            return pending
+        self._check_owner()
+        pending = self._coordinator.pending_units
+        self._close_group()
+        return pending
 
     def shutdown(self) -> None:
         """Drain, then close every remaining session (clean detach)."""
-        with self._mutex:
-            self._close_group()
-            for name in self._sessions.open_sessions():
-                self._sessions.detach(name)
+        self._check_owner()
+        self._close_group()
+        for name in self._sessions.open_sessions():
+            self._sessions.detach(name)
 
     # -- unit internals ------------------------------------------------------
 
@@ -434,6 +452,13 @@ def _as_iterable(value: object) -> Iterable[object]:
     return value
 
 
+def _thread_name(ident: int) -> str:
+    for thread in threading.enumerate():
+        if thread.ident == ident:
+            return f"{thread.name!r} ({ident})"
+    return str(ident)  # it has ended
+
+
 class _Connection:
     """One accepted socket as the loop sees it."""
 
@@ -470,9 +495,10 @@ class ServiceRunner:
     peers that wait in the kernel's backlog cost no CPU.
 
     The loop owns its sockets, its selector and its connection table —
-    arguments and locals of :meth:`_loop`, never attributes — so the
-    front-end shares nothing with the thread that calls :meth:`start`
-    and :meth:`stop` and needs no lock of its own.
+    arguments and locals of :meth:`_loop`, never attributes — and, from
+    its first statement until :meth:`stop` has joined it, the service
+    itself (:meth:`LabFlowService.adopt`).  Then the thread that
+    stopped the runner owns the service.
     """
 
     def __init__(
@@ -519,20 +545,23 @@ class ServiceRunner:
     def stop(self) -> None:
         """Drain, then stop: the loop answers the complete frames it has
         been sent, flushes, closes its connections (failing the sessions
-        they still hold) and ends; then the service shuts down.  A no-op
-        on a runner that is not running."""
+        they still hold) and ends; then the calling thread takes the
+        service back and shuts it down.  A no-op on a runner that is not
+        running."""
         running, self._running = self._running, None
         if running is None:
             return
         thread, waker = running
         waker.close()  # the loop's end of the pair reads EOF
         thread.join()
+        self._service.adopt()
         self._address = None
         self._service.shutdown()
 
     # -- the loop thread -----------------------------------------------------
 
     def _loop(self, listener: socket.socket, wakeup: socket.socket) -> None:
+        self._service.adopt()
         selector = selectors.DefaultSelector()
         selector.register(listener, selectors.EVENT_READ)
         selector.register(wakeup, selectors.EVENT_READ)

@@ -1,22 +1,20 @@
 # module: repro.server.fixture_ordered
-"""Clean under LF08: registered locks, rank-ordered nesting, sorted
-multi-acquisition, rollback that restores upgrades."""
-
-import threading
+"""Clean under LF08: sorted multi-acquisition, a rollback that restores
+upgrades, and page locks released only when the unit ends."""
 
 
 class Pipeline:
     def __init__(self, storage):
-        self._gate = threading.RLock()
-        self._state_lock = threading.Lock()
         self._storage = storage
         self._jobs = []
 
     def submit(self, client, oids):
-        with self._gate:
-            self._lock_sorted(client, oids)
-            with self._state_lock:
-                self._jobs.append(client)
+        self._lock_sorted(client, oids)
+        try:
+            self._jobs.append(client)
+        finally:
+            for oid in sorted(set(oids)):
+                self._storage.unlock_page(client, oid)
 
     def _lock_sorted(self, client, oids):
         taken = []

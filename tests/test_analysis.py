@@ -207,8 +207,9 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in RULE_IDS:
         assert rule_id in out
-    # retired ids (LF05, LF07) are gone and the rest keep their numbers
-    assert RULE_IDS == ("LF01", "LF02", "LF03", "LF04", "LF06", "LF08", "LF09")
+    # retired ids (LF05, LF07 and the one after LF08) are gone; the rest
+    # keep their numbers
+    assert RULE_IDS == ("LF01", "LF02", "LF03", "LF04", "LF06", "LF08")
 
 
 def test_rule_subset_runs_only_named_rules():

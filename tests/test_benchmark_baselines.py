@@ -1,6 +1,6 @@
 """Tests for the TPC-style debit/credit contrast (Section 9 / E7)."""
 
-from repro.benchmark.baselines import (
+from repro.benchmark.tpc_contrast import (
     DebitCreditWorkload,
     labflow_stream_statistics,
 )

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.obs import Sample
 
 
 def test_graph_prints_genome_workflow(capsys):
@@ -280,3 +282,19 @@ def test_serve_smoke_persists_database(tmp_path, capsys):
     assert main(["verify", db_path]) == 0
     out = capsys.readouterr().out
     assert "OK" in out
+
+
+def test_serve_sample_log_is_a_monotone_counter_stream(tmp_path, capsys):
+    log = tmp_path / "samples.jsonl"
+    assert main([
+        "serve", "--smoke", "2", "--units", "24",
+        "--sample-log", str(log), "--sample-interval", "0.01",
+    ]) == 0
+    assert "verify: OK" in capsys.readouterr().out
+    samples = [Sample(**json.loads(line)) for line in log.read_text().splitlines()]
+    assert samples
+    assert [sample.seq for sample in samples] == list(range(len(samples)))
+    for previous, sample in zip(samples, samples[1:]):
+        assert set(sample.counters) == set(previous.counters)
+        for name, count in sample.counters.items():
+            assert count >= previous.counters[name], name

@@ -283,7 +283,7 @@ def test_a_bug_inside_one_unit_costs_its_connection_only(served, monkeypatch, ca
 
 
 def test_sixty_four_simultaneous_connections(served):
-    connect, healthy, service, _runner = served
+    connect, healthy, _service, _runner = served
     peers = [connect() for _ in range(64)]
     for index, peer in enumerate(peers):
         peer.send(Request(op="open_session", session=f"s{index}"))
@@ -297,14 +297,14 @@ def test_sixty_four_simultaneous_connections(served):
         assert peer.reply().ok
         oids.append(peer.reply().value)
     assert len(set(oids)) == 64
-    assert len(service.open_sessions()) == 65
+    assert healthy.sample()["open_sessions"] == 65
     names = [thread.name for thread in threading.enumerate()]
     assert names.count("labflow-loop") == 1
     _still_served(healthy)
 
 
 def test_peer_that_never_reads_is_paused_and_resumes(served, monkeypatch):
-    connect, healthy, service, _runner = served
+    connect, healthy, _service, _runner = served
     bound = 32 * 1024
     monkeypatch.setattr(service_runner, "MAX_MESSAGE_BYTES", bound)
     oid = healthy.lookup("clone", "h-0")
@@ -317,7 +317,7 @@ def test_peer_that_never_reads_is_paused_and_resumes(served, monkeypatch):
     assert requests * reply_bytes > 20 * 2**20
 
     def answered():
-        return service.tracer.summary()["by_event"]["unit_end"]
+        return healthy.sample()["trace"]["by_event"]["unit_end"]
 
     before = answered()
     stalled = connect(rcvbuf=4096)
@@ -447,7 +447,7 @@ def test_at_the_descriptor_limit_the_loop_waits_without_spinning():
 
 
 def test_dropped_client_leaks_nothing(served):
-    connect, healthy, service, _runner = served
+    connect, healthy, service, runner = served
     db = service.db
     peer = connect()
     peer.send(
@@ -465,8 +465,8 @@ def test_dropped_client_leaks_nothing(served):
     assert db.storage.lock_manager.held_pages("a")
     peer.close()  # no close_session, no bye
 
-    _until(lambda: "a" not in service.open_sessions(), "the session to go")
-    again = ServiceClient(*_runner.address, "a")  # the name is free again
+    _until(lambda: healthy.sample()["open_sessions"] == 1, "the session to go")
+    again = ServiceClient(*runner.address, "a")  # the name is free again
     assert again.state_of(oid) == "busy"
     again.close()
     healthy.drain()
@@ -474,6 +474,7 @@ def test_dropped_client_leaks_nothing(served):
     assert db.storage.lock_manager.held_pages("healthy") == set()
     assert db.cache.dirty_oid_set() == frozenset()
     assert healthy.verify_ok()
+    runner.stop()  # the log is read by the thread that owns the service
     done = [(s, op) for s, op, _args in service.completed_units() if s == "a"]
     assert done == [("a", "create_material"), ("a", "set_state")]
 
@@ -481,7 +482,7 @@ def test_dropped_client_leaks_nothing(served):
 def test_session_closed_cleanly_is_not_closed_again(served):
     """A name released by close_session may be taken by another
     connection; the first connection's end must not take it back."""
-    connect, healthy, service, _runner = served
+    connect, healthy, _service, _runner = served
     first, second = connect(), connect()
     first.send(Request(op="open_session", session="n"),
                Request(op="close_session", session="n"))
@@ -492,7 +493,7 @@ def test_session_closed_cleanly_is_not_closed_again(served):
     _still_served(healthy)
     second.send(Request(op="ping"))
     assert second.reply().value == "pong"
-    assert "n" in service.open_sessions()
+    assert healthy.sample()["open_sessions"] == 2  # "healthy" and "n"
 
 
 # -- stop --------------------------------------------------------------------
@@ -518,7 +519,13 @@ def test_stop_answers_what_it_was_sent_then_ends_the_loop(served, monkeypatch):
         service, "shutdown",
         lambda shutdown=service.shutdown: (shutdowns.append(1), shutdown()),
     )
-    stopper = threading.Thread(target=runner.stop)
+    left_open = []
+
+    def stop():
+        runner.stop()
+        left_open.append(service.open_sessions())  # the stopper owns it now
+
+    stopper = threading.Thread(target=stop)
     stopper.start()
     gate.set()
     stopper.join(TIMEOUT)
@@ -527,7 +534,7 @@ def test_stop_answers_what_it_was_sent_then_ends_the_loop(served, monkeypatch):
     assert busy.reply().ok and busy.at_eof()
     assert waiting.reply().ok and waiting.reply().value == "pong"
     assert waiting.at_eof()
-    assert service.open_sessions() == []
+    assert left_open == [[]]
     assert not [
         thread.name for thread in threading.enumerate()
         if thread.name.startswith("labflow-")

@@ -1,10 +1,10 @@
 """The concurrency sanitizer: the static pass and the schedule fuzzer.
 
-The acceptance story: deliberately reordering two lock acquisitions must
-be caught by LF08 on the source.  Around that core: the one-loop
-front-end's thread model, the PR 6 rollback-leak regression trap, stale
+The static pass is LF08 over the page locks: re-introducing the
+lock-upgrade rollback leak must be caught on the source.  Around it: stale
 ``lint: ignore`` detection, and the schedule fuzzer's serial-equivalence
-sweep across every registered backend.
+sweep across every registered backend.  That the service answers only
+its owning thread is pinned in ``tests/test_server.py``.
 """
 
 import threading
@@ -18,10 +18,8 @@ from repro.analysis.core import (
     run_rules,
     stale_ignores,
 )
-from repro.analysis.concurrency import model_for
-from repro.analysis.main import collect_paths, default_root, load_project
+from repro.analysis.main import default_root
 from repro.analysis.rules import ALL_RULES, rules_by_id
-from repro.obs.tracing import LOCK_RANKS, LOCK_SITES
 from repro.server import fuzz
 from repro.server.fuzz import fuzz_backend, make_schedule, run_schedule
 from repro.storage import registry
@@ -33,109 +31,6 @@ import os
 def _shipped_source(*parts):
     path = os.path.join(default_root(), *parts)
     return open(path, encoding="utf-8").read()
-
-
-# ---------------------------------------------------------------------------
-# the reorder acceptance
-# ---------------------------------------------------------------------------
-
-_RANK_TABLE = (
-    "# module: repro.obs.tracing\n"
-    "LOCK_RANKS = {'gate': 0, 'mutex': 10}\n"
-    "LOCK_SITES = {'gate': 'Server._gate', 'mutex': 'Server._mutex'}\n"
-)
-
-_SERVER_TEMPLATE = (
-    "# module: repro.server.reorder_demo\n"
-    "import threading\n"
-    "\n"
-    "\n"
-    "class Server:\n"
-    "    def __init__(self):\n"
-    "        self._gate = threading.Lock()\n"
-    "        self._mutex = threading.RLock()\n"
-    "\n"
-    "    def unit(self):\n"
-    "        with {outer}:\n"
-    "            with {inner}:\n"
-    "                return 1\n"
-)
-
-
-def _reorder_findings(outer, inner):
-    project = Project(
-        [
-            SourceModule("tracing.py", _RANK_TABLE),
-            SourceModule(
-                "server.py",
-                _SERVER_TEMPLATE.format(outer=outer, inner=inner),
-            ),
-        ]
-    )
-    return run_rules(project, rules_by_id(["LF08"]))
-
-
-def test_static_prong_accepts_ranked_order():
-    assert _reorder_findings("self._gate", "self._mutex") == []
-
-
-def test_static_prong_flags_the_reorder():
-    findings = _reorder_findings("self._mutex", "self._gate")
-    assert findings, "swapping the two acquisitions must be flagged"
-    assert any("inversion" in f.message for f in findings)
-
-
-def test_lock_tables_agree_with_each_other():
-    assert set(LOCK_RANKS) == set(LOCK_SITES)
-    ranks = list(LOCK_RANKS.values())
-    assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
-
-
-# ---------------------------------------------------------------------------
-# the served front-end: one rooted loop thread that owns its state
-# ---------------------------------------------------------------------------
-
-
-def _shipped_project(replace=None):
-    """The shipped tree as a project; ``replace`` maps a display path's
-    tail to substitute source text."""
-    project, errors = load_project(collect_paths([default_root()]))
-    assert not errors
-    if replace is None:
-        return project
-    modules = []
-    for module in project.modules:
-        for tail, text in replace.items():
-            if module.path.endswith(tail):
-                module = SourceModule(module.path, text)
-        modules.append(module)
-    return Project(modules)
-
-
-def test_front_end_is_one_rooted_loop_thread():
-    model = model_for(_shipped_project())
-    entries = {entry.label: entry for entry in model.entries}
-    loop = entries["thread:repro.server.service_runner.ServiceRunner._loop"]
-    assert not loop.multi  # one loop, not a worker per connection
-    assert [
-        label for label in entries
-        if label.startswith("thread:repro.server.service_runner")
-    ] == [loop.label]
-    reached = model.reach[loop.label]
-    assert "repro.server.service_runner.LabFlowService.submit" in reached
-    assert "repro.server.communicator.FrameBuffer.take" in reached
-
-
-def test_loop_state_moved_onto_the_runner_is_caught():
-    """The front-end has no lock because the loop's state is arguments
-    and locals; LF09 is what keeps it that way."""
-    anchor = "        connections: dict[int, _Connection] = {}  # by descriptor\n"
-    source = _shipped_source("server", "service_runner.py")
-    assert anchor in source, "mutation lost its anchor"
-    shared = source.replace(anchor, anchor + "        self._address = None\n")
-    project = _shipped_project({"server/service_runner.py": shared})
-    findings = run_rules(project, rules_by_id(["LF09"]))
-    assert any("ServiceRunner._address" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------

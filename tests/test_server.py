@@ -8,6 +8,8 @@ same work committed one unit at a time.
 """
 
 import os
+import socket
+import threading
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.errors import (
 )
 from repro.labbase import LabBase
 from repro.server import (
+    Channel,
     ClientRunner,
     CommitCoordinator,
     LabFlowService,
@@ -31,6 +34,7 @@ from repro.server import (
     Response,
     ServiceClient,
     ServiceRunner,
+    apply_request,
     bootstrap_schema,
     decode_request,
     decode_response,
@@ -525,15 +529,26 @@ def test_socket_roundtrip(served):
     alice.close()
 
 
+def _ask(host, port, op):
+    """One sessionless request on a connection of its own."""
+    channel = Channel(socket.create_connection((host, port)))
+    try:
+        response = channel.roundtrip(Request(op=op))
+    finally:
+        channel.close()
+    assert response.ok, response.error
+    return response.value
+
+
 def test_four_concurrent_socket_clients(served):
-    host, port, service, db = served
+    host, port, _service, _db = served
     summary = run_concurrent_clients(host, port, clients=4, units=16)
     assert summary["creates"] == 16  # 4 clients x 4 materials
     assert summary["steps"] + summary["state_sets"] + summary["queries"] > 0
     assert summary["conflicts"] == 0  # retries absorbed every conflict
-    service.drain()
-    assert db.verify_storage().ok
-    assert service.open_sessions() == []  # every client detached cleanly
+    _ask(host, port, "drain")
+    assert _ask(host, port, "verify")["ok"]
+    assert _ask(host, port, "sample")["open_sessions"] == 0  # all detached cleanly
 
 
 def test_server_stop_is_clean(tmp_path):
@@ -547,6 +562,99 @@ def test_server_stop_is_clean(tmp_path):
     assert service.open_sessions() == []
     with pytest.raises((ServerError, OSError, ProtocolError)):
         client.create_material("clone", "y", 2)
+    db.storage.close()
+
+
+# -- one owning thread -------------------------------------------------------
+
+
+def _in_thread(call):
+    """Run ``call`` on a thread named ``intruder``; what it returned, or
+    the exception it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:  # handed back to the asserting thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, name="intruder")
+    thread.start()
+    thread.join(10.0)
+    assert not thread.is_alive()
+    return outcome[0]
+
+
+#: Every entry point that reads or changes service state.
+_ENTRY_POINTS = {
+    "open_sessions": lambda service, oid: service.open_sessions(),
+    "completed_units": lambda service, oid: service.completed_units(),
+    "stats_snapshot": lambda service, oid: service.stats_snapshot(),
+    "sample": lambda service, oid: service.sample(),
+    "open_session": lambda service, oid: service.open_session("mallory"),
+    "close_session": lambda service, oid: service.close_session("alice"),
+    "submit": lambda service, oid: service.submit(
+        "alice", "set_state",
+        {"material_oid": oid, "state": "done", "valid_time": 9},
+    ),
+    "drain": lambda service, oid: service.drain(),
+    "shutdown": lambda service, oid: service.shutdown(),
+}
+
+
+def _service_state(service, db):
+    lock_manager = db.storage.lock_manager
+    locks = {
+        page: lock_manager.holders(page)
+        for page in sorted(lock_manager.held_pages("alice"))
+    }
+    return (
+        service.open_sessions(),
+        service.completed_units(),
+        locks,
+        service.stats_snapshot(),
+    )
+
+
+def test_a_second_thread_is_refused_before_it_touches_anything(tmp_path):
+    db = _served_db(tmp_path, checkpoint_every=1)
+    service = LabFlowService(db, group_cap=4)
+    alice = LocalClient(service, "alice")
+    oid = alice.create_material("clone", "a-0", 1, state="active")
+    alice.set_state(oid, "busy", 2)  # pending in the open group: X lock held
+    before = _service_state(service, db)
+    assert before[2], "alice should hold her page until the group closes"
+    for name, call in _ENTRY_POINTS.items():
+        refused = _in_thread(lambda: call(service, oid))
+        assert isinstance(refused, ServerError), name
+        assert "'MainThread'" in str(refused) and "'intruder'" in str(refused)
+    assert _service_state(service, db) == before
+    alice.close()
+    service.shutdown()
+    db.storage.close()
+
+
+def test_the_loop_owns_the_running_service_and_the_stopper_after(tmp_path):
+    db = _served_db(tmp_path)
+    service = LabFlowService(db)
+    runner = ServiceRunner(service)
+    host, port = runner.start()
+    alice = ServiceClient(host, port, "alice")
+    oid = alice.create_material("clone", "a-0", 1, state="active")
+    # The thread that built the service is refused like any other...
+    with pytest.raises(ServerError, match="'labflow-loop'"):
+        service.open_sessions()
+    # ...and so would a thread per connection be, applying its own frames.
+    refused = _in_thread(lambda: apply_request(service, Request(
+        op="state_of", session="alice", args={"material_oid": oid},
+    )))
+    assert isinstance(refused, ServerError)
+    assert alice.state_of(oid) == "active"  # the loop serves as ever
+    alice.close()
+    assert _in_thread(lambda: (runner.stop(), service.open_sessions())[1]) == []
+    with pytest.raises(ServerError):  # the stopper took it, not this thread
+        service.drain()
     db.storage.close()
 
 
