@@ -1,4 +1,4 @@
-"""LF08 — the static pass of the concurrency sanitizer: page-lock discipline.
+"""LF08 — page-lock discipline: ordered, unwindable, strict two-phase.
 
 The served core runs every unit on the one thread that owns the service
 (``LabFlowService`` refuses any other), so there are no ``threading``
@@ -15,21 +15,33 @@ project:
 * per function, whether it can (transitively) acquire, release or
   downgrade page locks;
 * per ``for`` loop, whether it iterates a canonically ordered source
-  (``sorted`` results tracked through locals).
+  (``sorted`` results tracked through locals), and which ``try``/``with``
+  statements of its function enclose it.
 
-**LF08** (strict 2PL over the page locks) reports, on the 2PL policy
-layer (``repro.labbase.sessions`` + ``repro.server``):
+**LF08** reports, anywhere in the storage stack (``repro.storage``,
+``repro.labbase``, ``repro.server``):
+
+* a loop that (transitively) acquires locks while iterating a
+  non-canonically-ordered source — two sessions would take the same
+  pages in different orders;
+* a loop that takes locks one at a time (an acquire call in its body)
+  with no way to give a partial acquisition back: no enclosing ``with``,
+  and no ``try`` around or inside it whose ``finally`` runs or whose
+  handler (transitively) releases or downgrades;
+
+and, on the 2PL policy layer (``repro.labbase.sessions`` +
+``repro.server``):
 
 * a page-lock release outside an ``except``/``finally`` unwind path and
   not covered by a justified ``# lint: ignore[LF08]`` — moving a release
   before unit end becomes a visible diff;
 * a rollback handler that partially unwinds page locks
   (``unlock_page``) without restoring upgrades (``downgrade_page``) —
-  the PR 6 lock-upgrade leak, generalized;
-* a loop that (transitively) acquires locks while iterating a
-  non-canonically-ordered source — LF04's name heuristic widened into a
-  dataflow check (``sorted`` results tracked through locals, acquisition
-  detected through callees).
+  the lock-upgrade leak fixed once already, generalized.
+
+The two loop checks are what the retired LF04 checked by call name
+alone, widened into dataflow: ``sorted`` results tracked through
+locals, acquisition and release detected through callees.
 
 The model is deliberately conservative-but-honest: unresolved calls add
 no edges, so the rule under-reports rather than guesses; the fixture
@@ -48,6 +60,7 @@ from repro.analysis.core import (
     Rule,
     SourceModule,
     _receiver_is_self,
+    in_storage_stack,
 )
 
 #: Modules that own the strict-2PL *policy* (release timing).  The lock
@@ -71,6 +84,7 @@ _PAGE_RELEASE = frozenset(
      "release_locks"}
 )
 _PAGE_DOWNGRADE = frozenset({"downgrade_page", "downgrade"})
+_PAGE_UNWIND = _PAGE_RELEASE | _PAGE_DOWNGRADE
 
 #: Iteration sources LF08's sorted-loop check accepts outright.
 _ORDERED_ITER_CALLS = frozenset({"sorted", "range", "enumerate", "zip", "reversed"})
@@ -137,6 +151,8 @@ class LoopEvent:
     ordered: bool           #: iterates a canonically ordered source
     body_names: set[str]    #: call names in the loop body
     body_callees: set[str]  #: resolved qualnames called in the body
+    #: the ``try``/``with`` statements around the loop in its function
+    guards: tuple[ast.Try | ast.With, ...]
 
 
 @dataclass
@@ -446,14 +462,17 @@ class ConcurrencyModel:
     # -- transitive 2PL flags ------------------------------------------------
 
     def _close_flags(self) -> None:
-        """Per function: can it (transitively) acquire/release/downgrade?"""
+        """Per function: can it (transitively) acquire, release a page,
+        downgrade, or give back a lock in any of those ways?"""
         self.can_acquire: dict[str, bool] = {}
         self.can_release_page: dict[str, bool] = {}
         self.can_downgrade: dict[str, bool] = {}
+        self.can_unwind: dict[str, bool] = {}
         for names, out in (
             (_PAGE_ACQUIRE, self.can_acquire),
             (frozenset({"unlock_page"}), self.can_release_page),
             (_PAGE_DOWNGRADE, self.can_downgrade),
+            (_PAGE_UNWIND, self.can_unwind),
         ):
             for qualname, info in self.functions.items():
                 out[qualname] = bool(info.direct_names & names)
@@ -491,6 +510,8 @@ class _FunctionScanner:
         self.local_types: dict[str, tuple[str, str]] = {}
         #: locals known to hold a canonically ordered iterable
         self.ordered_locals: set[str] = set()
+        #: the ``try``/``with`` statements enclosing the current statement
+        self._guards: list[ast.Try | ast.With] = []
         self._seed_params()
 
     def _seed_params(self) -> None:
@@ -526,6 +547,11 @@ class _FunctionScanner:
             self._bind_loop_target(stmt)
             for part in stmt.body + stmt.orelse:
                 self._stmt(part)
+            return
+        if isinstance(stmt, (ast.Try, ast.With)):
+            self._guards.append(stmt)
+            self._children(stmt)
+            self._guards.pop()
             return
         self._children(stmt)
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
@@ -605,6 +631,7 @@ class _FunctionScanner:
             LoopEvent(
                 stmt, self.info.qualname,
                 self._is_ordered_expr(stmt.iter), body_names, body_callees,
+                tuple(self._guards),
             )
         )
 
@@ -615,8 +642,8 @@ class _FunctionScanner:
                 return True
             if isinstance(expr.func, ast.Attribute):
                 recv = expr.func.value
-                # ``self._helper(...)`` — trust same-class helpers, as LF04
-                # does; the helper's own loops are checked on their own.
+                # ``self._helper(...)`` — trust same-class helpers; the
+                # helper's own loops are checked on their own.
                 if _receiver_is_self(recv):
                     return True
                 # ``x.items()`` / ``x.keys()`` over an ordered local.
@@ -661,13 +688,16 @@ def model_for(project: Project) -> ConcurrencyModel:
 
 class PageLockRule(Rule):
     id = "LF08"
-    title = "page locks follow strict 2PL and a canonical acquisition order"
+    title = (
+        "page locks follow strict 2PL and a canonical, unwindable "
+        "acquisition order"
+    )
 
     def check(self, project: Project) -> Iterable[Finding]:
         model = model_for(project)
         yield from self._check_release_sites(model)
         yield from self._check_rollback_downgrade(model)
-        yield from self._check_sorted_loops(model)
+        yield from self._check_acquiring_loops(model)
 
     # -- strict 2PL: release only on unwind/commit boundaries ----------------
 
@@ -765,20 +795,23 @@ class PageLockRule(Rule):
                 "lock-upgrade leak: an upgraded page would stay EXCLUSIVE",
             )
 
-    # -- sorted-iteration dataflow -------------------------------------------
+    # -- acquiring loops: canonical order and a way back --------------------
 
-    def _check_sorted_loops(self, model: ConcurrencyModel) -> Iterator[Finding]:
+    def _check_acquiring_loops(
+        self, model: ConcurrencyModel
+    ) -> Iterator[Finding]:
         for info in model.functions.values():
-            if not in_lock_policy(info.module.name):
+            if not in_storage_stack(info.module.name):
                 continue
             for loop in info.loops:
-                if loop.ordered:
-                    continue
-                acquires = bool(loop.body_names & _PAGE_ACQUIRE) or any(
-                    model.can_acquire.get(callee, False)
-                    for callee in loop.body_callees
-                )
-                if acquires:
+                direct = bool(loop.body_names & _PAGE_ACQUIRE)
+                if not loop.ordered and (
+                    direct
+                    or any(
+                        model.can_acquire.get(callee, False)
+                        for callee in loop.body_callees
+                    )
+                ):
                     yield self.finding(
                         info.module, loop.node,
                         "loop body (transitively) acquires locks but "
@@ -786,6 +819,34 @@ class PageLockRule(Rule):
                         "iterate sorted(...) so concurrent sessions rank "
                         "their acquisitions identically",
                     )
+                if direct and not _unwindable(model, info, loop):
+                    yield self.finding(
+                        info.module, loop.node,
+                        "lock-acquiring loop has no release guard; a "
+                        "conflict partway leaks the locks already taken — "
+                        "wrap it in try/finally or release in the handler",
+                    )
+
+
+def _unwindable(model: ConcurrencyModel, info: FuncInfo, loop: LoopEvent) -> bool:
+    """Whether a conflict partway through ``loop`` can give back what it
+    took: an enclosing ``with``, or a ``try`` around or inside the loop
+    whose ``finally`` runs or whose handler can release or downgrade."""
+    inner = (node for node in ast.walk(loop.node) if isinstance(node, ast.Try))
+    for guard in (*loop.guards, *inner):
+        if isinstance(guard, ast.With) or guard.finalbody:
+            return True
+        for handler in guard.handlers:
+            for node in ast.walk(handler):
+                if isinstance(node, ast.Call) and (
+                    _call_name(node) in _PAGE_UNWIND
+                    or any(
+                        model.can_unwind.get(callee, False)
+                        for callee in model.resolve_call(node, info, {})
+                    )
+                ):
+                    return True
+    return False
 
 
 def _own_scope(fn: ast.FunctionDef) -> Iterator[ast.AST]:

@@ -22,7 +22,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 #: ``# module: repro.storage.foo`` near the top of a file overrides the
@@ -314,24 +314,3 @@ def in_crash_path(name: str) -> bool:
         # depend on hash order or the clock.
         "repro.storage.codec",
     ) or name.startswith("repro.benchmark")
-
-
-@dataclass
-class ParentMap:
-    """Child -> parent links for one tree (guard-context queries)."""
-
-    parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, tree: ast.AST) -> "ParentMap":
-        mapping = cls()
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                mapping.parents[child] = parent
-        return mapping
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        current = self.parents.get(node)
-        while current is not None:
-            yield current
-            current = self.parents.get(current)

@@ -12,17 +12,13 @@ LF02 nondeterminism ban on crash-path and benchmark modules: wall-clock
 LF03 no cross-module private-attribute reach-ins (``other._attr`` where
      the receiver is not ``self``/``cls`` and ``_attr`` is not defined in
      the accessing module — same-module friend access stays legal)
-LF04 lock-ordering discipline: a loop that acquires locks must iterate a
-     canonically ordered source (``sorted(...)`` or a ``self`` helper, as
-     in ``labbase/sessions.py``) and sit under a ``try`` that releases
-     partial grabs (or a context manager)
 LF06 no broad exception handling on storage/labbase paths (``except
      Exception`` / bare ``except`` without a bare re-raise)
-LF08 strict 2PL over the served core's page locks: releases happen
-     only on unwind/commit boundaries, rollback handlers that drop
-     page locks restore upgrades, and lock-acquiring loops iterate
-     canonically ordered sources (interprocedural; defined in
-     ``repro.analysis.concurrency``)
+LF08 page-lock discipline: lock-acquiring loops iterate canonically
+     ordered sources and can give a partial acquisition back; on the
+     served core's policy layer, releases happen only on unwind/commit
+     boundaries and rollback handlers that drop page locks restore
+     upgrades (interprocedural; defined in ``repro.analysis.concurrency``)
 ==== =======================================================================
 
 Ids are never reused.  LF05 (counter hygiene) and LF07 (metric-registry
@@ -33,7 +29,10 @@ there is no second copy left to disagree with the first.  The
 shared-state confinement rule (the id after LF08) is retired with
 LF08's lock-rank checks: ``LabFlowService`` answers only the thread
 that owns it and raises for any other, so no service state is shared
-between threads and no ``threading`` lock is left to rank.
+between threads and no ``threading`` lock is left to rank.  LF04
+(lock-ordering discipline) is retired into LF08, which checks the same
+two things about lock-acquiring loops — sorted source, release guard —
+over the same modules, through callees rather than by call name.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.analysis.concurrency import CONCURRENCY_RULES
 from repro.analysis.core import (
     NAMEDTUPLE_METHODS,
     Finding,
-    ParentMap,
     Project,
     Rule,
     SourceModule,
@@ -337,133 +335,6 @@ class PrivateReachInRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# LF04 — lock-ordering discipline
-# ---------------------------------------------------------------------------
-
-_ACQUIRE_NAMES = frozenset(
-    {"acquire", "lock_page", "lock_object", "lock_objects", "lock_material"}
-)
-_RELEASE_NAMES = frozenset(
-    {
-        "release", "release_all", "unlock_page", "unlock_all",
-        "_unlock_pages", "unlock_pages", "unlock", "release_locks",
-        "_restore_pages", "downgrade", "downgrade_page",
-    }
-)
-
-
-def _calls_named(scope: ast.AST, names: frozenset[str]) -> ast.Call | None:
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Call):
-            name = _call_name(node)
-            if name in names:
-                return node
-    return None
-
-
-def _iter_is_canonical(iterated: ast.expr, sorted_vars: set[str]) -> bool:
-    """Trusted acquire-loop sources: sorted() output or a self helper."""
-    if isinstance(iterated, ast.Call):
-        if isinstance(iterated.func, ast.Name):
-            return iterated.func.id in ("sorted", "range", "enumerate")
-        if isinstance(iterated.func, ast.Attribute):
-            return _receiver_is_self(iterated.func.value) or (
-                isinstance(iterated.func.value, ast.Attribute)
-                and _receiver_is_self(iterated.func.value.value)
-            )
-    if isinstance(iterated, ast.Attribute):
-        return _receiver_is_self(iterated.value)
-    if isinstance(iterated, ast.Name):
-        return iterated.id in sorted_vars
-    return False
-
-
-def _sorted_assigned_names(scope: ast.AST) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            value = node.value
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "sorted"
-            ):
-                names.add(target.id)
-    return names
-
-
-def _release_guarded(loop: ast.For, parents: ParentMap) -> bool:
-    """Whether a partial acquisition can be unwound on failure."""
-    for node in ast.walk(loop):
-        if isinstance(node, ast.Try):
-            if node.finalbody or any(
-                _calls_named(handler, _RELEASE_NAMES) for handler in node.handlers
-            ):
-                return True
-    for ancestor in parents.ancestors(loop):
-        if isinstance(ancestor, ast.With):
-            return True
-        if isinstance(ancestor, ast.Try):
-            if ancestor.finalbody:
-                return True
-            if any(
-                _calls_named(handler, _RELEASE_NAMES)
-                for handler in ancestor.handlers
-            ):
-                return True
-    return False
-
-
-class LockOrderingRule(Rule):
-    id = "LF04"
-    title = "nested lock acquisition must be ordered and unwindable"
-
-    def applies(self, module: SourceModule) -> bool:
-        return in_storage_stack(module.name)
-
-    def check_module(
-        self, project: Project, module: SourceModule
-    ) -> Iterable[Finding]:
-        parents = ParentMap.of(module.tree)
-        functions = [
-            node
-            for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for function in functions:
-            sorted_vars = _sorted_assigned_names(function)
-            for node in ast.walk(function):
-                if not isinstance(node, ast.For):
-                    continue
-                acquire = None
-                for stmt in node.body:
-                    acquire = _calls_named(stmt, _ACQUIRE_NAMES)
-                    if acquire is not None:
-                        break
-                if acquire is None:
-                    continue
-                if not _iter_is_canonical(node.iter, sorted_vars):
-                    yield self.finding(
-                        module,
-                        node,
-                        "multi-lock acquisition iterates an unordered "
-                        "source; iterate sorted(...) (the canonical oid "
-                        "order of labbase/sessions.py) so concurrent "
-                        "clients cannot deadlock on opposite orders",
-                    )
-                if not _release_guarded(node, parents):
-                    yield self.finding(
-                        module,
-                        node,
-                        "lock-acquiring loop has no release guard; a "
-                        "conflict partway leaks the locks already taken — "
-                        "wrap it in try/finally or release in the handler",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # LF06 — broad exception handling
 # ---------------------------------------------------------------------------
 
@@ -520,7 +391,6 @@ ALL_RULES: tuple[Rule, ...] = (
     DirectIORule(),
     DeterminismRule(),
     PrivateReachInRule(),
-    LockOrderingRule(),
     BroadExceptRule(),
 ) + CONCURRENCY_RULES
 

@@ -262,77 +262,6 @@ def cmd_lint(args) -> int:
     return lint_main(lint_argv)
 
 
-def cmd_sanitize(args) -> int:
-    """The concurrency sanitizer in one command: static rule, then fuzz.
-
-    Static: LF08 (page-lock strict 2PL and acquisition order) over the
-    tree.  Then a bounded schedule-fuzz sweep asserting serial
-    equivalence on every registered backend.  Exit 0 only if both are
-    clean.
-    """
-    import json as json_mod
-
-    from repro.analysis.core import run_rules
-    from repro.analysis.main import collect_paths, default_root, load_project
-    from repro.analysis.rules import rules_by_id
-    from repro.server.fuzz import fuzz_sweep
-
-    rules = rules_by_id(["LF08"])
-    roots = list(args.paths) or [default_root()]
-    project, errors = load_project(collect_paths(roots))
-    if errors:
-        for error in errors:
-            print(f"error: {error}", file=sys.stderr)
-        return 2
-    static_findings = run_rules(project, rules)
-
-    reports = [] if args.no_fuzz else fuzz_sweep(
-        args.backends.split(",") if args.backends else None,
-        seeds=tuple(range(args.seeds)),
-        sessions=args.sessions,
-        units_per_session=args.units,
-    )
-
-    ok = not static_findings and all(r.identical for r in reports)
-
-    if args.format == "json":
-        payload = {
-            "static": {
-                "findings": [
-                    {
-                        "path": f.path,
-                        "line": f.line,
-                        "col": f.col,
-                        "rule": f.rule,
-                        "message": f.message,
-                    }
-                    for f in static_findings
-                ],
-                "checked_files": len(project.modules),
-            },
-            "fuzz": [r.to_json() for r in reports],
-            "ok": ok,
-        }
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
-        return 0 if ok else 1
-
-    for finding in static_findings:
-        print(finding.render())
-    print(
-        f"static: {len(static_findings)} finding(s) in "
-        f"{len(project.modules)} file(s) [LF08]"
-    )
-    for r in reports:
-        status = "identical" if r.identical else "DIVERGED"
-        print(
-            f"fuzz:   {r.backend} seed={r.seed} sessions={r.sessions} "
-            f"completed={r.completed_units} {status}, "
-            f"{r.commit_stalls} commit stall(s)"
-        )
-    print("sanitize: OK" if ok else "sanitize: FAILED")
-    return 0 if ok else 1
-
-
 def cmd_serve(args) -> int:
     import threading
 
@@ -583,26 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-ignores", action="store_true",
                    help="also flag lint: ignore markers that suppress nothing")
     p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "sanitize",
-        help="concurrency sanitizer: static LF08 pass + "
-             "schedule-fuzz sweep")
-    p.add_argument("paths", nargs="*",
-                   help="files or directories for the static pass "
-                        "(default: the repro package)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seeds", type=int, default=2,
-                   help="fuzz seeds per backend (default 2)")
-    p.add_argument("--sessions", type=int, default=3,
-                   help="fuzz sessions on concurrent backends (default 3)")
-    p.add_argument("--units", type=int, default=8,
-                   help="fuzzed units per session (default 8)")
-    p.add_argument("--backends", default=None, metavar="NAME,NAME,...",
-                   help="fuzz only these backends (default: all registered)")
-    p.add_argument("--no-fuzz", action="store_true",
-                   help="skip the schedule-fuzz sweep")
-    p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser("serve",
                        help="serve a database to concurrent socket clients")

@@ -108,9 +108,9 @@ DEFAULT_MAX_RETRIES = 8
 STOP_FLUSH_SECONDS = 5.0
 
 #: How many update units :meth:`LabFlowService.completed_units` keeps —
-#: the last N.  The log is the serial witness the property tests and the
-#: schedule fuzzer replay (hundreds of units at most); a server that
-#: runs for days must not keep every unit's arguments forever.
+#: the last N.  The log is the serial witness the property tests replay
+#: (hundreds of units at most); a server that runs for days must not
+#: keep every unit's arguments forever.
 COMPLETED_LOG_UNITS = 65_536
 
 #: ``accept`` failures that last until this process closes a descriptor

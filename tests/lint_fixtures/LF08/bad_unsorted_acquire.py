@@ -1,7 +1,8 @@
 # module: repro.server.fixture_unsorted
 """Flagged by LF08: the loop acquires locks through a helper while
 iterating a set — hash order, so two sessions rank their acquisitions
-differently (the dataflow generalization of LF04)."""
+differently (``LF04/bad_unordered.py`` with the acquire behind a
+callee)."""
 
 
 class UnsortedAcquirer:

@@ -1,15 +1,12 @@
-"""The concurrency sanitizer: the static pass and the schedule fuzzer.
+"""LF08's regression traps on the shipped source, and the audit of the
+``lint: ignore`` markers that are LF08's (and every rule's) escape hatch.
 
-The static pass is LF08 over the page locks: re-introducing the
-lock-upgrade rollback leak must be caught on the source.  Around it: stale
-``lint: ignore`` detection, and the schedule fuzzer's serial-equivalence
-sweep across every registered backend.  That the service answers only
-its owning thread is pinned in ``tests/test_server.py``.
+Re-introducing the lock-upgrade rollback leak, or an acquisition loop
+that cannot give back a partial grab, must be caught on the real
+source.  Serial equivalence of interleaved sessions is pinned in
+``tests/test_server_properties.py``; that the service answers only its
+owning thread, in ``tests/test_server.py``.
 """
-
-import threading
-
-import pytest
 
 from repro.analysis import main as lint_main
 from repro.analysis.core import (
@@ -20,10 +17,6 @@ from repro.analysis.core import (
 )
 from repro.analysis.main import default_root
 from repro.analysis.rules import ALL_RULES, rules_by_id
-from repro.server import fuzz
-from repro.server.fuzz import fuzz_backend, make_schedule, run_schedule
-from repro.storage import registry
-from repro.util.rng import DeterministicRng
 
 import os
 
@@ -56,6 +49,29 @@ def test_reintroduced_rollback_leak_is_caught():
     project = Project([SourceModule("src/repro/labbase/sessions.py", leaky)])
     findings = run_rules(project, rules_by_id(["LF08"]))
     assert any("downgrade" in f.message for f in findings)
+
+
+def test_reintroduced_unguarded_acquisition_is_caught():
+    """Taking ``lock_objects``' loop out of its try leaks every page the
+    loop already took when a later one conflicts."""
+    guarded = (
+        "        try:\n"
+        "            for oid in sorted(set(int(oid) for oid in oids)):\n"
+        "                taken.extend(self.lock_object(client, oid, exclusive, mates))\n"
+        "        except LockError:\n"
+        "            self._restore_pages(client, taken)\n"
+        "            raise\n"
+    )
+    unguarded = (
+        "        for oid in sorted(set(int(oid) for oid in oids)):\n"
+        "            taken.extend(self.lock_object(client, oid, exclusive, mates))\n"
+    )
+    source = _shipped_source("labbase", "sessions.py")
+    assert guarded in source, "regression trap lost its anchor"
+    leaky = source.replace(guarded, unguarded)
+    project = Project([SourceModule("src/repro/labbase/sessions.py", leaky)])
+    findings = run_rules(project, rules_by_id(["LF08"]))
+    assert any("no release guard" in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------
@@ -113,73 +129,3 @@ def test_check_ignores_exit_code(tmp_path, capsys):
     assert lint_main([str(demo), "--check-ignores"]) == 1
     out = capsys.readouterr().out
     assert "LF00" in out and "stale suppression" in out
-
-
-# ---------------------------------------------------------------------------
-# the schedule fuzzer
-# ---------------------------------------------------------------------------
-
-
-def test_schedule_is_deterministic_and_complete():
-    rng = DeterministicRng(11)
-    schedule = make_schedule(3, 5, rng.substream("schedule"))
-    again = make_schedule(3, 5, DeterministicRng(11).substream("schedule"))
-    assert schedule == again
-    assert len(schedule) == 15
-    assert all(schedule.count(i) == 5 for i in range(3))
-    other = make_schedule(3, 5, DeterministicRng(12).substream("schedule"))
-    assert other != schedule  # seeds genuinely vary the interleaving
-
-
-def test_fuzzer_validates_inputs():
-    with pytest.raises(ValueError):
-        run_schedule([])
-    with pytest.raises(ValueError):
-        run_schedule([object()], units_per_session=0)
-
-
-@pytest.mark.parametrize(
-    "backend_name",
-    registry.backend_names(),
-    ids=lambda name: name,
-)
-def test_fuzzed_schedule_matches_serial_replay(backend_name):
-    """The tentpole invariant, per backend: interleaved == serial."""
-    for seed in (0, 1):
-        report = fuzz_backend(backend_name, seed=seed, units_per_session=5)
-        assert report.identical, (
-            f"{backend_name} seed {seed}: fuzzed database diverged "
-            "from the serial replay of its own completion order"
-        )
-        assert report.completed_units > 0
-        # The sweep is shown to contend, not assumed to: interleaved
-        # sessions must have forced at least one early group close.
-        if registry.backend(backend_name).concurrent:
-            assert report.commit_stalls > 0
-        else:
-            assert report.commit_stalls == 0
-
-
-def test_fuzz_reports_are_reproducible():
-    first = fuzz_backend("OStore", seed=9, units_per_session=4)
-    second = fuzz_backend("OStore", seed=9, units_per_session=4)
-    assert first.to_json() == second.to_json()
-
-
-def test_a_fuzzed_run_starts_no_thread(monkeypatch):
-    """One loop drives the schedule: the threads alive before the run
-    are the threads alive inside every unit and after it."""
-    before = set(threading.enumerate())
-    during = []
-    mix_unit = fuzz._mix_unit
-
-    def observed(*args):
-        during.append(set(threading.enumerate()))
-        mix_unit(*args)
-
-    monkeypatch.setattr(fuzz, "_mix_unit", observed)
-    report = fuzz_backend("OStore", seed=2, units_per_session=4)
-    assert report.identical
-    assert len(during) == report.sessions * report.units_per_session
-    assert all(threads == before for threads in during)
-    assert set(threading.enumerate()) == before

@@ -10,7 +10,12 @@ Two families:
   checkpoint; every unit's object writes drain at the unit's own end,
   in oid order, so grouping must not be observable in the file bytes.
   Runs for group commit on and off, on every persistent server version
-  that supports concurrency (discovered, not listed).
+  in the backend registry: with K sessions where the version supports
+  concurrency, with one where it does not (there the property is replay
+  determinism under group commit, and no group may close early).  A
+  fixed interleaving pins that the sessions really do collide.  This is
+  the repository's one serial-equivalence check; hypothesis shrinks a
+  divergence to a minimal code list that replays on any machine.
 
 * **Crash matrix under group commit** — the deterministic served mix is
   killed at every (strided) write point with the fault injector, then
@@ -33,32 +38,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.storage as storage_module
 from repro.errors import InjectedCrashError, StorageError, UnknownOidError
 from repro.labbase import LabBase
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
-from repro.storage import FaultInjector, ObjectStoreSM
-from repro.storage.base import StorageManager
+from repro.storage import FaultInjector, ObjectStoreSM, registry
 
 STATES = ("active", "busy", "done")
 
 
-def _concurrent_persistent_classes():
-    """Every exported persistent SM class that supports concurrency."""
-    found = []
-    for name in dir(storage_module):
-        obj = getattr(storage_module, name)
-        if (
-            isinstance(obj, type)
-            and issubclass(obj, StorageManager)
-            and getattr(obj, "supports_concurrency", False)
-            and getattr(obj, "persistent", False)
-        ):
-            found.append(obj)
-    return sorted(found, key=lambda cls: cls.__name__)
-
-
-CONCURRENT_CLASSES = _concurrent_persistent_classes()
+#: Every persistent version, each behind the service; the main-memory
+#: versions have no client sessions to interleave.
+SERVED_CLASSES = [info.cls for info in registry.backends(persistent=True)]
+CONCURRENT_CLASSES = [
+    cls for cls in SERVED_CLASSES if cls.supports_concurrency
+]
 
 
 def test_discovery_finds_the_page_server():
@@ -128,7 +121,8 @@ def _drive_units(service, names, codes, hot_page=False):
 
 
 def _interleaved_run(cls, directory, codes, n_sessions, group, hot_page):
-    """Run the interleaved mix; returns (completed units, file bytes)."""
+    """Run the interleaved mix; returns (completed units, file bytes,
+    commit groups closed early)."""
     sm = cls(path=os.path.join(directory, "db.pages"), checkpoint_every=0)
     db = LabBase(sm)
     bootstrap_schema(db)
@@ -139,8 +133,9 @@ def _interleaved_run(cls, directory, codes, n_sessions, group, hot_page):
     completed = service.completed_units()
     service.shutdown()
     assert db.verify_storage().ok
+    stalls = sm.stats.commit_stalls
     sm.close()
-    return completed, _file_bytes(directory)
+    return completed, _file_bytes(directory), stalls
 
 
 def _serial_replay(cls, directory, completed):
@@ -157,11 +152,9 @@ def _serial_replay(cls, directory, completed):
     return _file_bytes(directory)
 
 
-@pytest.mark.parametrize(
-    "cls", CONCURRENT_CLASSES, ids=lambda cls: cls.__name__
-)
+@pytest.mark.parametrize("cls", SERVED_CLASSES, ids=lambda cls: cls.__name__)
 @settings(
-    max_examples=12,
+    max_examples=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -174,13 +167,56 @@ def _serial_replay(cls, directory, completed):
 def test_interleaved_sessions_equal_serial_witness(
     cls, codes, n_sessions, group, hot_page
 ):
+    if not cls.supports_concurrency:
+        n_sessions = 1  # the version's contract: one client at a time
     with tempfile.TemporaryDirectory() as interleaved_dir:
         with tempfile.TemporaryDirectory() as serial_dir:
-            completed, interleaved = _interleaved_run(
+            completed, interleaved, stalls = _interleaved_run(
                 cls, interleaved_dir, codes, n_sessions, group, hot_page
             )
             serial = _serial_replay(cls, serial_dir, completed)
             assert interleaved == serial
+    if n_sessions == 1:
+        assert stalls == 0  # nobody else's lock to meet
+
+
+@pytest.mark.parametrize(
+    "cls", CONCURRENT_CLASSES, ids=lambda cls: cls.__name__
+)
+def test_fixed_interleaving_collides_and_equals_its_witness(cls, tmp_path):
+    """The property compares an interleaving, not two serial runs: three
+    sessions on the crash matrix's codes close commit groups early (a
+    query meeting a pending writer's page) and still leave the bytes a
+    one-session replay leaves."""
+    interleaved_dir, serial_dir = tmp_path / "interleaved", tmp_path / "serial"
+    interleaved_dir.mkdir()
+    serial_dir.mkdir()
+    completed, interleaved, stalls = _interleaved_run(
+        cls, str(interleaved_dir), _CRASH_CODES, _CRASH_SESSIONS, True, False
+    )
+    assert stalls > 0
+    assert len(completed) > _CRASH_SESSIONS
+    assert interleaved == _serial_replay(cls, str(serial_dir), completed)
+
+
+@pytest.mark.parametrize(
+    "cls", CONCURRENT_CLASSES, ids=lambda cls: cls.__name__
+)
+def test_interleaved_run_is_reproducible(cls, tmp_path):
+    """The same interleaving run twice commits the same units in the same
+    order, closes the same groups early and leaves the same bytes — so a
+    divergence the property shrinks replays as itself."""
+    runs = []
+    for run in range(2):
+        directory = tmp_path / f"run{run}"
+        directory.mkdir()
+        runs.append(
+            _interleaved_run(
+                cls, str(directory), _CRASH_CODES, _CRASH_SESSIONS, True, True
+            )
+        )
+    assert runs[0] == runs[1]
+    assert runs[0][2] > 0
 
 
 # -- crash matrix under group commit -----------------------------------------
