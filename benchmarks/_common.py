@@ -7,9 +7,12 @@ printed to stdout (visible with ``pytest -s``) and written to
 --benchmark-only`` run leaves the reproduced tables on disk.
 
 Every bench also passes its structured numbers as ``payload``, which
-lands next to the text as ``benchmarks/results/<name>.json`` — the
-machine-readable half that ``repro bench record`` / ``compare`` and the
-baseline pipeline (``BENCH_*.json`` at the repo root) consume.
+lands next to the text as ``benchmarks/results/<name>.json``.  The
+payloads of the benches CI's bench-smoke job runs are committed and
+hold only values a re-run reproduces exactly — counts, ratios of counts
+and booleans, never a timing — so the job's ``git diff --exit-code``
+over them is the results gate; to re-record, run the bench and commit
+the file.
 """
 
 from __future__ import annotations

@@ -77,7 +77,9 @@ def test_a1_emit_table(benchmark, ablation):
         title="A1: most-recent index ablation (full LabFlow-1 stream)",
         align_right=(1, 2),
     )
-    emit("a1_most_recent_index", text, payload=ablation)
+    emit("a1_most_recent_index", text, payload={
+        leg: {"q2_reads": ablation[leg]["q2_reads"]} for leg in ("on", "off")
+    })
     # the index must win the query side decisively
     assert ablation["off"]["q2_reads"] > ablation["on"]["q2_reads"] * 2
 

@@ -82,7 +82,8 @@ def _spread_sessions(sm, clients):
     return oids, tick
 
 
-def _run(sessions: int, group: bool) -> dict:
+def _run(sessions: int, group: bool) -> tuple[dict, float]:
+    """The swept setting's counts, and its wall clock per update unit (us)."""
     with tempfile.TemporaryDirectory() as workdir:
         sm = ObjectStoreSM(
             path=os.path.join(workdir, "db.pages"), checkpoint_every=1
@@ -118,11 +119,10 @@ def _run(sessions: int, group: bool) -> dict:
         assert db.verify_storage().ok
         sm.close()
 
-    return {
+    counts = {
         "sessions": sessions,
         "group_commit": group,
         "units": units,
-        "unit_us": elapsed / units * 1e6,
         "commits": delta["commits"],
         "group_commits": delta["group_commits"],
         "sessions_per_group": delta["sessions_per_group"],
@@ -134,6 +134,7 @@ def _run(sessions: int, group: bool) -> dict:
         "cost_per_unit": (delta["io_batches"] + delta["meta_bytes_written"])
         / units,
     }
+    return counts, elapsed / units * 1e6
 
 
 def _run_contended() -> dict:
@@ -213,15 +214,16 @@ def sweep():
 
 def test_a6_emit_table(benchmark, sweep):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    runs = {setting: counts for setting, (counts, _us) in sweep.items()}
     rows = []
     for sessions in _SESSION_COUNTS:
         for group in (True, False):
-            run = sweep[(sessions, group)]
+            run, unit_us = sweep[(sessions, group)]
             rows.append(
                 [
                     f"{sessions}",
                     "on" if group else "off",
-                    f"{run['unit_us']:.0f}",
+                    f"{unit_us:.0f}",
                     f"{run['commits']}",
                     f"{run['group_width']:.2f}",
                     f"{run['commit_stalls']}",
@@ -269,17 +271,14 @@ def test_a6_emit_table(benchmark, sweep):
     )
     payload = {
         f"s{sessions}_{'on' if group else 'off'}": run
-        for (sessions, group), run in sweep.items()
+        for (sessions, group), run in runs.items()
     }
     payload["contended"] = contended
-    # gauge_block: BENCH_A6's gauges describe the grouped four-session
-    # point, the one the acceptance floor below is pinned on
-    payload["gauge_block"] = "s4_on"
     emit("a6_group_commit", text, payload=payload)
 
     # The acceptance floor: at 4 concurrent sessions, group commit must
     # cost strictly less I/O per committed step than per-unit commits.
-    grouped, sequential = sweep[(4, True)], sweep[(4, False)]
+    grouped, sequential = runs[(4, True)], runs[(4, False)]
     assert grouped["units"] == sequential["units"]
     assert grouped["cost_per_unit"] < sequential["cost_per_unit"], (
         f"grouped {grouped['cost_per_unit']:.1f} !< "
@@ -291,10 +290,10 @@ def test_a6_emit_table(benchmark, sweep):
 
     # grouping must actually batch once there is someone to batch with,
     # and the batch should widen with the session count
-    assert sweep[(2, True)]["group_width"] > 1.0
-    assert sweep[(8, True)]["group_width"] > sweep[(2, True)]["group_width"]
+    assert runs[(2, True)]["group_width"] > 1.0
+    assert runs[(8, True)]["group_width"] > runs[(2, True)]["group_width"]
     for sessions in _SESSION_COUNTS:
-        assert sweep[(sessions, False)]["group_width"] <= 1.0
+        assert runs[(sessions, False)]["group_width"] <= 1.0
 
     # the contended leg: an update builds on its commit-mates' pages, so
     # only a query — an observer — ever closes a group early, and not

@@ -11,8 +11,6 @@
     python -m repro shell DBFILE
     python -m repro serve [DBFILE] [--server NAME] [--port P] [--smoke N]
     python -m repro monitor --port P [--samples N] [--interval SEC]
-    python -m repro bench record [--schemas A4 A5 A6 A8]
-    python -m repro bench compare --baseline BENCH_A4.json ... [--tolerance T]
     python -m repro verify DBFILE [--server OStore]
     python -m repro recover DBFILE [--server OStore]
     python -m repro lint [PATHS] [--format json]
@@ -22,8 +20,7 @@
 run the deductive language against a persisted database file;
 ``verify``/``recover`` check and repair a database file after a crash;
 ``monitor`` attaches to a running ``serve`` and streams interval
-samples; ``bench record``/``bench compare`` maintain the committed
-``BENCH_*.json`` baselines and gate regressions against them.
+samples.
 """
 
 from __future__ import annotations
@@ -351,58 +348,6 @@ def cmd_monitor(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.obs import baseline as bl
-    from repro.obs.render import render_drift_table
-
-    if args.bench_command == "record":
-        for schema in args.schemas:
-            try:
-                path = bl.record(schema, args.results, args.out)
-            except FileNotFoundError as exc:
-                print(f"error: {schema}: missing bench result: {exc}",
-                      file=sys.stderr)
-                return 2
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            print(f"recorded {path}")
-        return 0
-
-    # compare
-    all_drifts: list[bl.Drift] = []
-    all_notes: list[str] = []
-    compared: list[str] = []
-    for baseline_file in args.baseline:
-        try:
-            drifts, notes = bl.compare_files(
-                baseline_file, args.results, tolerance=args.tolerance
-            )
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {baseline_file}: {exc}", file=sys.stderr)
-            return 2
-        compared.append(baseline_file)
-        all_drifts.extend(drifts)
-        all_notes.extend(notes)
-    print(render_drift_table(
-        [d.as_dict() for d in all_drifts],
-        title=(f"bench compare: {len(compared)} baseline(s), "
-               f"tolerance {args.tolerance:g}"),
-    ))
-    for note in all_notes:
-        print(f"  note: {note}")
-    if args.report:
-        bl.dump_json(args.report, {
-            "baselines": compared,
-            "tolerance": args.tolerance,
-            "drifts": [d.as_dict() for d in all_drifts],
-            "notes": all_notes,
-            "ok": not all_drifts,
-        })
-        print(f"report written to {args.report}")
-    return 1 if all_drifts else 0
-
-
 def cmd_query(args) -> int:
     program, db = _open_program(args.db)
     _print_solutions(program, args.goal, args.limit)
@@ -551,37 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, default=1.0,
                    help="seconds between polls (default 1.0)")
     p.set_defaults(func=cmd_monitor)
-
-    p = sub.add_parser("bench",
-                       help="record / compare the committed BENCH_*.json baselines")
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    bp = bench_sub.add_parser(
-        "record", help="canonicalize fresh bench results into baseline files"
-    )
-    bp.add_argument("--results", default="benchmarks/results",
-                    help="bench results directory (default benchmarks/results)")
-    bp.add_argument("--out", default=".",
-                    help="where the BENCH_*.json files go (default: repo root)")
-    from repro.obs.baseline import BASELINE_BENCHES
-
-    bp.add_argument("--schemas", nargs="*",
-                    default=sorted(BASELINE_BENCHES),
-                    choices=sorted(BASELINE_BENCHES),
-                    help="baseline schemas to record (default: all)")
-    bp.set_defaults(func=cmd_bench)
-    bp = bench_sub.add_parser(
-        "compare", help="diff fresh bench results against committed baselines"
-    )
-    bp.add_argument("--baseline", nargs="+", required=True, metavar="FILE",
-                    help="committed BENCH_*.json files to compare against")
-    bp.add_argument("--results", default="benchmarks/results",
-                    help="fresh bench results directory")
-    bp.add_argument("--tolerance", type=float, default=0.10,
-                    help="relative counter tolerance (default 0.10); gauges "
-                         "use their per-metric absolute tolerances")
-    bp.add_argument("--report", default=None, metavar="FILE",
-                    help="write the comparison report as JSON here")
-    bp.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("query", help="run one deductive query on a database")
     p.add_argument("db", help="database file (ObjectStoreSM format)")

@@ -1,17 +1,17 @@
-"""repro.obs — metrics, unit-of-work tracing, and recorded baselines.
+"""repro.obs — metrics, unit-of-work tracing, and the live monitor.
 
 The observability layer over the reproduction (DESIGN.md section 14):
 
 * :mod:`repro.obs.registry` — the one definition of every derived
-  gauge (:class:`~repro.obs.registry.MetricSpec`: formula, baseline
-  schema, drift tolerance); renderers and baselines derive from it;
+  gauge (:class:`~repro.obs.registry.MetricSpec`: its formula); the
+  monitor's columns, the stats report and the ``sample`` op derive
+  from it;
 * :mod:`repro.obs.sampler` — interval snapshots of the counter block
   with per-interval deltas and gauges, as deterministic JSONL;
 * :mod:`repro.obs.tracing` — span events from the served session layer
   with per-phase duration histograms;
-* :mod:`repro.obs.baseline` — ``repro bench record`` / ``compare``
-  against the committed ``BENCH_*.json`` files at the repo root;
-* :mod:`repro.obs.monitor` — attach to a live server (imported lazily
+* :mod:`repro.obs.monitor` — attach to a live server and render its
+  samples as a live table (imported lazily
   by the CLI: it depends on :mod:`repro.server`, which depends on the
   tracing module here, so it stays off this package's import surface).
 

@@ -21,13 +21,76 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import IO, Callable
+from typing import IO, Callable, Mapping, Sequence
 
 from repro.errors import ProtocolError, ServerError
 from repro.obs.clock import Clock, system_clock
-from repro.obs.render import render_phase_histograms, render_sample_table
+from repro.obs.registry import DERIVED_METRICS
 from repro.obs.sampler import IntervalSampler, Sample, sample_from_snapshots
 from repro.server.communicator import Channel, Request
+from repro.util.fmt import format_table
+
+#: The fixed lead columns: (header, per-interval counter delta shown).
+_DELTA_COLUMNS = (
+    ("commits", "commits"),
+    ("units", "sessions_per_group"),
+    ("majflt", "major_faults"),
+)
+
+
+def render_sample_table(samples: Sequence[Sample], title: str | None = None) -> str:
+    """Interval samples as a fixed-width table; one line per sample.
+
+    The delta columns are per-interval counter increments; the gauge
+    columns are the registered ratios over the same interval, one per
+    :data:`~repro.obs.registry.DERIVED_METRICS` spec in registry order.
+    The widths are fixed (not :func:`repro.util.fmt.format_table`) so a
+    row streamed minutes later still lines up under the header.
+    """
+    gauge_widths = [(spec.name, max(len(spec.name), 10)) for spec in DERIVED_METRICS]
+    header = "  ".join(
+        ["#".rjust(4), "dt_s".rjust(8)]
+        + [name.rjust(8) for name, _ in _DELTA_COLUMNS]
+        + [name.rjust(width) for name, width in gauge_widths]
+    )
+    lines: list[str] = []
+    if title:
+        lines.append(title)
+    lines.append(header)
+    lines.append("-" * len(header))
+    for sample in samples:
+        cells = [str(sample.seq).rjust(4), f"{sample.dt:.3f}".rjust(8)]
+        cells += [
+            str(sample.delta.get(counter, 0)).rjust(8)
+            for _, counter in _DELTA_COLUMNS
+        ]
+        cells += [
+            f"{sample.gauges.get(name, 0.0):.3f}".rjust(width)
+            for name, width in gauge_widths
+        ]
+        lines.append("  ".join(cells))
+    return "\n".join(lines)
+
+
+def render_phase_histograms(
+    histograms: Mapping[str, Mapping[str, object]], title: str | None = None
+) -> str:
+    """Per-phase duration histograms from a tracer summary."""
+    rows: list[Sequence[str]] = []
+    for phase in sorted(histograms):
+        hist = histograms[phase]
+        bounds = list(hist.get("bounds", []))  # type: ignore[arg-type]
+        counts = list(hist.get("counts", []))  # type: ignore[arg-type]
+        total = int(hist.get("total", 0))  # type: ignore[arg-type]
+        shape = " ".join(str(int(c)) for c in counts)
+        top = f"<= {float(bounds[-1]):g}s + over" if bounds else ""
+        rows.append((phase, str(total), shape, top))
+    return format_table(
+        ["phase", "units", "bucket counts", "range"],
+        rows,
+        title=title,
+        align_right=(1,),
+    )
 
 
 def fetch(channel: Channel, op: str) -> dict[str, object]:

@@ -4,15 +4,13 @@ A *gauge* is a ratio derived from :class:`~repro.storage.stats.StorageStats`
 counters: numerator over the sum of one or more denominator counters,
 with a declared default for the empty-denominator case.  A
 :class:`MetricSpec` in :data:`DERIVED_METRICS` is everything there is to
-say about a gauge — its formula, the ``BENCH_<schema>.json`` baseline
-that records it and the drift ``repro bench compare`` allows it — and
-everything else is derived from the tuple: the gauge columns of
-:func:`repro.obs.render.render_sample_table`, the gauge rows of
-``render_stats``, the ``gauges`` block of each recorded baseline and the
-served ``sample`` payload.  There is no second list to keep in step, so
-a gauge cannot be unrendered, recorded under two schemas or compared
-against a stale tolerance; the one thing a spec can still get wrong, a
-source counter ``StorageStats`` does not declare, fails at import.
+say about a gauge — its formula — and everything else is derived from
+the tuple: the gauge columns of
+:func:`repro.obs.monitor.render_sample_table`, the gauge rows of
+``render_stats`` and the served ``sample`` payload.  There is no second
+list to keep in step, so a gauge cannot be unrendered; the one thing a
+spec can still get wrong, a source counter ``StorageStats`` does not
+declare, fails at import.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ class MetricSpec:
 
     name: str
     description: str
-    baseline: str        # the BENCH_<schema>.json that records it
-    tolerance: float     # absolute drift `repro bench compare` allows
     numerator: str       # a StorageStats counter
     denominator: tuple[str, ...]  # StorageStats counters, summed
     default: float = 0.0  # value when the denominator sums to zero
@@ -43,14 +39,11 @@ class MetricSpec:
 
 
 #: Every derived gauge, in render order (the monitor's columns, left to
-#: right).  Tolerances are absolute: gauges are ratios in stable units;
-#: group_width is sessions, so it gets the widest band.
+#: right).
 DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="hit_ratio",
         description="buffer-pool hits over page accesses",
-        baseline="A5",
-        tolerance=0.05,
         numerator="buffer_hits",
         denominator=("buffer_hits", "major_faults"),
         default=1.0,
@@ -58,8 +51,6 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="cache_hit_ratio",
         description="object-cache reads served in memory",
-        baseline="A4",
-        tolerance=0.05,
         numerator="cache_hits",
         denominator=("cache_hits", "cache_misses"),
         default=1.0,
@@ -67,8 +58,6 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="prefetch_absorption",
         description="faults absorbed by read-ahead over all staged-or-missed",
-        baseline="A5",
-        tolerance=0.10,
         numerator="prefetch_hits",
         denominator=("prefetch_hits", "major_faults"),
         default=0.0,
@@ -76,8 +65,6 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="coalesce_ratio",
         description="object writes absorbed pre-commit by the cache",
-        baseline="A4",
-        tolerance=0.10,
         numerator="cache_coalesced",
         denominator=("cache_coalesced", "objects_written"),
         default=0.0,
@@ -85,8 +72,6 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="group_width",
         description="mean session-units fused per group commit",
-        baseline="A6",
-        tolerance=0.75,
         numerator="sessions_per_group",
         denominator=("group_commits",),
         default=0.0,
@@ -94,8 +79,6 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="commit_stall_ratio",
         description="groups forced closed by lock conflicts, per group",
-        baseline="A6",
-        tolerance=0.25,
         numerator="commit_stalls",
         denominator=("group_commits",),
         default=0.0,
@@ -103,8 +86,6 @@ DERIVED_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec(
         name="fast_path_ratio",
         description="records encoded via a fixed layout, over all encoded",
-        baseline="A8",
-        tolerance=0.05,
         numerator="records_fast_path",
         denominator=("records_fast_path", "records_fallback"),
         default=0.0,

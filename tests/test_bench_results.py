@@ -1,0 +1,49 @@
+"""The committed bench results hold nothing a re-run could move.
+
+CI's bench-smoke job re-runs the benches over the tracked
+``benchmarks/results/*.json`` files and fails on any ``git diff`` of
+them, so a payload may carry counts, ratios of counts and booleans only.
+A timing put back into a payload would fail that gate on every run;
+this test catches it without running a bench.
+"""
+
+import json
+import os
+import subprocess
+
+import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_TIMING_SUFFIXES = ("_us", "_ms", "_sec", "_seconds", "_ns")
+
+
+def _tracked_results() -> list[str]:
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "--", "benchmarks/results/*.json"],
+            cwd=REPO, capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    return listed.stdout.split()
+
+
+def _keys(node: object):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+
+
+def test_committed_bench_results_parse_and_hold_no_timings():
+    paths = _tracked_results()
+    assert paths, "no bench results are committed"
+    for path in paths:
+        with open(os.path.join(REPO, path)) as handle:
+            payload = json.load(handle)
+        timings = [
+            key for key in _keys(payload)
+            if key.endswith(_TIMING_SUFFIXES) or "speedup" in key
+        ]
+        assert not timings, f"{path} records timings: {timings}"

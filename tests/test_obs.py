@@ -4,9 +4,8 @@ Covers the metric registry's formulas against hand-computed values,
 snapshot/delta/reset under an attached object cache, byte-identical
 sampler and tracer JSONL under an injected clock (including a
 hypothesis replay property), the served ``sample`` op and the live
-monitor over a real socket, the zero-overhead guarantee (sampling
-on/off produces bit-identical databases and identical answers), and the
-baseline record/compare pipeline the CI regression gate runs.
+monitor over a real socket, and the zero-overhead guarantee (sampling
+on/off produces bit-identical databases and identical answers).
 """
 
 import filecmp
@@ -29,9 +28,7 @@ from repro.obs import (
     metric,
     sample_from_snapshots,
 )
-from repro.obs import baseline as bl
-from repro.obs.monitor import monitor
-from repro.obs.render import render_drift_table, render_sample_table
+from repro.obs.monitor import monitor, render_sample_table
 from repro.server import (
     LabFlowService,
     LocalClient,
@@ -395,165 +392,3 @@ def test_monitor_refuses_dead_address():
             "127.0.0.1", 1, samples=1, interval=0.0, out=io.StringIO(),
             sleep=lambda seconds: None,
         )
-
-
-# -- baselines --------------------------------------------------------------
-
-_A4_PAYLOAD = {
-    "on": {
-        "cache_hits": 100, "cache_misses": 0, "cache_coalesced": 40,
-        "objects_written": 60, "elapsed_ms": 12.5, "verified": True,
-    },
-    "off": {"cache_hits": 0, "cache_misses": 100},
-    "speedup": 1.9,
-    "gauge_block": "on",
-}
-
-
-def test_flatten_counters_keeps_ints_only():
-    flat = bl.flatten_counters(_A4_PAYLOAD)
-    assert flat["on.cache_hits"] == 100
-    assert "on.elapsed_ms" not in flat  # timing suffix excluded
-    assert "on.verified" not in flat  # bools excluded
-    assert "speedup" not in flat  # floats excluded
-
-
-def test_canonicalize_selects_schema_gauges():
-    canonical = bl.canonicalize("A4", _A4_PAYLOAD)
-    assert canonical["version"] == bl.BASELINE_VERSION
-    assert canonical["schema"] == "A4"
-    assert canonical["bench"] == "a4_object_cache"
-    assert set(canonical["gauges"]) == {"cache_hit_ratio", "coalesce_ratio"}
-    assert canonical["gauges"]["cache_hit_ratio"] == 1.0
-    assert canonical["gauges"]["coalesce_ratio"] == pytest.approx(0.4)
-
-
-def test_record_and_compare_round_trip(tmp_path):
-    results = os.path.join(str(tmp_path), "results")
-    os.makedirs(results)
-    bl.dump_json(bl.results_path("A4", results), _A4_PAYLOAD)
-    baseline_file = bl.record("A4", results, str(tmp_path))
-    assert os.path.basename(baseline_file) == "BENCH_A4.json"
-    drifts, notes = bl.compare_files(baseline_file, results)
-    assert drifts == [] and notes == []
-
-
-def test_compare_flags_counter_and_gauge_drift(tmp_path):
-    results = os.path.join(str(tmp_path), "results")
-    os.makedirs(results)
-    bl.dump_json(bl.results_path("A4", results), _A4_PAYLOAD)
-    baseline_file = bl.record("A4", results, str(tmp_path))
-    drifted = json.loads(json.dumps(_A4_PAYLOAD))
-    drifted["on"]["cache_hits"] = 10  # far outside the 10% band
-    drifted["on"]["cache_misses"] = 90  # gauge collapses too
-    bl.dump_json(bl.results_path("A4", results), drifted)
-    drifts, _notes = bl.compare_files(baseline_file, results)
-    kinds = {(drift.metric, drift.kind) for drift in drifts}
-    assert ("on.cache_hits", "counter") in kinds
-    assert ("cache_hit_ratio", "gauge") in kinds
-    table = render_drift_table([drift.as_dict() for drift in drifts])
-    assert "cache_hit_ratio" in table
-
-
-def test_compare_flags_missing_counters(tmp_path):
-    results = os.path.join(str(tmp_path), "results")
-    os.makedirs(results)
-    bl.dump_json(bl.results_path("A4", results), _A4_PAYLOAD)
-    baseline_file = bl.record("A4", results, str(tmp_path))
-    shrunk = json.loads(json.dumps(_A4_PAYLOAD))
-    del shrunk["on"]["cache_coalesced"]
-    bl.dump_json(bl.results_path("A4", results), shrunk)
-    drifts, _notes = bl.compare_files(baseline_file, results)
-    assert any(drift.kind == "missing" for drift in drifts)
-
-
-def test_record_refuses_a_gauge_that_lost_its_numerator(tmp_path, capsys):
-    """A block with group commits but no ``sessions_per_group`` counter
-    would record ``group_width`` at its default 0.0 — refuse it; a gauge
-    that is 0.0 because its numerator *counted* zero is fine."""
-    from repro.cli import main
-
-    results = os.path.join(str(tmp_path), "results")
-    os.makedirs(results)
-    block = {"group_commits": 48, "commit_stalls": 0}
-    bl.dump_json(
-        bl.results_path("A6", results), {"s4_on": block, "gauge_block": "s4_on"}
-    )
-    with pytest.raises(ValueError, match="group_width"):
-        bl.record("A6", results, str(tmp_path))
-    assert main(
-        ["bench", "record", "--schemas", "A6",
-         "--results", results, "--out", str(tmp_path)]
-    ) == 1
-    assert "group_width" in capsys.readouterr().err
-    assert not os.path.exists(bl.baseline_path("A6", str(tmp_path)))
-
-    block["sessions_per_group"] = 192
-    bl.dump_json(
-        bl.results_path("A6", results), {"s4_on": block, "gauge_block": "s4_on"}
-    )
-    recorded = bl.load_json(bl.record("A6", results, str(tmp_path)))
-    assert recorded["gauges"] == {"group_width": 4.0, "commit_stall_ratio": 0.0}
-
-
-def test_render_drift_table_empty_case():
-    assert "no drift" in render_drift_table([])
-
-
-def test_committed_baselines_are_canonical():
-    """The checked-in BENCH files parse and carry their declared shape."""
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    for schema in sorted(bl.BASELINE_BENCHES):
-        path = bl.baseline_path(schema, repo)
-        assert os.path.exists(path), f"missing committed baseline {path}"
-        payload = bl.load_json(path)
-        assert payload["version"] == bl.BASELINE_VERSION
-        assert payload["schema"] == schema
-        assert payload["bench"] == bl.BASELINE_BENCHES[schema]
-        assert set(payload["gauges"]) == {
-            spec.name for spec in DERIVED_METRICS if spec.baseline == schema
-        }
-        assert payload["counters"], "baseline recorded no counters"
-        for value in payload["counters"].values():
-            assert isinstance(value, int)
-
-
-# -- the CLI gate -----------------------------------------------------------
-
-
-def test_cli_bench_compare_exit_codes(tmp_path):
-    from repro.cli import main
-
-    results = os.path.join(str(tmp_path), "results")
-    os.makedirs(results)
-    bl.dump_json(bl.results_path("A4", results), _A4_PAYLOAD)
-    baseline_file = bl.record("A4", results, str(tmp_path))
-    report = os.path.join(str(tmp_path), "report.json")
-    assert (
-        main(
-            ["bench", "compare", "--baseline", baseline_file,
-             "--results", results, "--report", report]
-        )
-        == 0
-    )
-    assert json.load(open(report))["ok"] is True
-
-    drifted = json.loads(json.dumps(_A4_PAYLOAD))
-    drifted["on"]["cache_hits"] = 10
-    bl.dump_json(bl.results_path("A4", results), drifted)
-    assert (
-        main(
-            ["bench", "compare", "--baseline", baseline_file,
-             "--results", results, "--report", report]
-        )
-        == 1
-    )
-    assert json.load(open(report))["ok"] is False
-
-
-def test_cli_bench_record_missing_results(tmp_path):
-    from repro.cli import main
-
-    empty = os.path.join(str(tmp_path), "nothing")
-    os.makedirs(empty)
-    assert main(["bench", "record", "--results", empty, "--out", str(tmp_path)]) == 2
