@@ -19,7 +19,7 @@ import pytest
 
 from repro.benchmark import BenchmarkConfig, LabFlowWorkload, server_spec
 from repro.labbase import LabBase
-from repro.storage.registry import backend
+from repro.storage import server_class
 from repro.util.fmt import format_table
 
 from _common import emit
@@ -34,7 +34,7 @@ def _faults(server: str, pool_pages: int, tmp_path: str) -> int:
         intervals=(0.5,),
         queries_per_intake=0,
     )
-    sm = backend(server).cls(
+    sm = server_class(server)(
         path=os.path.join(tmp_path, f"{server.lower()}_{pool_pages}.db"),
         buffer_pages=pool_pages,
         readahead_pages=0,

@@ -32,7 +32,7 @@ import pytest
 
 from repro.benchmark import BenchmarkConfig, LabFlowWorkload
 from repro.labbase import LabBase
-from repro.storage.registry import backend
+from repro.storage import server_class
 from repro.util.fmt import format_table
 
 from _common import emit
@@ -47,7 +47,7 @@ _CONFIG = BenchmarkConfig(
 
 
 def _build(server: str, tmp_path) -> tuple:
-    sm = backend(server).cls(
+    sm = server_class(server)(
         path=os.path.join(tmp_path, server.replace("+", "_").lower() + ".db"),
         buffer_pages=_CONFIG.buffer_pages,
         readahead_pages=0,

@@ -43,6 +43,18 @@ def _load(server: str, tmp_path) -> tuple[int, int, int]:
     return size, pages, payload
 
 
+def _payload(sizes: dict[str, tuple[int, int, int]]) -> dict:
+    """The committed counts: bytes, pages and payload bytes per server."""
+    return {
+        server: {
+            "size_bytes": sizes[server][0],
+            "pages": sizes[server][1],
+            "payload_bytes": sizes[server][2],
+        }
+        for server in _SERVERS
+    }
+
+
 @pytest.fixture(scope="module")
 def sizes(tmp_path_factory):
     tmp_path = str(tmp_path_factory.mktemp("e6"))
@@ -69,14 +81,7 @@ def test_e6_emit_size_table(benchmark, sizes):
         title=f"E6: database size after the 0.5X load (page size {PAGE_SIZE} B)",
         align_right=(1, 2, 3, 4, 5),
     )
-    emit("e6_db_size", text, payload={
-        server: {
-            "size_bytes": sizes[server][0],
-            "pages": sizes[server][1],
-            "payload_bytes": sizes[server][2],
-        }
-        for server in _SERVERS
-    })
+    emit("e6_db_size", text, payload=_payload(sizes))
 
     for server in ("Texas", "Texas+TC"):
         ratio = sizes[server][0] / ostore_size

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.benchmark.harness import ComparisonResult
-from repro.storage import registry
+from repro.storage import SERVER_VERSIONS, server_class
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ def check_shapes(comparison: ComparisonResult) -> list[ShapeCheck]:
     if "OStore" in servers and "Texas" in servers:
         ostore_size = servers["OStore"].usage_for(final).size_bytes
         texas_family = [
-            info.name for info in registry.backends(persistent=True)
-            if getattr(info.cls, "SWIZZLE_WORK", 0) > 0
+            cls.name for cls in SERVER_VERSIONS
+            if cls.persistent and getattr(cls, "SWIZZLE_WORK", 0) > 0
         ]
         for texas_name in texas_family:
             if texas_name not in servers:
@@ -84,8 +84,8 @@ def check_shapes(comparison: ComparisonResult) -> list[ShapeCheck]:
             ))
 
     # S3: OStore fewest faults among persistent versions
-    persistent = [info.name for info in registry.backends(persistent=True)
-                  if info.name in servers]
+    persistent = [cls.name for cls in SERVER_VERSIONS
+                  if cls.persistent and cls.name in servers]
     if "OStore" in persistent and len(persistent) > 1:
         faults = {
             name: servers[name].final_stats.get("major_faults", 0)
@@ -98,9 +98,9 @@ def check_shapes(comparison: ComparisonResult) -> list[ShapeCheck]:
         ))
 
     # S4: main-memory versions
-    for info in registry.backends(persistent=False):
-        name = info.name
-        if name not in servers:
+    for cls in SERVER_VERSIONS:
+        name = cls.name
+        if cls.persistent or name not in servers:
             continue
         total = servers[name].total_usage()
         checks.append(ShapeCheck(
@@ -139,7 +139,7 @@ def check_shapes(comparison: ComparisonResult) -> list[ShapeCheck]:
     for name in persistent:
         swizzles = servers[name].final_stats.get("swizzle_operations", 0)
         faults = servers[name].final_stats.get("major_faults", 0)
-        if getattr(registry.backend(name).cls, "SWIZZLE_WORK", 0) > 0:
+        if getattr(server_class(name), "SWIZZLE_WORK", 0) > 0:
             passed = (swizzles > 0) == (faults > 0)
             detail = f"{swizzles} swizzles for {faults} faults"
         else:

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
-from repro.storage.registry import backend_names
+from repro.storage import SERVER_VERSIONS
 
-#: Server versions in table column order — derived from the backend
-#: registry, so a newly registered backend appears everywhere at once.
-SERVER_ORDER: tuple[str, ...] = backend_names()
+#: Server-version names in table column order.
+SERVER_ORDER: tuple[str, ...] = tuple(cls.name for cls in SERVER_VERSIONS)
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,20 @@
 """Server versions for the benchmark harness.
 
 Each :class:`ServerSpec` knows how to construct its storage manager;
-``all_servers()`` returns them in table column order.  The set comes
-from the backend registry (``repro.storage.registry``) — this module
-holds no server names, only the wiring from a registered backend to a
-configured LabBase.
+``all_servers()`` returns them in table column order.  The versions are
+``repro.storage.SERVER_VERSIONS`` — this module holds no server names,
+only the wiring from a storage class to a configured LabBase.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.benchmark.config import SERVER_ORDER, BenchmarkConfig
 from repro.labbase.database import LabBase
+from repro.storage import server_class
 from repro.storage.base import StorageManager
-from repro.storage.registry import backend
 
 
 @dataclass(frozen=True)
@@ -24,18 +22,27 @@ class ServerSpec:
     """One benchmark server version."""
 
     name: str
-    persistent: bool
-    description: str
-    _factory: Callable[[str | None, int], StorageManager]
+    cls: type[StorageManager]
 
     def make(self, config: BenchmarkConfig) -> StorageManager:
-        """Construct the storage manager per the benchmark config."""
+        """Construct the storage manager per the benchmark config.
+
+        Main-memory versions take no file and no pool.  A paged version
+        gets ``<name>.db`` under ``config.db_dir`` (no file without one)
+        and the config's pool size; every other constructor parameter
+        keeps its default — the ablation benches pass those to the class
+        directly.
+        """
+        if not self.cls.persistent:
+            return self.cls()
         path = None
-        if self.persistent and config.db_dir is not None:
+        if config.db_dir is not None:
             os.makedirs(config.db_dir, exist_ok=True)
             filename = self.name.replace("+", "_").lower() + ".db"
             path = os.path.join(config.db_dir, filename)
-        return self._factory(path, config.buffer_pages)
+        return self.cls(  # type: ignore[call-arg]
+            path=path, buffer_pages=config.buffer_pages
+        )
 
 
 def make_db(spec: "ServerSpec", config: BenchmarkConfig) -> tuple[StorageManager, LabBase]:
@@ -55,18 +62,10 @@ def make_db(spec: "ServerSpec", config: BenchmarkConfig) -> tuple[StorageManager
 
 
 def server_spec(name: str) -> ServerSpec:
-    """The spec for one registered backend.
-
-    An unknown name raises ``UnknownBackendError`` (listing what *is*
-    registered) straight from the registry lookup.
-    """
-    info = backend(name)
-    return ServerSpec(
-        name=info.name,
-        persistent=info.persistent,
-        description=info.description,
-        _factory=info.make,
-    )
+    """The spec for one server version; an unknown name raises
+    ``UnknownBackendError`` listing the five."""
+    cls = server_class(name)
+    return ServerSpec(name=cls.name, cls=cls)
 
 
 def all_servers(names: tuple[str, ...] = SERVER_ORDER) -> list[ServerSpec]:

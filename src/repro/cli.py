@@ -42,7 +42,7 @@ from repro.benchmark import (
 from repro.benchmark.schema_report import eer_text
 from repro.labbase import Chronicle, LabBase
 from repro.query import Program
-from repro.storage import ObjectStoreSM
+from repro.storage import SERVER_VERSIONS, ObjectStoreSM, server_class
 from repro.util.fmt import format_table
 from repro.util.rng import DeterministicRng
 from repro.workflow import (
@@ -194,9 +194,7 @@ def _open_existing_store(args):
     if not os.path.exists(args.db):
         print(f"error: no such database file: {args.db}", file=sys.stderr)
         return None
-    from repro.storage.registry import backend
-
-    return backend(args.server).cls(path=args.db)  # type: ignore[call-arg]
+    return server_class(args.server)(path=args.db)  # type: ignore[call-arg]
 
 
 def cmd_verify(args) -> int:
@@ -269,10 +267,9 @@ def cmd_serve(args) -> int:
         bootstrap_schema,
         run_concurrent_clients,
     )
-    from repro.storage.registry import backend
     from repro.storage.report import stats_report
 
-    sm = backend(args.server).cls(  # type: ignore[call-arg]
+    sm = server_class(args.server)(  # type: ignore[call-arg]
         path=args.db, checkpoint_every=args.checkpoint_every
     )
     db = LabBase(sm)
@@ -427,10 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db-dir", default=None)
     p.set_defaults(func=cmd_replay)
 
-    from repro.storage.registry import backends
-
-    persistent_servers = [info.name for info in backends(persistent=True)]
-    concurrent_servers = [info.name for info in backends(concurrent=True)]
+    persistent_servers = [cls.name for cls in SERVER_VERSIONS if cls.persistent]
+    concurrent_servers = [cls.name for cls in SERVER_VERSIONS
+                          if cls.supports_concurrency]
 
     p = sub.add_parser("verify", help="check a database file's integrity")
     p.add_argument("db", help="database file to check (read-only)")

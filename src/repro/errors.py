@@ -73,17 +73,17 @@ class ConcurrencyUnsupportedError(StorageError):
 
 
 class UnknownBackendError(StorageError):
-    """A server-version name does not match any registered storage backend.
+    """A server-version name matches none of the paper's five.
 
-    Raised by ``repro.storage.registry`` lookups (and therefore by
-    ``make_db`` / the CLI ``--server`` paths); the message lists every
-    registered backend so a typo is a one-glance fix.
+    Raised by ``repro.storage.server_class`` (and therefore by
+    ``server_spec`` / the CLI ``--server`` paths); the message lists the
+    five names so a typo is a one-glance fix.
     """
 
     def __init__(self, name: str, known: tuple[str, ...] = ()) -> None:
         message = f"unknown storage backend {name!r}"
         if known:
-            message += f"; registered backends: {', '.join(known)}"
+            message += f"; server versions: {', '.join(known)}"
         super().__init__(message)
         self.name = name
         self.known = tuple(known)

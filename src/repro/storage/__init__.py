@@ -13,10 +13,11 @@ Texas-mm          :class:`~repro.storage.memstore.TexasMM`
 ================  ============================================
 
 All implement the :class:`~repro.storage.contract.StorageManager` API,
-so LabBase (and any application) runs unchanged over each.  The set is
-open: each version registers itself with
-:mod:`repro.storage.registry`, and everything above the storage layer
-(``SERVER_ORDER``, the harness, the CLI) derives the list from there.
+so LabBase (and any application) runs unchanged over each.
+:data:`SERVER_VERSIONS` is the table's one list of the five, in column
+order; everything above the storage layer (``SERVER_ORDER``, the
+harness, the CLI) reads it, and a class's own flags (``persistent``,
+``supports_concurrency``, ``supports_segments``) say where it may run.
 """
 
 from repro.errors import UnknownBackendError
@@ -35,17 +36,29 @@ from repro.storage.objcache import DEFAULT_CACHE_OBJECTS, ObjectCache
 from repro.storage.objectstore import ObjectStoreSM
 from repro.storage.integrity import IntegrityReport, verify
 from repro.storage.page import PAGE_SIZE, Page, exact_charge, power_of_two_charge
-from repro.storage.registry import (
-    BackendInfo,
-    backend,
-    backend_names,
-    backends,
-    register_backend,
-)
 from repro.storage.report import SegmentStats, segment_report, segment_stats
 from repro.storage.segment import DEFAULT_SEGMENT, Segment
 from repro.storage.stats import StorageStats
 from repro.storage.texas import TexasSM
+
+#: The paper's Section 10 server versions, left to right: from most to
+#: least storage management.
+SERVER_VERSIONS: tuple[type[StorageManager], ...] = (
+    ObjectStoreSM,
+    TexasTCSM,
+    TexasSM,
+    OStoreMM,
+    TexasMM,
+)
+
+
+def server_class(name: str) -> type[StorageManager]:
+    """The server version called ``name``; anything else raises
+    :class:`UnknownBackendError` listing the five."""
+    for cls in SERVER_VERSIONS:
+        if cls.name == name:
+            return cls
+    raise UnknownBackendError(name, tuple(cls.name for cls in SERVER_VERSIONS))
 
 __all__ = [
     "StorageManager",
@@ -57,11 +70,8 @@ __all__ = [
     "MainMemorySM",
     "OStoreMM",
     "TexasMM",
-    "BackendInfo",
-    "register_backend",
-    "backend",
-    "backends",
-    "backend_names",
+    "SERVER_VERSIONS",
+    "server_class",
     "UnknownBackendError",
     "BufferPool",
     "DEFAULT_POOL_PAGES",

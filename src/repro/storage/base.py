@@ -67,8 +67,6 @@ _ABSENT = object()
 class PagedStorageManager(StorageManager):
     """Shared implementation for the page-based (persistent) managers."""
 
-    supports_crash_matrix = True
-
     def __init__(
         self,
         path: str | None = None,

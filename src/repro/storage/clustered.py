@@ -18,15 +18,9 @@ order happens to provide.
 
 from __future__ import annotations
 
-from repro.storage.registry import register_backend
 from repro.storage.texas import TexasSM
 
 
-@register_backend(
-    "Texas+TC",
-    order=1,
-    description="Texas plus client-code object clustering",
-)
 class TexasTCSM(TexasSM):
     """Texas with client-code clustering (the paper's *Texas+TC*)."""
 

@@ -4,8 +4,9 @@ This module is the *interface half* of the storage layer: the abstract
 :class:`StorageManager` API every server version implements, the
 :class:`CacheHooks` protocol an attached object cache must satisfy, and
 the capability flags (``persistent``, ``supports_concurrency``,
-``supports_segments``, ``supports_crash_matrix``) the backend registry
-(``repro.storage.registry``) queries to decide where a backend may run.
+``supports_segments``) callers read off a class to decide where it may
+run.  A persistent backend also accepts a ``fault_injector`` and keeps
+the deterministic write-point sequence the crash matrix sweeps.
 
 Nothing here constructs pages, pools or disks — the shared paged
 implementation lives in ``repro.storage.base`` — so a new backend can
@@ -48,10 +49,6 @@ class StorageManager(abc.ABC):
     supports_segments: bool = False
     supports_concurrency: bool = False
     persistent: bool = True
-    #: Whether the backend accepts a ``fault_injector`` and keeps the
-    #: deterministic write-point sequence the crash matrix sweeps.  Main
-    #: memory backends have no disk to tear, so they opt out.
-    supports_crash_matrix: bool = False
 
     stats: StorageStats
 

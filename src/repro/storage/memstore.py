@@ -23,7 +23,6 @@ from repro.errors import (
 )
 from repro.storage.base import StorageManager
 from repro.storage.codec import DEFAULT_CODEC, RecordCodec
-from repro.storage.registry import register_backend
 from repro.storage.segment import DEFAULT_SEGMENT
 from repro.storage.stats import StorageStats
 from repro.util.ids import OidAllocator
@@ -199,9 +198,6 @@ class MainMemorySM(StorageManager):
         self._closed = True
 
 
-@register_backend(
-    "OStore-mm", order=3, description="main memory, ObjectStore-flavoured API"
-)
 class OStoreMM(MainMemorySM):
     """*OStore-mm*: segment hints tracked (inert) like ObjectStore's API."""
 
@@ -209,9 +205,6 @@ class OStoreMM(MainMemorySM):
     supports_segments = True
 
 
-@register_backend(
-    "Texas-mm", order=4, description="main memory, Texas-flavoured API"
-)
 class TexasMM(MainMemorySM):
     """*Texas-mm*: no segment support, like Texas's API."""
 

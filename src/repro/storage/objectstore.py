@@ -28,14 +28,8 @@ from repro.storage.buffer import DEFAULT_POOL_PAGES, DEFAULT_READAHEAD_PAGES
 from repro.storage.codec import DEFAULT_CODEC
 from repro.storage.locks import LockGrant, LockManager, LockMode
 from repro.storage.page import exact_charge
-from repro.storage.registry import register_backend
 
 
-@register_backend(
-    "OStore",
-    order=0,
-    description="ObjectStore-style: segments, dense pages, page server",
-)
 class ObjectStoreSM(PagedStorageManager):
     """Segment-aware page-server store (the paper's *OStore* version)."""
 

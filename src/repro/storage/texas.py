@@ -30,14 +30,8 @@ if TYPE_CHECKING:
 from repro.storage.buffer import DEFAULT_POOL_PAGES, DEFAULT_READAHEAD_PAGES
 from repro.storage.codec import DEFAULT_CODEC
 from repro.storage.page import Page, power_of_two_charge
-from repro.storage.registry import register_backend
 
 
-@register_backend(
-    "Texas",
-    order=2,
-    description="Texas-style: one heap, power-of-two cells, swizzling",
-)
 class TexasSM(PagedStorageManager):
     """Single-heap swizzling store (the paper's *Texas* version)."""
 

@@ -1,35 +1,52 @@
 """Shared fixtures.
 
-``any_sm`` parametrizes over every registered storage backend so each
-behavioural test runs against every server version — the same
-"identical LabBase over every store" discipline the paper uses.  The
-set comes from the backend registry: registering another version makes
-the whole behavioural suite cover it with no test edits.
+``any_sm`` parametrizes over every server version in
+``repro.storage.SERVER_VERSIONS`` so each behavioural test runs against
+every one — the same "identical LabBase over every store" discipline
+the paper uses.
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
+import gc
 
 import pytest
 
+from repro.benchmark import BenchmarkConfig, server_spec
 from repro.labbase import LabBase, LabClock
-from repro.storage import OStoreMM
-from repro.storage.registry import backends
+from repro.storage import SERVER_VERSIONS, OStoreMM
 
-SM_FACTORIES = {info.name: info.make for info in backends()}
-
-PERSISTENT = tuple(info.name for info in backends(persistent=True))
+PERSISTENT = tuple(cls.name for cls in SERVER_VERSIONS if cls.persistent)
 
 
-@pytest.fixture(params=sorted(SM_FACTORIES))
+def _open_sm(name, tmp_path):
+    """The version called ``name`` as the harness builds it, with a
+    64-page pool and its file under ``tmp_path`` when persistent."""
+    config = BenchmarkConfig(db_dir=str(tmp_path), buffer_pages=64)
+    return server_spec(name).make(config)
+
+
+@contextlib.contextmanager
+def frozen_heap():
+    """Freeze what earlier tests left on the heap for the block.
+
+    The S5 shape check compares the user CPU of servers run back to back
+    in this process, so a full collection over that heap must not land
+    inside one server's run.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+@pytest.fixture(params=sorted(cls.name for cls in SERVER_VERSIONS))
 def any_sm(request, tmp_path):
     """One storage manager of each kind, file-backed when persistent."""
-    name = request.param
-    path = None
-    if name in PERSISTENT:
-        path = os.path.join(tmp_path, "store.db")
-    sm = SM_FACTORIES[name](path, 64)
+    sm = _open_sm(request.param, tmp_path)
     yield sm
     try:
         sm.close()
@@ -40,9 +57,7 @@ def any_sm(request, tmp_path):
 @pytest.fixture(params=PERSISTENT)
 def persistent_sm(request, tmp_path):
     """A file-backed page store (reopen tests)."""
-    name = request.param
-    path = os.path.join(tmp_path, "store.db")
-    sm = SM_FACTORIES[name](path, 64)
+    sm = _open_sm(request.param, tmp_path)
     yield sm
     try:
         sm.close()

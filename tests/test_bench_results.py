@@ -5,8 +5,14 @@ CI's bench-smoke job re-runs the benches over the tracked
 them, so a payload may carry counts, ratios of counts and booleans only.
 A timing put back into a payload would fail that gate on every run;
 this test catches it without running a bench.
+
+The cheap gated payloads are also recomputed here and compared with the
+committed files (nothing is written), so a change that moves one of
+their counts fails tier-1 until the bench is re-run and its file
+committed.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +20,7 @@ import subprocess
 import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(REPO, "benchmarks")
 
 _TIMING_SUFFIXES = ("_us", "_ms", "_sec", "_seconds", "_ns")
 
@@ -47,3 +54,25 @@ def test_committed_bench_results_parse_and_hold_no_timings():
             if key.endswith(_TIMING_SUFFIXES) or "speedup" in key
         ]
         assert not timings, f"{path} records timings: {timings}"
+
+
+def _bench(module: str, monkeypatch):
+    """Import one bench module from ``benchmarks/`` without running it."""
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    return importlib.import_module(module)
+
+
+def _committed(name: str) -> object:
+    with open(os.path.join(BENCHMARKS, "results", f"{name}.json")) as handle:
+        return json.load(handle)
+
+
+def test_e6_payload_matches_a_fresh_load(tmp_path, monkeypatch):
+    e6 = _bench("bench_e6_db_size", monkeypatch)
+    sizes = {server: e6._load(server, str(tmp_path)) for server in e6._SERVERS}
+    assert e6._payload(sizes) == _committed("e6_db_size")
+
+
+def test_e8_payload_matches_fresh_operation_counts(monkeypatch):
+    e8 = _bench("bench_e8_operation_mix", monkeypatch)
+    assert e8._operation_counts() == _committed("e8_operation_mix")

@@ -7,6 +7,8 @@ from repro.benchmark.analysis import check_shapes, failed_checks, render_checks
 from repro.benchmark.harness import run_server
 from repro.benchmark.servers import server_spec
 
+from tests.conftest import frozen_heap
+
 
 @pytest.fixture(scope="module")
 def comparison(tmp_path_factory):
@@ -20,15 +22,16 @@ def comparison(tmp_path_factory):
             db_dir=str(tmp_path_factory.mktemp(label)), clones_per_interval=8
         )
 
-    result = run_comparison(config("shape_dbs"))
-    for round_ in range(2):
-        for index, kept in enumerate(result.runs):
-            if kept.server not in ("OStore", "Texas+TC"):
-                continue
-            rerun = run_server(server_spec(kept.server), config(f"rerun{round_}"))
-            assert rerun.final_stats == kept.final_stats
-            if rerun.total_usage().user_cpu_sec < kept.total_usage().user_cpu_sec:
-                result.runs[index] = rerun
+    with frozen_heap():
+        result = run_comparison(config("shape_dbs"))
+        for round_ in range(2):
+            for index, kept in enumerate(result.runs):
+                if kept.server not in ("OStore", "Texas+TC"):
+                    continue
+                rerun = run_server(server_spec(kept.server), config(f"rerun{round_}"))
+                assert rerun.final_stats == kept.final_stats
+                if rerun.total_usage().user_cpu_sec < kept.total_usage().user_cpu_sec:
+                    result.runs[index] = rerun
     return result
 
 

@@ -12,9 +12,9 @@ from repro.benchmark import (
     run_server,
     server_spec,
 )
+from repro.benchmark.config import SERVER_ORDER
 from repro.benchmark.harness import RunResult
 from repro.errors import UnknownBackendError
-from repro.storage.registry import backend_names
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +24,10 @@ def comparison(tmp_path_factory):
 
 
 def test_all_registered_servers_run(comparison):
-    """The comparison covers every registered backend, in column order."""
-    assert tuple(run.server for run in comparison.runs) == backend_names()
+    """The comparison covers every server version, in column order."""
+    assert tuple(run.server for run in comparison.runs) == SERVER_ORDER
     # The paper's Section 10 table, left to right.
-    assert backend_names() == (
+    assert SERVER_ORDER == (
         "OStore", "Texas+TC", "Texas", "OStore-mm", "Texas-mm",
     )
 
@@ -114,8 +114,8 @@ def test_run_server_keep_db_returns_open_database(tmp_path):
 def test_unknown_server_rejected():
     with pytest.raises(UnknownBackendError) as excinfo:
         server_spec("Oracle7")
-    # The error names every registered backend, so a typo is a
-    # one-glance fix at the CLI.
-    for name in backend_names():
+    # The error names every server version, so a typo is a one-glance
+    # fix at the CLI.
+    for name in SERVER_ORDER:
         assert name in str(excinfo.value)
 

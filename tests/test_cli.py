@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.obs import Sample
 
 
@@ -141,6 +142,35 @@ def test_verify_clean_database(tmp_path, capsys):
     assert main(["verify", db_path]) == 0
     out = capsys.readouterr().out
     assert "OK" in out and "checked" in out
+
+
+def _server_choices(command):
+    parser = build_parser()
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    server = next(
+        action for action in commands.choices[command]._actions
+        if action.dest == "server"
+    )
+    return tuple(server.choices)
+
+
+def test_verify_a_texas_file_and_the_server_choices(tmp_path, capsys):
+    # The stream's Texas file, written by the harness as <name>.db.
+    assert main(["run", "--server", "Texas", "--clones", "2",
+                 "--db-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", os.path.join(tmp_path, "texas.db"),
+                 "--server", "Texas"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Texas: checked") and "state sets: OK" in out
+    # verify/recover offer the persistent versions, serve the concurrent one.
+    persistent = ("OStore", "Texas+TC", "Texas")
+    assert _server_choices("verify") == persistent
+    assert _server_choices("recover") == persistent
+    assert _server_choices("serve") == ("OStore",)
 
 
 def test_verify_then_recover_crashed_database(tmp_path, capsys):

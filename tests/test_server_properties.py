@@ -10,7 +10,7 @@ Two families:
   checkpoint; every unit's object writes drain at the unit's own end,
   in oid order, so grouping must not be observable in the file bytes.
   Runs for group commit on and off, on every persistent server version
-  in the backend registry: with K sessions where the version supports
+  in ``SERVER_VERSIONS``: with K sessions where the version supports
   concurrency, with one where it does not (there the property is replay
   determinism under group commit, and no group may close early).  A
   fixed interleaving pins that the sessions really do collide.  This is
@@ -41,14 +41,14 @@ from hypothesis import strategies as st
 from repro.errors import InjectedCrashError, StorageError, UnknownOidError
 from repro.labbase import LabBase
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
-from repro.storage import FaultInjector, ObjectStoreSM, registry
+from repro.storage import SERVER_VERSIONS, FaultInjector, ObjectStoreSM
 
 STATES = ("active", "busy", "done")
 
 
 #: Every persistent version, each behind the service; the main-memory
 #: versions have no client sessions to interleave.
-SERVED_CLASSES = [info.cls for info in registry.backends(persistent=True)]
+SERVED_CLASSES = [cls for cls in SERVER_VERSIONS if cls.persistent]
 CONCURRENT_CLASSES = [
     cls for cls in SERVED_CLASSES if cls.supports_concurrency
 ]

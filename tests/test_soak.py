@@ -4,8 +4,6 @@ Slower than the unit tests (a few seconds) but still in the default
 suite: it is the closest thing to "run the whole paper" in one test.
 """
 
-import gc
-
 from repro.benchmark import BenchmarkConfig, LabFlowWorkload
 from repro.benchmark.analysis import check_shapes, failed_checks, render_checks
 from repro.benchmark import run_comparison
@@ -13,6 +11,8 @@ from repro.labbase import Chronicle, LabBase
 from repro.storage import ObjectStoreSM
 from repro.storage.integrity import verify
 from repro.storage.report import segment_stats
+
+from tests.conftest import frozen_heap
 
 
 def test_soak_single_server(tmp_path):
@@ -75,14 +75,7 @@ def test_soak_comparison_shapes(tmp_path):
         db_dir=str(tmp_path),
         buffer_pages=128,
     )
-    # S5 compares the user CPU of servers run back to back in this
-    # process: a full collection over what earlier tests left on the heap
-    # must not land inside one server's run, so that heap is frozen.
-    gc.collect()
-    gc.freeze()
-    try:
+    with frozen_heap():
         comparison = run_comparison(config)
-    finally:
-        gc.unfreeze()
     failures = failed_checks(check_shapes(comparison))
     assert not failures, render_checks(failures)

@@ -9,7 +9,7 @@ acceptance contract:
 * encode/decode identity for random plain data under both codecs,
 * exact StorageError translation for truncated / corrupt payloads on
   every fast-path tag,
-* identical query answers on every registered backend under both
+* identical query answers on every server version under both
   codecs,
 * per-codec bit-identical determinism of the database files, and
 * a mixed-era database (written under ``pickle``, extended under
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.labbase import LabBase, model
-from repro.storage import ObjectStoreSM
+from repro.storage import SERVER_VERSIONS, ObjectStoreSM
 from repro.storage.codec import (
     CODEC_NAMES,
     COMPRESS_MIN_BYTES,
@@ -41,7 +41,6 @@ from repro.storage.codec import (
     TAG_STEP,
     RecordCodec,
 )
-from repro.storage.registry import backends
 from repro.storage.stats import StorageStats
 
 from tests.test_readahead_equivalence import _answers, _run_workload
@@ -296,14 +295,10 @@ def test_intern_table_persists_and_restores():
 # whole-database properties
 # ---------------------------------------------------------------------------
 
-_BACKENDS = tuple(info.name for info in backends())
-_PERSISTENT = tuple(info.name for info in backends(persistent=True))
-
-
-def _open(info, directory: str, codec: str):
-    if not info.persistent:
-        return info.cls(codec=codec)
-    return info.cls(
+def _open(cls, directory: str, codec: str):
+    if not cls.persistent:
+        return cls(codec=codec)
+    return cls(
         path=os.path.join(directory, "db.pages"),
         buffer_pages=64,
         readahead_pages=0,
@@ -326,20 +321,19 @@ def _file_bytes(directory: str) -> dict[str, bytes]:
 )
 @given(codes=st.lists(st.integers(0, 9999), min_size=6, max_size=30))
 def test_codec_choice_preserves_answers_on_every_backend(codes):
-    """The PR's acceptance property: same answers, every registered
-    backend, both codecs."""
+    """Same answers on every server version under both codecs."""
     snapshots = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for info in backends():
+        for cls in SERVER_VERSIONS:
             for codec in CODEC_NAMES:
-                directory = os.path.join(workdir, f"{info.name}-{codec}")
+                directory = os.path.join(workdir, f"{cls.name}-{codec}")
                 os.makedirs(directory)
-                sm = _open(info, directory, codec)
+                sm = _open(cls, directory, codec)
                 db = LabBase(sm)
                 _run_workload(db, codes)
-                snapshots[(info.name, codec)] = _answers(db)
+                snapshots[(cls.name, codec)] = _answers(db)
                 sm.close()
-    reference = snapshots[(_BACKENDS[0], CODEC_NAMES[0])]
+    reference = snapshots[(SERVER_VERSIONS[0].name, CODEC_NAMES[0])]
     for key, snapshot in snapshots.items():
         assert snapshot == reference, key
 

@@ -37,6 +37,7 @@ import pytest
 
 from repro.errors import InjectedCrashError, StorageError
 from repro.storage import (
+    SERVER_VERSIONS,
     FaultInjector,
     ObjectCache,
     ObjectStoreSM,
@@ -45,13 +46,11 @@ from repro.storage import (
     TexasTCSM,
     TexasMM,
 )
-from repro.storage.registry import backends
 
 N_COMMITS = 25
 
-# Every registered backend that declares crash-matrix support sweeps
-# the matrix — the capability flag, not a hand-kept list, decides.
-PERSISTENT_CLASSES = [info.cls for info in backends(crash_matrix=True)]
+# Every persistent server version sweeps the matrix.
+PERSISTENT_CLASSES = [cls for cls in SERVER_VERSIONS if cls.persistent]
 
 
 def _stride() -> int:

@@ -22,11 +22,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import InjectedCrashError
 from repro.labbase import model
-from repro.storage import FaultInjector, ObjectStoreSM
+from repro.storage import SERVER_VERSIONS, FaultInjector, ObjectStoreSM
 from repro.storage.disk import PageFile
-from repro.storage.registry import backends
 
-PERSISTENT_CLASSES = [info.cls for info in backends(crash_matrix=True)]
+PERSISTENT_CLASSES = [cls for cls in SERVER_VERSIONS if cls.persistent]
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pre_frames", "lab.db")
 

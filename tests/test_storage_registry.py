@@ -1,10 +1,10 @@
-"""The backend registry: registration, lookup, capability queries.
+"""The server versions: one tuple, one lookup, the class flags.
 
-Also pins the PR's structural acceptance criterion: outside
-``repro.storage.registry`` no source module may *enumerate* backend
-names — the registry is the single place the server-version list
-exists, so the AST sweep at the bottom fails the moment someone
-hard-codes ``("OStore", "Texas", ...)`` in harness or CLI code again.
+Also pins a structural property: no source module may *enumerate*
+backend names — ``repro.storage.SERVER_VERSIONS`` (a tuple of classes)
+is the single place the server-version list exists, so the AST sweep at
+the bottom fails the moment someone hard-codes ``("OStore", "Texas",
+...)`` in harness or CLI code again.
 """
 
 import ast
@@ -13,124 +13,59 @@ import os
 import pytest
 
 import repro
-from repro.errors import StorageError, UnknownBackendError
+from repro.benchmark import BenchmarkConfig, server_spec
 from repro.benchmark.config import SERVER_ORDER
-from repro.storage import registry
+from repro.errors import UnknownBackendError
+from repro.storage import SERVER_VERSIONS, ObjectStoreSM, server_class
 from repro.storage.base import StorageManager
-from repro.storage.memstore import MainMemorySM
-from repro.storage.objectstore import ObjectStoreSM
 
 #: The paper's Section 10 table, left to right.
 PAPER_FIVE = ("OStore", "Texas+TC", "Texas", "OStore-mm", "Texas-mm")
 
 
 def test_the_five_paper_versions_are_registered_in_order():
-    assert registry.backend_names() == PAPER_FIVE
+    assert tuple(cls.name for cls in SERVER_VERSIONS) == PAPER_FIVE
 
 
 def test_server_order_is_derived_from_the_registry():
-    assert SERVER_ORDER == registry.backend_names()
+    assert SERVER_ORDER == PAPER_FIVE
 
 
 def test_backend_lookup_returns_info():
-    info = registry.backend("OStore")
-    assert info.cls is ObjectStoreSM
-    assert info.persistent and info.concurrent and info.segments
-    assert info.crash_matrix
+    cls = server_class("OStore")
+    assert cls is ObjectStoreSM
+    assert cls.persistent and cls.supports_concurrency and cls.supports_segments
 
 
 def test_unknown_backend_error_lists_known_names():
     with pytest.raises(UnknownBackendError) as excinfo:
-        registry.backend("GemStone")
+        server_class("GemStone")
     assert excinfo.value.name == "GemStone"
-    assert excinfo.value.known == registry.backend_names()
-    for name in registry.backend_names():
+    assert excinfo.value.known == PAPER_FIVE
+    for name in PAPER_FIVE:
         assert name in str(excinfo.value)
 
 
 def test_capability_filters():
-    names = lambda **kw: [info.name for info in registry.backends(**kw)]
-    assert names() == list(registry.backend_names())
-    assert names(persistent=True) == ["OStore", "Texas+TC", "Texas"]
-    assert names(persistent=False) == ["OStore-mm", "Texas-mm"]
-    assert names(concurrent=True) == ["OStore"]
-    assert names(crash_matrix=True) == ["OStore", "Texas+TC", "Texas"]
-    assert names(segments=True, persistent=True) == ["OStore", "Texas+TC"]
-    assert names(persistent=False, crash_matrix=True) == []
+    def names(flag):
+        return [cls.name for cls in SERVER_VERSIONS if getattr(cls, flag)]
 
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(StorageError, match="already registered"):
-        registry.register_backend("OStore", order=99)(ObjectStoreSM)
-
-
-def test_name_mismatch_rejected():
-    with pytest.raises(StorageError, match="has name"):
-        registry.register_backend("NotItsName", order=99)(ObjectStoreSM)
-
-
-def test_registration_roundtrip_and_capability_flags():
-    class ProbeSM(MainMemorySM):
-        name = "probe"
-
-    try:
-        returned = registry.register_backend(
-            "probe", order=999, description="test probe"
-        )(ProbeSM)
-        assert returned is ProbeSM
-        info = registry.backend("probe")
-        assert info.cls is ProbeSM
-        assert not info.persistent and not info.crash_matrix
-        assert registry.backend_names()[-1] == "probe"
-        built = info.make(None, 8)
-        assert isinstance(built, ProbeSM)
-        built.close()
-    finally:
-        registry._REGISTRY.pop("probe", None)
-    with pytest.raises(UnknownBackendError):
-        registry.backend("probe")
+    assert names("persistent") == ["OStore", "Texas+TC", "Texas"]
+    assert names("supports_concurrency") == ["OStore"]
+    assert names("supports_segments") == ["OStore", "Texas+TC", "OStore-mm"]
 
 
 def test_factory_builds_each_backend(tmp_path):
-    for info in registry.backends():
-        path = os.path.join(tmp_path, info.name.replace("+", "_") + ".db")
-        sm = info.make(path, 16)
-        assert isinstance(sm, StorageManager)
-        assert sm.name == info.name
-        oid = sm.allocate_write({"probe": info.name})
+    config = BenchmarkConfig(db_dir=str(tmp_path), buffer_pages=16)
+    for cls in SERVER_VERSIONS:
+        sm = server_spec(cls.name).make(config)
+        assert type(sm) is cls
+        oid = sm.allocate_write({"probe": cls.name})
         sm.commit()
-        assert sm.read(oid) == {"probe": info.name}
+        assert sm.read(oid) == {"probe": cls.name}
         sm.close()
-        assert os.path.exists(path) == info.persistent
-
-
-def test_create_by_name(tmp_path, monkeypatch):
-    """The registry seam's contract, kept alive by this test alone: a
-    backend subclass that decorates itself joins the name list, every
-    capability query its class flags grant, and the by-name factory —
-    with no edit anywhere else."""
-    registry.backend_names()  # the shipped backends register first
-    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-
-    @registry.register_backend("probe-store", order=5, description="throwaway")
-    class ProbeStoreSM(ObjectStoreSM):
-        name = "probe-store"
-
-    assert registry.backend_names() == (*PAPER_FIVE, "probe-store")
-    for capability in ("persistent", "concurrent", "crash_matrix", "segments"):
-        found = registry.backends(**{capability: True})
-        assert found[-1].cls is ProbeStoreSM, capability
-    assert ProbeStoreSM not in [
-        info.cls for info in registry.backends(persistent=False)
-    ]
-
-    path = os.path.join(tmp_path, "p.db")
-    sm = registry.create("probe-store", path)
-    assert isinstance(sm, ProbeStoreSM)
-    sm.close()
-    assert os.path.exists(path)
-    with pytest.raises(UnknownBackendError):
-        registry.create("Versant")
+        filename = cls.name.replace("+", "_").lower() + ".db"
+        assert os.path.exists(tmp_path / filename) == cls.persistent
 
 
 # -- the structural acceptance check ----------------------------------------
@@ -155,15 +90,15 @@ def _container_strings(tree: ast.AST):
             yield group
 
 
-def test_no_module_outside_the_registry_enumerates_backend_names():
+def test_no_source_module_enumerates_server_names():
     """No source module may hold 2+ backend names in one literal.
 
     A single name is a backend's own identity (``name = "Texas"`` in its
     module); two or more names in one list/tuple/set/dict literal is an
-    enumeration of the server-version set, which belongs to the
-    registry alone.
+    enumeration of the server-version set, which belongs to
+    ``SERVER_VERSIONS`` alone.
     """
-    names = set(registry.backend_names())
+    names = set(PAPER_FIVE)
     src_root = os.path.dirname(os.path.abspath(repro.__file__))
     offenders = []
     for dirpath, _dirnames, filenames in os.walk(src_root):
@@ -179,6 +114,6 @@ def test_no_module_outside_the_registry_enumerates_backend_names():
                     offenders.append((os.path.relpath(path, src_root),
                                       sorted(hits)))
     assert not offenders, (
-        "backend-name enumerations outside the registry: "
+        "backend-name enumerations outside SERVER_VERSIONS: "
         f"{offenders}"
     )
