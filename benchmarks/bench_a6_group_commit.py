@@ -200,7 +200,19 @@ def _run_contended() -> dict:
         "query_stalls": stalls["Q"],
         "lock_waits": delta["lock_waits"],
         "page_writes": delta["page_writes"],
+        "cache_misses": delta["cache_misses"],
+        "objects_read": delta["objects_read"],
     }
+
+
+def _payload(runs: dict, contended: dict) -> dict:
+    """The committed counts: every swept setting, then the contended leg."""
+    payload = {
+        f"s{sessions}_{'on' if group else 'off'}": run
+        for (sessions, group), run in runs.items()
+    }
+    payload["contended"] = contended
+    return payload
 
 
 @pytest.fixture(scope="module")
@@ -269,12 +281,7 @@ def test_a6_emit_table(benchmark, sweep):
         ),
         align_right=tuple(range(9)),
     )
-    payload = {
-        f"s{sessions}_{'on' if group else 'off'}": run
-        for (sessions, group), run in runs.items()
-    }
-    payload["contended"] = contended
-    emit("a6_group_commit", text, payload=payload)
+    emit("a6_group_commit", text, payload=_payload(runs, contended))
 
     # The acceptance floor: at 4 concurrent sessions, group commit must
     # cost strictly less I/O per committed step than per-unit commits.
@@ -302,6 +309,9 @@ def test_a6_emit_table(benchmark, sweep):
     assert contended["query_stalls"] == contended["commit_stalls"] > 0
     assert 0.0 < contended["commit_stall_ratio"] < 1.0
     assert contended["group_width"] > 1.0
+    # and handing the page from one session to the other costs no cache
+    # miss: both sessions share the one cache, which stays warm
+    assert contended["cache_misses"] == 0
 
 
 @pytest.mark.parametrize("group", [True, False], ids=["group_on", "group_off"])

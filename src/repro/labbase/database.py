@@ -383,8 +383,8 @@ class LabBase:
             # The unit that buffered the winners also wrote the material
             # (the history append dirties it), so the dirty peek avoids
             # billing a logical read for pure install bookkeeping.  The
-            # read fallback covers a mid-transaction lock hand-off that
-            # evicted the dirty entry.
+            # read fallback covers a session detach that settled the
+            # dirty entry before the drain.
             material = self._store.peek_dirty(material_oid)
             if material is None:
                 material = self._store.read(material_oid)

@@ -192,12 +192,9 @@ class SessionManager:
         (:meth:`~repro.storage.locks.LockManager.acquire`), and what it
         restores on failure is still only its own.
 
-        A *newly granted* lock is a hand-off point: another client may
-        have updated the object since this client last saw it, so the
-        cached copy is dropped and the next read goes through the
-        storage manager — exactly what a real page-server client does
-        when it re-acquires a page lock.  An upgrade is not a hand-off:
-        the SHARED hold already excluded other writers.
+        A grant leaves the object cache alone: every session reads and
+        writes through the database's one cache, so a cached copy is
+        never older than another session's update.
         """
         if not self._sm.supports_concurrency:
             # single-client store: attach succeeded, locks are moot
@@ -215,8 +212,6 @@ class SessionManager:
         except LockError:
             self._restore_pages(client, taken)
             raise
-        if taken.new:
-            self.db.cache.evict(oid)
         return taken
 
     def lock_objects(

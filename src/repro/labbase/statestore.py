@@ -30,12 +30,14 @@ Leaves are never merged: like a B-tree page they are reclaimed when
 empty.  Members come back in ascending oid order, whatever order they
 entered in.
 
-A split allocates mid-unit, and an allocation is not undone when the
-served layer discards a failed unit (``ObjectCache.discard_unit``).
-Hence the write discipline below: nothing is mutated before the last
-allocation of an operation has succeeded, every in-place mutation is
-followed immediately by its ``write``, and nothing after an allocation
-may raise.
+A split allocates mid-unit, and an allocation is the one thing the
+served layer cannot take back when it discards a failed unit
+(``ObjectCache.discard_unit`` drops the unit's writes and every cached
+object, in-place mutations included, but the new record is already in
+the storage manager).  Hence the write discipline below: nothing is
+mutated before the last allocation of an operation has succeeded,
+every in-place mutation is followed immediately by its ``write``, and
+nothing after an allocation may raise.
 
 **Mixed era.**  Files written before this layout hold the whole set as
 one ``members`` list in the ``material_set`` record.  Such a record is

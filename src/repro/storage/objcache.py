@@ -33,6 +33,13 @@ SM event           cache reaction
 ``drop_buffer()``  invalidate everything (cold-cache experiments mean cold)
 =================  ========================================================
 
+The served layer adds one hook of its own: :meth:`discard_unit`, a failed
+unit of work, invalidates everything too, since the unit may have mutated
+cached records in place — its material, an index bucket, a set leaf —
+before it failed.  A page-lock grant needs no hook: every session goes
+through this one cache on the service's one owner thread, so no other
+client can have changed an object behind it.
+
 Cached objects are **shared**, not copied: a reader that mutates a
 record it got from the cache and then writes it back hands the cache the
 same object it already holds.  That is exactly LabBase's mutate-then-
@@ -237,15 +244,15 @@ class ObjectCache:
         return written
 
     def discard_unit(self) -> int:
-        """Drop a failed unit's buffered writes and leave buffering mode.
+        """Drop a failed unit's work and leave buffering mode.
 
         Returns the number of writes discarded.  Nothing reaches the
-        storage manager — the unit never happened.
+        storage manager — the unit never happened — and the whole cache
+        is invalidated, so a record the unit mutated in place without
+        writing it is re-read from the storage manager too.
         """
-        if self._discard_listener is not None:
-            self._discard_listener()
         dropped = len(self._dirty)
-        self._dirty.clear()
+        self.invalidate()
         self._in_txn = False
         return dropped
 
@@ -295,9 +302,9 @@ class ObjectCache:
     def evict(self, oid: int, write_back: bool = True) -> None:
         """Drop one oid from the cache, flushing it first if dirty.
 
-        Sessions use this on lock hand-off: the next reader must fetch
-        the object through the storage manager, as a real page-server
-        client would after another client's update.
+        ``SessionManager.detach`` settles a departing session's dirty
+        entries with this: written back on a clean detach, dropped on a
+        failed one.
         """
         if oid in self._dirty:
             obj = self._dirty.pop(oid)

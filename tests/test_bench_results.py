@@ -67,6 +67,24 @@ def _committed(name: str) -> object:
         return json.load(handle)
 
 
+def test_a4_payload_matches_a_fresh_ablation(monkeypatch):
+    a4 = _bench("bench_a4_object_cache", monkeypatch)
+    on, _on_us = a4._run(a4.DEFAULT_CACHE_OBJECTS)
+    off, _off_us = a4._run(0)
+    assert {"on": on, "off": off} == _committed("a4_object_cache")
+
+
+def test_a6_payload_matches_a_fresh_sweep(monkeypatch):
+    a6 = _bench("bench_a6_group_commit", monkeypatch)
+    runs = {
+        (sessions, group): a6._run(sessions, group)[0]
+        for sessions in a6._SESSION_COUNTS
+        for group in (True, False)
+    }
+    payload = a6._payload(runs, a6._run_contended())
+    assert payload == _committed("a6_group_commit")
+
+
 def test_e6_payload_matches_a_fresh_load(tmp_path, monkeypatch):
     e6 = _bench("bench_e6_db_size", monkeypatch)
     sizes = {server: e6._load(server, str(tmp_path)) for server in e6._SERVERS}

@@ -246,6 +246,56 @@ def test_unit_dying_of_a_bug_is_discarded_like_any_other(monkeypatch):
     db.storage.close()
 
 
+def test_a_query_after_another_sessions_update_reads_the_warm_cache():
+    """One cache and one owner thread serve every session, so a lock
+    grant has nothing to invalidate: c1's query finds c0's committed
+    update in the cache, without a miss or a storage read."""
+    db = _served_db()
+    service = LabFlowService(db, group_cap=1)
+    c0 = LocalClient(service, "c0")
+    c1 = LocalClient(service, "c1")
+    oid = c0.create_material("clone", "m-0", 1, state="active")
+    c0.record_step("measure", 2, [oid], {"value": 7})
+    stats = db.storage.stats
+    misses, reads = stats.cache_misses, stats.objects_read
+    assert c1.most_recent(oid, "value") == 7
+    assert (stats.cache_misses, stats.objects_read) == (misses, reads)
+    service.shutdown()
+    db.storage.close()
+
+
+def test_a_discarded_unit_leaves_no_in_place_mutation_behind(monkeypatch):
+    """A unit that mutated a cached record in place and then failed
+    never happened: neither the locked material nor the key-index
+    bucket, which ``lookup`` reads under no lock, keeps the mutation."""
+    db = _served_db()
+    service = LabFlowService(db)
+    a = LocalClient(service, "a")
+    b = LocalClient(service, "b")
+    oid = a.create_material("clone", "a-0", 1, state="active")
+    service.drain()
+    assert b.state_of(oid) == "active"
+    assert b.lookup("clone", "a-0") == oid  # both records now cached
+
+    def mutate_material(self, material_oid, state, valid_time):
+        self.material(material_oid)["state"] = state
+        raise LabBaseError("refused after an in-place mutation")
+
+    def mutate_bucket(self, material_oid, state, valid_time):
+        bucket = self.cache.read(self.bucket_oid("clone", "a-0", create=False))
+        bucket["entries"]["a-0"] = material_oid + 1
+        raise LabBaseError("refused after an in-place mutation")
+
+    for mutate in (mutate_material, mutate_bucket):
+        monkeypatch.setattr(LabBase, "set_state", mutate)
+        with pytest.raises(LabBaseError):
+            a.set_state(oid, "busy", 2)
+        assert b.state_of(oid) == "active"
+        assert b.lookup("clone", "a-0") == oid
+    service.shutdown()
+    db.storage.close()
+
+
 def _alice_pending_on_a_page_bob_wants():
     """alice's update pending in the open group, holding page P
     EXCLUSIVE; returns a material on P for bob to go after."""

@@ -172,7 +172,7 @@ def test_evict_writes_back_dirty_object():
     oid = cache.allocate_write({"v": "old"})
     cache.begin()
     cache.write(oid, {"v": "new"})
-    cache.evict(oid)                     # lock hand-off path
+    cache.evict(oid)                     # a clean session detach
     assert sm.read(oid) == {"v": "new"}  # not lost
     cache.commit()
     sm.calls.clear()
