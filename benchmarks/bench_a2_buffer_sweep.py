@@ -54,14 +54,26 @@ def _faults(server: str, pool_pages: int, tmp_path: str) -> int:
     return faults
 
 
-@pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    tmp_path = str(tmp_path_factory.mktemp("a2"))
+def _sweep(tmp_path: str) -> dict[tuple[str, int], int]:
+    """faults[(server, pool pages)] for every server and pool size."""
     return {
         (server, pool): _faults(server, pool, tmp_path)
         for server in _SERVERS
         for pool in _POOL_SIZES
     }
+
+
+def _payload(sweep: dict[tuple[str, int], int]) -> dict:
+    """The committed counts: faults per server, keyed by pool size."""
+    return {
+        server: {str(pool): sweep[(server, pool)] for pool in _POOL_SIZES}
+        for server in _SERVERS
+    }
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    return _sweep(str(tmp_path_factory.mktemp("a2")))
 
 
 def test_a2_emit_sweep_table(benchmark, sweep):
@@ -76,10 +88,7 @@ def test_a2_emit_sweep_table(benchmark, sweep):
         title="A2: cold-cache hot-query faults vs buffer-pool size",
         align_right=(0, 1, 2),
     )
-    emit("a2_buffer_sweep", text, payload={
-        server: {str(pool): sweep[(server, pool)] for pool in _POOL_SIZES}
-        for server in _SERVERS
-    })
+    emit("a2_buffer_sweep", text, payload=_payload(sweep))
 
     # monotone: more memory, fewer or equal faults
     for server in _SERVERS:

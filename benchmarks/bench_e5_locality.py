@@ -76,12 +76,11 @@ def _cold_phase(db, workload) -> None:
             pass
 
 
-@pytest.fixture(scope="module")
-def fault_profile(tmp_path_factory):
-    """faults[(server, phase)] measured against a cold cache."""
+def _fault_profile(tmp_path: str) -> dict:
+    """faults[(server, phase)] measured against a cold cache, plus the
+    servers' segment layouts as text under ``"layouts"``."""
     from repro.storage.report import segment_report
 
-    tmp_path = str(tmp_path_factory.mktemp("e5"))
     faults: dict[tuple[str, str], int] = {}
     layouts: list[str] = []
     for server in _SERVERS:
@@ -95,6 +94,19 @@ def fault_profile(tmp_path_factory):
         sm.close()
     faults["layouts"] = "\n\n".join(layouts)  # type: ignore[assignment]
     return faults
+
+
+def _payload(profile: dict) -> dict:
+    """The committed counts: faults per server and query phase."""
+    return {
+        server: {phase: profile[(server, phase)] for phase in ("hot", "cold")}
+        for server in _SERVERS
+    }
+
+
+@pytest.fixture(scope="module")
+def fault_profile(tmp_path_factory):
+    return _fault_profile(str(tmp_path_factory.mktemp("e5")))
 
 
 def test_e5_emit_locality_table(benchmark, fault_profile):
@@ -117,12 +129,7 @@ def test_e5_emit_locality_table(benchmark, fault_profile):
         align_right=(1, 2, 3),
     )
     text += "\n\n" + fault_profile["layouts"]
-    emit("e5_locality", text, payload={
-        server: {
-            phase: fault_profile[(server, phase)] for phase in ("hot", "cold")
-        }
-        for server in _SERVERS
-    })
+    emit("e5_locality", text, payload=_payload(fault_profile))
 
     # the headline: clustering wins the hot phase decisively, and the
     # server's own segments beat clustering done from the client

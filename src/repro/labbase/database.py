@@ -553,11 +553,22 @@ class LabBase:
     # ------------------------------------------------------------------
 
     def material_history(self, material_oid: int) -> list[tuple[int, dict]]:
-        """Q7: the audit trail, newest valid time first."""
+        """Q7: the audit trail, newest valid time first.
+
+        Walks the cold history segment: every chain node and every step
+        record is read and the steps sorted.  Not a way to count them —
+        :meth:`history_length` answers that from the material record.
+        """
         material = self.material(material_oid)
         return self.history.steps_by_valid_time(material)
 
     def history_length(self, material_oid: int) -> int:
+        """Steps in the material's history, O(1): one hot-record read.
+
+        ``history_len`` is kept current in the same unit as the chain by
+        ``HistoryStore.append`` and ``remove_step`` and by the bulk
+        loader; :meth:`check_history_lengths` cross-checks it.
+        """
         return self.material(material_oid)["history_len"]
 
     # ------------------------------------------------------------------
@@ -634,6 +645,23 @@ class LabBase:
             elif kind == model.KIND_MATERIAL and record["state"] is not None:
                 stated.setdefault(record["state"], set()).add(oid)
         return self.sets.check(stated, leaves)
+
+    def check_history_lengths(self) -> list[str]:
+        """Materials whose ``history_len`` disagrees with their chain.
+
+        One storage scan (not a benchmark op) counts each material's
+        step oids by walking its history nodes only; no step record is
+        read.  Empty when all is well.
+        """
+        problems = []
+        for oid, record in self.iter_materials():
+            walked = sum(1 for _ in self.history.step_oids(record))
+            if walked != record["history_len"]:
+                problems.append(
+                    f"material {oid}: history_len {record['history_len']}"
+                    f" but {walked} steps in its chain"
+                )
+        return problems
 
     def iter_steps(self) -> Iterator[tuple[int, dict]]:
         """Every step record (storage scan; not a benchmark op)."""

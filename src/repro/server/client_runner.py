@@ -142,6 +142,8 @@ class _ClientOps:
         return [_expect_int(oid) for oid in value]
 
     def history_len(self, material_oid: int) -> int:
+        """Steps in the material's history: the count its hot record
+        keeps, read under a SHARED page lock (no history walk)."""
         return _expect_int(self.call("history_len", material_oid=material_oid))
 
     # -- admin ---------------------------------------------------------------

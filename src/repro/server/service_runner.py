@@ -394,7 +394,7 @@ class LabFlowService:
         if op == "in_state":
             return db.in_state(str(args.get("state")))
         if op == "history_len":
-            return len(db.material_history(_as_int(args.get("material_oid"))))
+            return db.history_length(_as_int(args.get("material_oid")))
         raise ProtocolError(f"unknown operation {op!r}")
 
     def _close_group(self) -> None:

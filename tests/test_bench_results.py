@@ -67,6 +67,11 @@ def _committed(name: str) -> object:
         return json.load(handle)
 
 
+def test_a2_payload_matches_a_fresh_sweep(tmp_path, monkeypatch):
+    a2 = _bench("bench_a2_buffer_sweep", monkeypatch)
+    assert a2._payload(a2._sweep(str(tmp_path))) == _committed("a2_buffer_sweep")
+
+
 def test_a4_payload_matches_a_fresh_ablation(monkeypatch):
     a4 = _bench("bench_a4_object_cache", monkeypatch)
     on, _on_us = a4._run(a4.DEFAULT_CACHE_OBJECTS)
@@ -83,6 +88,12 @@ def test_a6_payload_matches_a_fresh_sweep(monkeypatch):
     }
     payload = a6._payload(runs, a6._run_contended())
     assert payload == _committed("a6_group_commit")
+
+
+def test_e5_payload_matches_a_fresh_fault_profile(tmp_path, monkeypatch):
+    e5 = _bench("bench_e5_locality", monkeypatch)
+    profile = e5._fault_profile(str(tmp_path))
+    assert e5._payload(profile) == _committed("e5_locality")
 
 
 def test_e6_payload_matches_a_fresh_load(tmp_path, monkeypatch):

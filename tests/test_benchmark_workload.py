@@ -48,6 +48,27 @@ def test_integrity_counters_match_scans():
     assert counts["materials"] > 0 and counts["steps"] > 0
 
 
+def test_integrity_reports_a_history_len_bumped_by_hand():
+    db, workload = _workload()
+    workload.run_all()
+    assert db.check_history_lengths() == []
+    oid, record = next(
+        (oid, record) for oid, record in db.iter_materials()
+        if record["history_len"]
+    )
+    walked = len(db.material_history(oid))
+    record["history_len"] += 1
+    db.cache.write(oid, record)
+    db.commit()
+    assert db.history_length(oid) == walked + 1
+    assert db.check_history_lengths() == [
+        f"material {oid}: history_len {walked + 1} but {walked} steps"
+        " in its chain"
+    ]
+    with pytest.raises(AssertionError, match=f"material {oid}"):
+        workload.check_integrity()
+
+
 def test_same_seed_same_stream_across_stores():
     """The cross-server guarantee: identical logical databases."""
     db_a, workload_a = _workload(sm=OStoreMM())

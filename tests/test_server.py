@@ -23,7 +23,7 @@ from repro.errors import (
     SessionError,
     TransactionError,
 )
-from repro.labbase import LabBase
+from repro.labbase import LabBase, model
 from repro.server import (
     Channel,
     ClientRunner,
@@ -294,6 +294,46 @@ def test_a_discarded_unit_leaves_no_in_place_mutation_behind(monkeypatch):
         assert b.lookup("clone", "a-0") == oid
     service.shutdown()
     db.storage.close()
+
+
+_HOT_QUERIES = {
+    "history_len": lambda client, oid: client.history_len(oid) == 3,
+    "state_of": lambda client, oid: client.state_of(oid) == "active",
+    "lookup": lambda client, oid: client.lookup("clone", "m-0") == oid,
+    "most_recent": lambda client, oid: client.most_recent(oid, "value") == 2,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_HOT_QUERIES))
+def test_a_served_query_on_a_cold_cache_stays_in_the_hot_segments(op):
+    """A served query answers from the hot record its lock covers (or a
+    catalog index): one object read, and no page of the material's
+    steps or history nodes is brought into the pool.  Only a Q7-style
+    call walks the cold history segment."""
+    db = _served_db()
+    sm = db.storage
+    service = LabFlowService(db, group_cap=1)
+    client = LocalClient(service, "c")
+    oid = client.create_material("clone", "m-0", 1, state="active")
+    for value in range(3):
+        client.record_step("measure", 2 + value, [oid], {"value": value})
+    history = db.material(oid)["history_head"]
+    cold_oids = []
+    while history != model.NIL:
+        cold_oids.append(history)
+        history = db.cache.read(history)["next"]
+    cold_oids += [step for step, _record in db.material_history(oid)]
+    cold_pages = {page for cold in cold_oids for page in sm.pages_of(cold)}
+    assert len(cold_oids) == 4 and cold_pages
+    db.cache.invalidate()
+    sm.drop_buffer()
+    reads = sm.stats.objects_read
+
+    assert _HOT_QUERIES[op](client, oid)
+    assert sm.stats.objects_read - reads == 1
+    assert not [page for page in cold_pages if sm._pool.is_resident(page)]
+    service.shutdown()
+    sm.close()
 
 
 def _alice_pending_on_a_page_bob_wants():

@@ -115,7 +115,9 @@ def _drive_units(service, names, codes, hot_page=False):
         elif kind == 3:
             client.state_of(target)
         else:
-            client.history_len(target)
+            # the count the material record keeps is the walk's length
+            walked = len(service.db.material_history(target))
+            assert client.history_len(target) == walked
     for name in names:
         clients[name].close()
 
