@@ -61,6 +61,11 @@ def ablation():
     return {"on": _run(True), "off": _run(False)}
 
 
+def _payload(ablation: dict) -> dict:
+    """The committed counts: Q2's object reads per leg."""
+    return {leg: {"q2_reads": ablation[leg]["q2_reads"]} for leg in ("on", "off")}
+
+
 def test_a1_emit_table(benchmark, ablation):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rows = [
@@ -77,9 +82,7 @@ def test_a1_emit_table(benchmark, ablation):
         title="A1: most-recent index ablation (full LabFlow-1 stream)",
         align_right=(1, 2),
     )
-    emit("a1_most_recent_index", text, payload={
-        leg: {"q2_reads": ablation[leg]["q2_reads"]} for leg in ("on", "off")
-    })
+    emit("a1_most_recent_index", text, payload=_payload(ablation))
     # the index must win the query side decisively
     assert ablation["off"]["q2_reads"] > ablation["on"]["q2_reads"] * 2
 

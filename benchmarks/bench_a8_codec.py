@@ -137,6 +137,10 @@ def contenders():
 
 @pytest.fixture(scope="module")
 def stream_records():
+    return _capture_stream_records()
+
+
+def _capture_stream_records() -> list:
     """Every record the E1 stream encodes, captured off a live run."""
     captured: list = []
     with tempfile.TemporaryDirectory() as directory:
@@ -158,6 +162,27 @@ def stream_records():
     return captured
 
 
+def _fast_records(records: list) -> list:
+    """The closed-schema records: those the fast path encodes."""
+    return [
+        record for record in records
+        if type(record) is dict and record.get("kind") in _FAST_KINDS
+    ]
+
+
+def _payload(labf: dict, pickled: dict, fast_records: int) -> dict:
+    """The committed counts: both codecs' stream and mix counts, the
+    history shrink, and how many records the encode race covers."""
+    return {
+        "labf": labf,
+        "pickle": pickled,
+        "history_ratio": (
+            pickled["history_used_bytes"] / labf["history_used_bytes"]
+        ),
+        "fast_records_raced": fast_records,
+    }
+
+
 @pytest.fixture(scope="module")
 def encode_race(stream_records):
     """Wall time to encode the stream's closed-schema records per codec.
@@ -168,10 +193,7 @@ def encode_race(stream_records):
     replaces.  Interleaved min-of-N CPU time keeps scheduler noise out
     of the reported ratio.
     """
-    fast = [
-        record for record in stream_records
-        if type(record) is dict and record.get("kind") in _FAST_KINDS
-    ]
+    fast = _fast_records(stream_records)
     racers = {name: RecordCodec(name, StorageStats()) for name in CODEC_NAMES}
     mins: dict = {name: None for name in CODEC_NAMES}
     for _ in range(_ENCODE_REPEATS):
@@ -194,7 +216,8 @@ def test_a8_emit_table(benchmark, contenders, encode_race):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     labf, labf_us = contenders["labf"]
     pickled, pickle_us = contenders["pickle"]
-    history_ratio = pickled["history_used_bytes"] / labf["history_used_bytes"]
+    payload = _payload(labf, pickled, encode_race["fast_records"])
+    history_ratio = payload["history_ratio"]
     stream_speedup = pickle_us["stream"] / labf_us["stream"]
     encode_speedup = encode_race["encode_speedup"]
     rows = [
@@ -227,16 +250,7 @@ def test_a8_emit_table(benchmark, contenders, encode_race):
         title="A8: schema-aware codec vs legacy pickle (E1 stream + E8 mix)",
         align_right=(1, 2),
     )
-    emit(
-        "a8_codec",
-        text,
-        payload={
-            "labf": labf,
-            "pickle": pickled,
-            "history_ratio": history_ratio,
-            "fast_records_raced": encode_race["fast_records"],
-        },
-    )
+    emit("a8_codec", text, payload=payload)
 
     # Identical logical work: the codec changes bytes, never operations.
     # (history_records is deliberately absent: it counts *physical*

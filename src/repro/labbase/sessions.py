@@ -214,6 +214,17 @@ class SessionManager:
             raise
         return taken
 
+    def check_object_shared(self, client: str, oid: int) -> None:
+        """Raise :class:`LockError` where a SHARED :meth:`lock_object`
+        would, without taking a lock: for a read whose grant would go
+        back before any other client runs, so a conflict is all it
+        would do (:meth:`~repro.storage.objectstore.ObjectStoreSM.check_page_shared`).
+        """
+        if not self._sm.supports_concurrency:
+            return
+        for page_id in self._pages_of(oid):
+            self._sm.check_page_shared(client, page_id)
+
     def lock_objects(
         self,
         client: str,

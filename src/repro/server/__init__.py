@@ -9,9 +9,11 @@ batching concurrently-arriving session commits into one vectored flush.
 
 Decomposition (see DESIGN.md §13):
 
-* :mod:`~repro.server.communicator` — newline-framed JSON requests and
-  responses, the frame buffer a non-blocking reader takes them off, and
-  the blocking client end (:class:`Channel`);
+* :mod:`~repro.server.communicator` — requests and responses as
+  length-prefixed binary frames (a fixed layout per workflow op, one
+  tagged plain-data value otherwise), the frame buffer a non-blocking
+  reader takes them off, and the blocking client end
+  (:class:`Channel`);
 * :mod:`~repro.server.service_runner` — the deterministic synchronous
   service core (:class:`LabFlowService`) and the socket front-end
   (:class:`ServiceRunner`): one event-loop thread for every connection,

@@ -143,7 +143,7 @@ class _ClientOps:
 
     def history_len(self, material_oid: int) -> int:
         """Steps in the material's history: the count its hot record
-        keeps, read under a SHARED page lock (no history walk)."""
+        keeps, read after the page-lock check (no history walk)."""
         return _expect_int(self.call("history_len", material_oid=material_oid))
 
     # -- admin ---------------------------------------------------------------

@@ -1,121 +1,630 @@
 """Wire protocol between served LabFlow clients and the service.
 
-One request, one response, newline-framed JSON — deliberately boring.
-The interesting concurrency lives in the service core
-(:mod:`repro.server.service_runner`); the communicator only has to be
-unambiguous, deterministic (keys are sorted, so a captured exchange
-byte-compares across runs) and strict: anything malformed raises
-:class:`~repro.errors.ProtocolError` instead of guessing.
+One request, one response, each a length-prefixed binary frame: a
+little-endian ``u32`` body length, then the body.  A request body is an
+op-code byte, the session name (``u16`` length, UTF-8) and the op's
+arguments; a response body is an ok byte and one tagged value, or, for
+a refusal, the error's type and message.  DESIGN.md §13 has the full
+table.
+
+The eight data ops — the workflow units — have a fixed field layout:
+ints as ``i64``, strings with a ``u16`` length, ``involves`` as a counted
+``i64`` array, ``results`` as one tagged value and ``create_material``'s
+``state`` behind a presence byte.  Every admin op, and any request whose
+arguments do not match its op's layout exactly (keys and types), carries
+its arguments as one tagged value instead.  A tagged value is plain
+data: ``None``, ``bool``, ``int`` (as text beyond ``i64``), ``float``,
+``str``, lists (tuples arrive back as lists; a list of ints goes as one
+packed ``i64`` array) and dicts with ``str`` keys, written in sorted key
+order.  So the encoding is deterministic — a captured exchange
+byte-compares across runs — and ``decode_request(encode_request(r)) ==
+r`` for everything that is plain data.
+
+Decoding is strict: anything malformed raises
+:class:`~repro.errors.ProtocolError` and nothing else, every count is
+checked against the bytes left before anything is built from it, and
+nothing is ever unpickled.  Frames are the same bytes on every host.
 
 The server never blocks on a socket, so its framing is
 :class:`FrameBuffer`: bytes go in as ``recv`` delivers them, complete
-newline-terminated frames come out in order, and a line that runs past
-:data:`MAX_MESSAGE_BYTES` with no newline is a protocol violation.  The
-event loop keeps one per connection and takes every frame a ``recv``
-completed, so a client may write several requests back to back and read
-the replies in the same order.  :class:`Channel` is the blocking client
-end: one request out, one line back.
-
-Values must be JSON-representable (LabBase records are dicts, lists,
-strings and numbers, so everything the served operations return
-qualifies; tuples arrive back as lists).
+frames come out in order, and a header announcing more than
+:data:`MAX_MESSAGE_BYTES` is refused as soon as its four bytes are in.
+The event loop keeps one per connection and takes every frame a
+``recv`` completed, so a client may write several requests back to back
+and read the replies in the same order.  :class:`Channel` is the
+blocking client end: one request out, one frame back.
 """
 
 from __future__ import annotations
 
-import json
 import socket
-from dataclasses import dataclass, field
+import sys
+from array import array
+from struct import Struct
+from struct import error as StructError
+from typing import Callable, KeysView, Sequence, cast
 
 from repro.errors import ProtocolError
 
-#: Hard cap on one encoded message; a line longer than this is a
-#: protocol violation, not a workload.
+#: Hard cap on one frame's body; a header announcing more is a protocol
+#: violation, not a workload.
 MAX_MESSAGE_BYTES = 4 * 1024 * 1024
 
 #: The most one ``recv`` asks the socket for.
 RECV_BYTES = 64 * 1024
 
-# json.dumps builds a JSONEncoder per call whenever a keyword is not at
-# its default; every frame is encoded by this one.
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
+#: How deeply lists and dicts may nest inside one tagged value.
+MAX_DEPTH = 100
+
+#: The op codes, from 1: the eight data ops, then the admin ops.
+OPS = (
+    "create_material", "record_step", "set_state", "most_recent",
+    "state_of", "lookup", "in_state", "history_len",
+    "ping", "bye", "open_session", "close_session", "drain", "stats",
+    "sample", "verify",
+)
+_CODES = {op: code for code, op in enumerate(OPS, 1)}
+_DATA_OPS = 8
+
+#: Op code 0: an op outside the table, named by a ``u16`` string and
+#: followed by a tagged body (the service answers it with a refusal).
+_NAMED = 0
+#: Set on a data op's code when its arguments come as a tagged body.
+_TAGGED = 0x80
+
+# Value tags.
+T_NONE, T_FALSE, T_TRUE, T_INT, T_BIGINT, T_FLOAT, T_STR, T_LIST, T_DICT, T_INTS = (
+    range(10)
+)
+
+_U16 = Struct("<H")
+_U32 = Struct("<I")
+_I64 = Struct("<q")
+_TAG_I64 = Struct("<Bq")
+_F64 = Struct("<d")
+_TAG_F64 = Struct("<Bd")
+_TAG_U32 = Struct("<BI")
+_OK_INT = Struct("<IBBq")    # a whole ``ok`` frame answering one int
+_OK_STR = Struct("<IBBI")    # the head of one answering a string
+_OK_NONE = _U32.pack(2) + bytes((1, T_NONE))
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+#: ``array`` speaks the host's byte order; frames speak little-endian.
+_SWAP = sys.byteorder == "big"
+
+#: What running off the end of a frame, or bad UTF-8, raises inside the
+#: decoders; the public functions turn it into a ProtocolError.
+_MALFORMED = (IndexError, StructError, UnicodeDecodeError)
 
 
-@dataclass(frozen=True)
 class Request:
     """One client operation: ``op`` applied for session ``session``."""
 
-    op: str
-    session: str = ""
-    args: dict[str, object] = field(default_factory=dict)
+    __slots__ = ("op", "session", "args")
+
+    def __init__(
+        self, op: str, session: str = "", args: dict[str, object] | None = None
+    ) -> None:
+        self.op = op
+        self.session = session
+        self.args: dict[str, object] = {} if args is None else args
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Request):
+            return NotImplemented
+        return (
+            self.op == other.op
+            and self.session == other.session
+            and self.args == other.args
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Request(op={self.op!r}, session={self.session!r}, "
+            f"args={self.args!r})"
+        )
 
 
-@dataclass(frozen=True)
 class Response:
     """The service's answer: a value, or a typed error."""
 
-    ok: bool
-    value: object = None
-    error: str = ""
-    error_type: str = ""
+    __slots__ = ("ok", "value", "error", "error_type")
+
+    def __init__(
+        self,
+        ok: bool,
+        value: object = None,
+        error: str = "",
+        error_type: str = "",
+    ) -> None:
+        self.ok = ok
+        self.value = value
+        self.error = error
+        self.error_type = error_type
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Response):
+            return NotImplemented
+        return (
+            self.ok == other.ok
+            and self.value == other.value
+            and self.error == other.error
+            and self.error_type == other.error_type
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Response(ok={self.ok!r}, value={self.value!r}, "
+            f"error={self.error!r}, error_type={self.error_type!r})"
+        )
+
+
+# -- encoding ----------------------------------------------------------------
 
 
 def encode_request(request: Request) -> bytes:
-    payload = {
-        "op": request.op,
-        "session": request.session,
-        "args": request.args,
-    }
-    return _ENCODE(payload).encode("utf-8") + b"\n"
-
-
-def decode_request(line: bytes) -> Request:
-    payload = _decode_payload(line)
-    op = payload.get("op")
-    session = payload.get("session", "")
-    args = payload.get("args", {})
-    if not isinstance(op, str) or not op:
-        raise ProtocolError("request has no operation name")
-    if not isinstance(session, str):
-        raise ProtocolError("request session must be a string")
-    if not isinstance(args, dict):
-        raise ProtocolError("request args must be an object")
-    return Request(op=op, session=session, args=args)
+    """The whole frame, header included."""
+    op = request.op
+    args = request.args
+    code = _CODES.get(op, _NAMED)
+    session = _str16(request.session)
+    if _NAMED < code <= _DATA_OPS:
+        keys, encode = _LAYOUTS[code]
+        if args.keys() == keys:
+            try:
+                body = bytes((code,)) + session + encode(args)
+                return _U32.pack(len(body)) + body
+            except _Misfit:
+                pass
+        code |= _TAGGED
+    parts = [b"", bytes((code,)), session]
+    if code == _NAMED:
+        parts.append(_str16(op))
+    _put_value(args, parts, 0)
+    parts[0] = _U32.pack(sum(map(len, parts)))
+    return b"".join(parts)
 
 
 def encode_response(response: Response) -> bytes:
-    payload = {
-        "ok": response.ok,
-        "value": response.value,
-        "error": response.error,
-        "error_type": response.error_type,
-    }
-    return _ENCODE(payload).encode("utf-8") + b"\n"
+    """The whole frame, header included."""
+    value = response.value
+    if response.ok:
+        if type(value) is int and _I64_MIN <= value <= _I64_MAX:
+            return _OK_INT.pack(10, 1, T_INT, value)
+        if value is None:
+            return _OK_NONE
+        if type(value) is str:
+            data = _utf8(value)
+            return _OK_STR.pack(6 + len(data), 1, T_STR, len(data)) + data
+        parts = [b"", b"\x01"]
+    else:
+        error = _utf8(response.error)
+        parts = [
+            b"", b"\x00", _str16(response.error_type),
+            _U32.pack(len(error)), error,
+        ]
+    _put_value(value, parts, 0)
+    parts[0] = _U32.pack(sum(map(len, parts)))
+    return b"".join(parts)
 
 
-def decode_response(line: bytes) -> Response:
-    payload = _decode_payload(line)
-    ok = payload.get("ok")
-    if not isinstance(ok, bool):
-        raise ProtocolError("response has no ok flag")
-    return Response(
-        ok=ok,
-        value=payload.get("value"),
-        error=str(payload.get("error", "")),
-        error_type=str(payload.get("error_type", "")),
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode()
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise ProtocolError(f"cannot encode {text!r}: {exc}") from exc
+
+
+def _str16(text: str) -> bytes:
+    try:
+        return _s16(text)
+    except _Misfit:
+        raise ProtocolError(f"{text!r} does not fit a u16-length string") from None
+
+
+def _put_value(value: object, parts: list[bytes], depth: int) -> None:
+    """Append one tagged value's encoding to ``parts``."""
+    if value is None:
+        parts.append(b"\x00")
+    elif value is True:
+        parts.append(b"\x02")
+    elif value is False:
+        parts.append(b"\x01")
+    elif isinstance(value, int):
+        if _I64_MIN <= value <= _I64_MAX:
+            parts.append(_TAG_I64.pack(T_INT, value))
+        else:
+            text = str(int(value)).encode()
+            parts += (_TAG_U32.pack(T_BIGINT, len(text)), text)
+    elif isinstance(value, float):
+        parts.append(_TAG_F64.pack(T_FLOAT, value))
+    elif isinstance(value, str):
+        data = _utf8(value)
+        parts += (_TAG_U32.pack(T_STR, len(data)), data)
+    elif isinstance(value, (list, tuple)):
+        if depth >= MAX_DEPTH:
+            raise ProtocolError(f"values nest deeper than {MAX_DEPTH}")
+        packed = _packed_ints(value) if value else None
+        if packed is not None:
+            parts += (_TAG_U32.pack(T_INTS, len(value)), packed)
+            return
+        parts.append(_TAG_U32.pack(T_LIST, len(value)))
+        for item in value:
+            _put_value(item, parts, depth + 1)
+    elif isinstance(value, dict):
+        if depth >= MAX_DEPTH:
+            raise ProtocolError(f"values nest deeper than {MAX_DEPTH}")
+        if not all(isinstance(key, str) for key in value):
+            raise ProtocolError("dict keys must be strings")
+        parts.append(_TAG_U32.pack(T_DICT, len(value)))
+        for key in sorted(value):
+            data = _utf8(key)
+            parts += (_U32.pack(len(data)), data)
+            _put_value(value[key], parts, depth + 1)
+    else:
+        raise ProtocolError(f"cannot encode a {type(value).__name__}")
+
+
+def _packed_ints(values: Sequence[object]) -> bytes | None:
+    """Plain ints as little-endian ``i64`` bytes; ``None`` for anything
+    else."""
+    for item in values:
+        if type(item) is not int:
+            return None
+    try:
+        packed = array("q", cast("Sequence[int]", values))
+    except OverflowError:
+        return None
+    if _SWAP:
+        packed.byteswap()
+    return packed.tobytes()
+
+
+# The data ops' fixed layouts: the keys a request must have exactly, and
+# the encoder of their fields, which raises _Misfit when a value does not
+# fit its field (the request then goes with a tagged body).
+
+
+class _Misfit(Exception):
+    """A value does not fit its fixed field."""
+
+
+def _i64(value: object) -> bytes:
+    if type(value) is int and _I64_MIN <= value <= _I64_MAX:
+        return _I64.pack(value)
+    raise _Misfit
+
+
+def _s16(value: object) -> bytes:
+    if type(value) is not str:
+        raise _Misfit
+    try:
+        data = value.encode()
+    except UnicodeEncodeError:
+        raise _Misfit from None
+    if len(data) > 0xFFFF:
+        raise _Misfit
+    return _U16.pack(len(data)) + data
+
+
+def _enc_create_material(args: dict[str, object]) -> bytes:
+    state = args["state"]
+    presence = b"\x00" if state is None else b"\x01" + _s16(state)
+    return (
+        _s16(args["class_name"]) + _s16(args["key"])
+        + _i64(args["valid_time"]) + presence
     )
 
 
-def _decode_payload(line: bytes) -> dict[str, object]:
-    if len(line) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
+def _enc_record_step(args: dict[str, object]) -> bytes:
+    involves = args["involves"]
+    if type(involves) is not list:
+        raise _Misfit
+    packed = _packed_ints(involves)
+    if packed is None:
+        raise _Misfit
+    parts = [
+        _s16(args["class_name"]), _i64(args["valid_time"]),
+        _U32.pack(len(involves)), packed,
+    ]
+    _put_value(args["results"], parts, 0)
+    return b"".join(parts)
+
+
+def _enc_set_state(args: dict[str, object]) -> bytes:
+    return (
+        _i64(args["material_oid"]) + _s16(args["state"])
+        + _i64(args["valid_time"])
+    )
+
+
+def _enc_most_recent(args: dict[str, object]) -> bytes:
+    return _i64(args["material_oid"]) + _s16(args["attribute"])
+
+
+def _enc_material(args: dict[str, object]) -> bytes:
+    return _i64(args["material_oid"])
+
+
+def _enc_lookup(args: dict[str, object]) -> bytes:
+    return _s16(args["class_name"]) + _s16(args["key"])
+
+
+def _enc_in_state(args: dict[str, object]) -> bytes:
+    return _s16(args["state"])
+
+
+_LAYOUTS: dict[int, tuple[KeysView[str], Callable[[dict[str, object]], bytes]]] = {
+    _CODES[op]: (dict.fromkeys(keys).keys(), encode)
+    for op, keys, encode in (
+        ("create_material", ("class_name", "key", "valid_time", "state"),
+         _enc_create_material),
+        ("record_step", ("class_name", "valid_time", "involves", "results"),
+         _enc_record_step),
+        ("set_state", ("material_oid", "state", "valid_time"), _enc_set_state),
+        ("most_recent", ("material_oid", "attribute"), _enc_most_recent),
+        ("state_of", ("material_oid",), _enc_material),
+        ("lookup", ("class_name", "key"), _enc_lookup),
+        ("in_state", ("state",), _enc_in_state),
+        ("history_len", ("material_oid",), _enc_material),
+    )
+}
+
+
+# -- decoding ----------------------------------------------------------------
+
+
+def decode_request(frame: bytes) -> Request:
+    """A whole frame, header included, back into its :class:`Request`."""
     try:
-        payload = json.loads(line.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # garbage, or nested too deep
-        raise ProtocolError(f"undecodable message: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError("message must be a JSON object")
-    return payload
+        end = _body_end(frame)
+        code = frame[4]
+        session, pos = _take_s16(frame, 5)
+        decode = _DECODERS.get(code)
+        if decode is None:
+            raise ProtocolError(f"unknown op code {code}")
+        op, args, pos = decode(frame, pos)
+    except _MALFORMED as exc:
+        raise ProtocolError(f"malformed request: {exc}") from exc
+    if pos != end:
+        raise ProtocolError(f"{end - pos} bytes left over after a {op} request")
+    return Request(op, session, args)
+
+
+def decode_response(frame: bytes) -> Response:
+    """A whole frame, header included, back into its :class:`Response`."""
+    try:
+        end = _body_end(frame)
+        ok = frame[4]
+        if ok == 1:
+            if end == 14 and frame[5] == T_INT:
+                return Response(True, _I64.unpack_from(frame, 6)[0])
+            value, pos = _take_value(frame, 5, 0)
+            response = Response(True, value)
+        elif ok == 0:
+            error_type, pos = _take_s16(frame, 5)
+            error, pos = _take_str(frame, pos)
+            value, pos = _take_value(frame, pos, 0)
+            response = Response(False, value, error, error_type)
+        else:
+            raise ProtocolError(f"response has no ok flag (got {ok})")
+    except _MALFORMED as exc:
+        raise ProtocolError(f"malformed response: {exc}") from exc
+    if pos != end:
+        raise ProtocolError(f"{end - pos} bytes left over after a response")
+    return response
+
+
+def _body_end(frame: bytes) -> int:
+    """Check the header against the frame; returns the frame's length."""
+    size = len(frame)
+    if size < 5:
+        raise ProtocolError(f"a {size}-byte frame is too short")
+    (length,) = _U32.unpack_from(frame)
+    if length > MAX_MESSAGE_BYTES:
+        raise ProtocolError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
+    if length != size - 4:
+        raise ProtocolError(
+            f"frame header says {length} bytes, the frame holds {size - 4}"
+        )
+    return size
+
+
+def _check_count(frame: bytes, pos: int, count: int, item_bytes: int) -> None:
+    """Refuse a count before anything is built from it: ``count`` items
+    of at least ``item_bytes`` each must fit in what is left."""
+    left = len(frame) - pos
+    if count * item_bytes > left:
+        raise ProtocolError(
+            f"a count of {count} needs {count * item_bytes} bytes, "
+            f"{left} are left"
+        )
+
+
+def _take_s16(frame: bytes, pos: int) -> tuple[str, int]:
+    (size,) = _U16.unpack_from(frame, pos)
+    pos += 2
+    _check_count(frame, pos, size, 1)
+    end = pos + size
+    return frame[pos:end].decode(), end
+
+
+def _take_str(frame: bytes, pos: int) -> tuple[str, int]:
+    (size,) = _U32.unpack_from(frame, pos)
+    pos += 4
+    _check_count(frame, pos, size, 1)
+    end = pos + size
+    return frame[pos:end].decode(), end
+
+
+def _take_ints(frame: bytes, pos: int) -> tuple[list[int], int]:
+    (count,) = _U32.unpack_from(frame, pos)
+    pos += 4
+    _check_count(frame, pos, count, 8)
+    end = pos + 8 * count
+    values = array("q", frame[pos:end])
+    if _SWAP:
+        values.byteswap()
+    return values.tolist(), end
+
+
+def _take_value(frame: bytes, pos: int, depth: int) -> tuple[object, int]:
+    tag = frame[pos]
+    pos += 1
+    if tag == T_INT:
+        return _I64.unpack_from(frame, pos)[0], pos + 8
+    if tag == T_STR:
+        return _take_str(frame, pos)
+    if tag == T_NONE:
+        return None, pos
+    if tag == T_INTS:
+        return _take_ints(frame, pos)
+    if tag == T_DICT or tag == T_LIST:
+        if depth >= MAX_DEPTH:
+            raise ProtocolError(f"values nest deeper than {MAX_DEPTH}")
+        (count,) = _U32.unpack_from(frame, pos)
+        pos += 4
+        if tag == T_LIST:
+            _check_count(frame, pos, count, 1)  # a tag at least
+            items = []
+            for _ in range(count):
+                item, pos = _take_value(frame, pos, depth + 1)
+                items.append(item)
+            return items, pos
+        _check_count(frame, pos, count, 5)  # a key's length and a tag
+        mapping: dict[str, object] = {}
+        previous = None
+        for _ in range(count):
+            key, pos = _take_str(frame, pos)
+            if previous is not None and key <= previous:
+                raise ProtocolError("dict keys must be sorted and distinct")
+            previous = key
+            mapping[key], pos = _take_value(frame, pos, depth + 1)
+        return mapping, pos
+    if tag == T_FALSE or tag == T_TRUE:
+        return tag == T_TRUE, pos
+    if tag == T_FLOAT:
+        return _F64.unpack_from(frame, pos)[0], pos + 8
+    if tag == T_BIGINT:
+        text, pos = _take_str(frame, pos)
+        digits = text[1:] if text[:1] == "-" else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ProtocolError(f"{text!r} is not an integer")
+        try:
+            return int(text), pos
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise ProtocolError(f"integer text: {exc}") from exc
+    raise ProtocolError(f"unknown value tag {tag}")
+
+
+
+# One decoder per op code: ``(op, args, end)`` from the bytes after the
+# session name.
+
+_Decoder = Callable[[bytes, int], tuple[str, dict[str, object], int]]
+
+
+def _dec_create_material(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+    class_name, pos = _take_s16(frame, pos)
+    key, pos = _take_s16(frame, pos)
+    (valid_time,) = _I64.unpack_from(frame, pos)
+    pos += 8
+    present = frame[pos]
+    pos += 1
+    state = None
+    if present == 1:
+        state, pos = _take_s16(frame, pos)
+    elif present != 0:
+        raise ProtocolError(f"presence byte {present}")
+    return "create_material", {
+        "class_name": class_name, "key": key, "valid_time": valid_time,
+        "state": state,
+    }, pos
+
+
+def _dec_record_step(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+    class_name, pos = _take_s16(frame, pos)
+    (valid_time,) = _I64.unpack_from(frame, pos)
+    involves, pos = _take_ints(frame, pos + 8)
+    results, pos = _take_value(frame, pos, 0)
+    return "record_step", {
+        "class_name": class_name, "valid_time": valid_time,
+        "involves": involves, "results": results,
+    }, pos
+
+
+def _dec_set_state(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+    (material_oid,) = _I64.unpack_from(frame, pos)
+    state, pos = _take_s16(frame, pos + 8)
+    (valid_time,) = _I64.unpack_from(frame, pos)
+    return "set_state", {
+        "material_oid": material_oid, "state": state, "valid_time": valid_time,
+    }, pos + 8
+
+
+def _dec_most_recent(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+    (material_oid,) = _I64.unpack_from(frame, pos)
+    attribute, pos = _take_s16(frame, pos + 8)
+    return "most_recent", {
+        "material_oid": material_oid, "attribute": attribute,
+    }, pos
+
+
+def _dec_material(op: str) -> _Decoder:
+    def decode(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+        return op, {"material_oid": _I64.unpack_from(frame, pos)[0]}, pos + 8
+
+    return decode
+
+
+def _dec_lookup(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+    class_name, pos = _take_s16(frame, pos)
+    key, pos = _take_s16(frame, pos)
+    return "lookup", {"class_name": class_name, "key": key}, pos
+
+
+def _dec_in_state(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+    state, pos = _take_s16(frame, pos)
+    return "in_state", {"state": state}, pos
+
+
+def _tagged(op: str) -> _Decoder:
+    def decode(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+        args, pos = _take_value(frame, pos, 0)
+        if not isinstance(args, dict):
+            raise ProtocolError("request args must be an object")
+        return op, args, pos
+
+    return decode
+
+
+def _dec_named(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+    op, pos = _take_s16(frame, pos)
+    if not op:
+        raise ProtocolError("request has no operation name")
+    if op in _CODES:
+        raise ProtocolError(f"{op} has an op code of its own")
+    return _tagged(op)(frame, pos)
+
+
+_DECODERS: dict[int, _Decoder] = {
+    _CODES["create_material"]: _dec_create_material,
+    _CODES["record_step"]: _dec_record_step,
+    _CODES["set_state"]: _dec_set_state,
+    _CODES["most_recent"]: _dec_most_recent,
+    _CODES["state_of"]: _dec_material("state_of"),
+    _CODES["lookup"]: _dec_lookup,
+    _CODES["in_state"]: _dec_in_state,
+    _CODES["history_len"]: _dec_material("history_len"),
+    **{
+        code | (_TAGGED if code <= _DATA_OPS else 0): _tagged(op)
+        for op, code in _CODES.items()
+    },
+    _NAMED: _dec_named,
+}
+
+
+# -- transport ---------------------------------------------------------------
 
 
 class FrameBuffer:
@@ -123,36 +632,37 @@ class FrameBuffer:
 
     def __init__(self) -> None:
         self._data = bytearray()
-        self._scanned = 0  # no newline before this offset
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def room(self) -> int:
-        """How much one more ``recv`` may ask for: never so much that an
-        unterminated line is held beyond the cap before it is refused."""
-        return min(RECV_BYTES, MAX_MESSAGE_BYTES + 1 - len(self._data))
 
     def feed(self, data: bytes) -> None:
         self._data += data
 
     def take(self) -> bytes | None:
-        """Remove and return the next complete frame, newline included;
+        """Remove and return the next complete frame, header included;
         ``None`` while only part of one has arrived.  Raises
-        :class:`ProtocolError` once that part is longer than any frame
-        may be."""
+        :class:`ProtocolError` as soon as a header announces more than
+        any frame may hold."""
         data = self._data
-        end = data.find(b"\n", self._scanned)
-        if end < 0:
-            if len(data) > MAX_MESSAGE_BYTES:
-                raise ProtocolError(
-                    f"unterminated message exceeds {MAX_MESSAGE_BYTES} bytes"
-                )
-            self._scanned = len(data)
+        have = len(data)
+        if have < 4:
             return None
-        frame = bytes(data[: end + 1])
-        del data[: end + 1]
-        self._scanned = 0
+        (length,) = _U32.unpack_from(data)
+        if length > MAX_MESSAGE_BYTES:
+            raise ProtocolError(
+                f"frame header announces {length} bytes; "
+                f"a message may not exceed {MAX_MESSAGE_BYTES}"
+            )
+        end = 4 + length
+        if have == end:  # the common case: one recv, one frame
+            frame = bytes(data)
+            data.clear()
+            return frame
+        if have < end:
+            return None
+        frame = bytes(data[:end])
+        del data[:end]
         return frame
 
 
@@ -162,7 +672,7 @@ class Channel:
 
     ``recv_response`` returns ``None`` on a clean EOF (peer closed
     between frames) and raises :class:`ProtocolError` on garbage or on a
-    peer that died mid-line.
+    peer that died mid-frame.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -173,12 +683,18 @@ class Channel:
         self._sock.sendall(encode_request(request))
 
     def recv_response(self) -> Response | None:
-        line = self._reader.readline(MAX_MESSAGE_BYTES + 1)
-        if not line:
+        header = self._reader.read(4)
+        if not header:
             return None
-        if not line.endswith(b"\n"):
-            raise ProtocolError("unterminated message (peer died mid-line?)")
-        return decode_response(line)
+        if len(header) < 4:
+            raise ProtocolError("truncated frame (peer died mid-frame?)")
+        (length,) = _U32.unpack(header)
+        if length > MAX_MESSAGE_BYTES:
+            raise ProtocolError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
+        body = self._reader.read(length)
+        if len(body) < length:
+            raise ProtocolError("truncated frame (peer died mid-frame?)")
+        return decode_response(header + body)
 
     def roundtrip(self, request: Request) -> Response:
         """One request, one response — the client-side exchange.
@@ -194,7 +710,7 @@ class Channel:
 
     def close(self) -> None:
         # shutdown() first: closing alone does not unblock a thread
-        # sitting in readline() on the makefile wrapper.
+        # sitting in a read on the makefile wrapper.
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:

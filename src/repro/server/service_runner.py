@@ -32,9 +32,14 @@ Lock discipline (strict two-phase for updates):
   holders of the page, and every holder's locks go at the one group
   close.  Closing the group to let such a unit in would split a group
   it was welcome in;
-* query units take SHARED locks and give them back at the unit's end.
-  A query *is* an observation, so it has no mates: it conflicts with
-  any other session's EXCLUSIVE hold, also on a page its own session
+* query units take no lock: they *check* that no other session holds
+  one of the material's pages EXCLUSIVE
+  (:meth:`~repro.storage.objectstore.ObjectStoreSM.check_page_shared`),
+  which raises exactly where a SHARED grant would.  Units run one at a
+  time on the owner thread, so a grant taken and returned inside one
+  unit could never be seen by anybody; the conflict is all it did.  A
+  query *is* an observation, so it has no mates: it conflicts with any
+  other session's EXCLUSIVE hold, also on a page its own session
   co-holds with a mate;
 * a conflict raises :class:`~repro.errors.LockError` inside the core —
   the service turns that into the queued-wait discipline of a real page
@@ -92,6 +97,7 @@ from repro.obs.tracing import UnitTracer
 from repro.server.commit import DEFAULT_GROUP_CAP, CommitCoordinator
 from repro.server.communicator import (
     MAX_MESSAGE_BYTES,
+    RECV_BYTES,
     FrameBuffer,
     Request,
     Response,
@@ -122,6 +128,7 @@ _UPDATE_OPS = frozenset({"create_material", "record_step", "set_state"})
 _QUERY_OPS = frozenset(
     {"lookup", "most_recent", "state_of", "in_state", "history_len"}
 )
+_UNIT_OPS = _UPDATE_OPS | _QUERY_OPS
 
 
 class LabFlowService:
@@ -200,7 +207,7 @@ class LabFlowService:
         """One observability poll: counters, gauges and service state.
 
         This is what the ``sample`` protocol op answers; everything in
-        it is JSON-safe.
+        it is plain data, so it goes over the wire as one tagged value.
         """
         self._check_owner()
         counters = self._db.storage.stats.snapshot()
@@ -247,7 +254,7 @@ class LabFlowService:
         """
         self._check_owner()
         call_args: dict[str, object] = dict(args or {})
-        if op not in _UPDATE_OPS and op not in _QUERY_OPS:
+        if op not in _UNIT_OPS:
             raise ProtocolError(f"unknown operation {op!r}")
         if not self._sessions.is_open(name):
             raise SessionError(f"no open session {name!r}")
@@ -311,8 +318,6 @@ class LabFlowService:
             self._coordinator.note_unit(name)
             if self._coordinator.should_close():
                 self._close_group()
-        else:
-            self._release_query_locks(name, taken)
         if tracer is not None:
             tracer.unit_end(
                 name,
@@ -334,14 +339,15 @@ class LabFlowService:
         if op == "set_state":
             return self._sessions.lock_object(
                 name,
-                int(_as_int(args.get("material_oid"))),
+                _as_int(args.get("material_oid")),
                 True,
                 self._coordinator.pending_sessions(),
             )
         if op in ("most_recent", "state_of", "history_len"):
-            return self._sessions.lock_object(
-                name, int(_as_int(args.get("material_oid"))), False
+            self._sessions.check_object_shared(
+                name, _as_int(args.get("material_oid"))
             )
+            return LockedPages()
         # create_material locks nothing: the material does not exist yet
         # and its record may share a page only with records the executor
         # serializes anyway.  lookup/in_state are catalog-level reads.
@@ -374,7 +380,7 @@ class LabFlowService:
                 _as_int(args.get("valid_time")),
                 [_as_int(oid) for oid in _as_iterable(args.get("involves"))],
                 results,
-                None if version is None else int(_as_int(version)),
+                None if version is None else _as_int(version),
             )
         if op == "set_state":
             db.set_state(
@@ -423,26 +429,15 @@ class LabFlowService:
         for page_id in taken.upgraded:
             self._db.storage.downgrade_page(name, page_id)
 
-    def _release_query_locks(self, name: str, taken: LockedPages) -> None:
-        # Shared grants never upgrade; give back only what this unit
-        # newly took — pages held by the session's group-pending update
-        # units stay locked until the group closes.
-        if not self._db.storage.supports_concurrency:
-            return
-        for page_id in taken.new:
-            # Query units are not two-phase: SHARED grants go back at
-            # unit end by design (see the module docstring), and
-            # update-path grants never route through here.
-            # lint: ignore[LF08] -- shared-grant release at query unit end
-            self._db.storage.unlock_page(name, page_id)
-
 
 def _as_int(value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ProtocolError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():  # 7.5, inf, nan
+        raise ProtocolError(f"expected an integer, got {value!r}")
     try:
         return int(value)
-    except (ValueError, OverflowError) as exc:  # "x", 1e999
+    except ValueError as exc:  # "x"
         raise ProtocolError(f"expected an integer, got {value!r}") from exc
 
 
@@ -667,7 +662,7 @@ class ServiceRunner:
 
     def _receive(self, conn: _Connection) -> None:
         try:
-            data = conn.sock.recv(conn.frames.room())
+            data = conn.sock.recv(RECV_BYTES)
         except BlockingIOError:
             return  # the readiness was gone by the time we looked
         if data:
@@ -676,7 +671,7 @@ class ServiceRunner:
         conn.finished = True
         if len(conn.frames):
             conn.out += encode_response(_error_response(ProtocolError(
-                "unterminated message (peer died mid-line?)"
+                "truncated frame (peer died mid-frame?)"
             )))
 
     def _send(self, conn: _Connection) -> None:
@@ -732,9 +727,12 @@ def apply_request(service: LabFlowService, request: Request) -> object:
 
     The session-management and admin operations live here so the socket
     runner and :class:`~repro.server.client_runner.LocalClient` dispatch
-    identically; everything else is a unit of work for ``submit``.
+    identically; everything else is a unit of work for ``submit``, the
+    workflow units first because nearly every request is one.
     """
     op = request.op
+    if op in _UNIT_OPS:
+        return service.submit(request.session, op, request.args)
     if op == "ping" or op == "bye":
         return "pong"
     if op == "open_session":

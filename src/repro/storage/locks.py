@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NoReturn
 
 from repro.errors import LockError
 from repro.storage.stats import StorageStats
@@ -124,11 +125,7 @@ class LockManager:
             if held is LockMode.EXCLUSIVE and mode is LockMode.EXCLUSIVE:
                 return LockGrant.HELD
             if not lock.compatible(client, mode, mates):
-                self._stats.lock_waits += 1
-                raise LockError(
-                    f"client {client!r} cannot lock page {page_id} in mode "
-                    f"{mode.value}: held by {sorted(h for h in lock.holders if h != client)}"
-                )
+                self._refuse(client, page_id, mode, lock)
             if held is not None and mode is LockMode.SHARED:
                 return LockGrant.HELD
         lock.holders[client] = mode
@@ -138,6 +135,26 @@ class LockManager:
             return LockGrant.NEW
         self._stats.lock_upgrades += 1
         return LockGrant.UPGRADED
+
+    def check_shared(self, client: str, page_id: int) -> None:
+        """Raise :class:`LockError`, and count a wait, exactly where a
+        SHARED :meth:`acquire` would — and change nothing else.
+
+        For a caller that would give the grant back before anybody else
+        could run: then the conflict is all the grant would have done.
+        """
+        lock = self._locks.get(page_id)
+        if lock is not None and not lock.compatible(client, LockMode.SHARED):
+            self._refuse(client, page_id, LockMode.SHARED, lock)
+
+    def _refuse(
+        self, client: str, page_id: int, mode: LockMode, lock: _PageLock
+    ) -> NoReturn:
+        self._stats.lock_waits += 1
+        raise LockError(
+            f"client {client!r} cannot lock page {page_id} in mode "
+            f"{mode.value}: held by {sorted(h for h in lock.holders if h != client)}"
+        )
 
     def downgrade(self, client: str, page_id: int) -> bool:
         """Demote an EXCLUSIVE hold back to SHARED.

@@ -94,6 +94,20 @@ class ObjectStoreSM(PagedStorageManager):
         mode = LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
         return self._lock_manager.acquire(client, page_id, mode, mates)
 
+    def check_page_shared(self, client: str, page_id: int) -> None:
+        """Raise where a SHARED :meth:`lock_page` would, and take no lock.
+
+        The served core's query units use this instead of a grant they
+        would return before the next unit runs (units run one at a time
+        on the service's owner thread): the same
+        :class:`~repro.errors.LockError` and ``lock_waits`` on a
+        conflict, no ``lock_acquisitions`` and nothing to release.
+        """
+        self._check_open()
+        if client not in self._clients:
+            raise StorageError(f"client {client!r} is not attached")
+        self._lock_manager.check_shared(client, page_id)
+
     def unlock_page(self, client: str, page_id: int) -> bool:
         """Release one page lock (backing out a failed multi-page grab)."""
         self._check_open()

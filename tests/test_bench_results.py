@@ -6,10 +6,10 @@ them, so a payload may carry counts, ratios of counts and booleans only.
 A timing put back into a payload would fail that gate on every run;
 this test catches it without running a bench.
 
-The cheap gated payloads are also recomputed here and compared with the
-committed files (nothing is written), so a change that moves one of
-their counts fails tier-1 until the bench is re-run and its file
-committed.
+Every gated payload is also recomputed here, at its bench's own small
+scale, and compared with the committed file (nothing is written), so a
+change that moves one of their counts fails tier-1 until the bench is
+re-run and its file committed.
 """
 
 import importlib
@@ -67,6 +67,12 @@ def _committed(name: str) -> object:
         return json.load(handle)
 
 
+def test_a1_payload_matches_a_fresh_ablation(monkeypatch):
+    a1 = _bench("bench_a1_most_recent_index", monkeypatch)
+    ablation = {"on": a1._run(True), "off": a1._run(False)}
+    assert a1._payload(ablation) == _committed("a1_most_recent_index")
+
+
 def test_a2_payload_matches_a_fresh_sweep(tmp_path, monkeypatch):
     a2 = _bench("bench_a2_buffer_sweep", monkeypatch)
     assert a2._payload(a2._sweep(str(tmp_path))) == _committed("a2_buffer_sweep")
@@ -79,6 +85,15 @@ def test_a4_payload_matches_a_fresh_ablation(monkeypatch):
     assert {"on": on, "off": off} == _committed("a4_object_cache")
 
 
+def test_a5_payload_matches_a_fresh_ablation(monkeypatch):
+    a5 = _bench("bench_a5_readahead", monkeypatch)
+    ablation = {
+        name: {"on": a5._run(cls, a5.DEFAULT_READAHEAD_PAGES), "off": a5._run(cls, 0)}
+        for name, cls in a5._SERVERS
+    }
+    assert a5._payload(ablation) == _committed("a5_readahead")
+
+
 def test_a6_payload_matches_a_fresh_sweep(monkeypatch):
     a6 = _bench("bench_a6_group_commit", monkeypatch)
     runs = {
@@ -88,6 +103,16 @@ def test_a6_payload_matches_a_fresh_sweep(monkeypatch):
     }
     payload = a6._payload(runs, a6._run_contended())
     assert payload == _committed("a6_group_commit")
+
+
+def test_a8_payload_matches_a_fresh_run_of_both_codecs(monkeypatch):
+    a8 = _bench("bench_a8_codec", monkeypatch)
+    # The repeats only pick the fastest stream; every one counts the same.
+    monkeypatch.setattr(a8, "_STREAM_REPEATS", 1)
+    labf, _labf_us = a8._run("labf")
+    pickled, _pickle_us = a8._run("pickle")
+    fast = len(a8._fast_records(a8._capture_stream_records()))
+    assert a8._payload(labf, pickled, fast) == _committed("a8_codec")
 
 
 def test_e5_payload_matches_a_fresh_fault_profile(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ that could stall the loop would stall everyone.
 
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -50,12 +51,13 @@ class Peer:
         self.sock.sendall(b"".join(encode_request(r) for r in requests))
 
     def reply(self):
-        line = self.reader.readline()
-        assert line.endswith(b"\n"), f"no reply, got {line!r}"
-        return decode_response(line)
+        header = self.reader.read(4)
+        assert len(header) == 4, f"no reply, got {header!r}"
+        (length,) = struct.unpack("<I", header)
+        return decode_response(header + self.reader.read(length))
 
     def at_eof(self):
-        return self.reader.readline() == b""
+        return self.reader.read(1) == b""
 
     def close(self):  # again at teardown does no harm
         self.reader.close()
@@ -161,23 +163,34 @@ def test_oversized_unterminated_line_costs_its_connection_only(served, monkeypat
 
     monkeypatch.setattr(communicator.FrameBuffer, "feed", measuring)
     peer = connect()
-    peer.sock.sendall(b"x" * (communicator.MAX_MESSAGE_BYTES + 1))
+    # A header announcing one byte past the cap is refused as it arrives:
+    # nothing of the body it announces is waited for.
+    header = struct.pack("<I", communicator.MAX_MESSAGE_BYTES + 1)
+    peer.sock.sendall(header + b"x" * 100)
     reply = peer.reply()
     assert not reply.ok and reply.error_type == "ProtocolError"
-    assert "unterminated" in reply.error
+    assert "exceed" in reply.error
     assert peer.at_eof()
-    assert max(held) == communicator.MAX_MESSAGE_BYTES + 1
+    assert max(held) <= 4 + communicator.RECV_BYTES
     _still_served(healthy)
+
+
+def _frame(body):
+    return struct.pack("<I", len(body)) + body
+
+
+_PING = b"\x09\x00\x00"  # op code 9, empty session; then its tagged args
+_EMPTY_ARGS = b"\x08\x00\x00\x00\x00"
 
 
 @pytest.mark.parametrize(
     "line",
     [
-        b"this is not json\n",
-        b"[1, 2, 3]\n",
-        b'{"session": "nobody"}\n',
-        b"\xff\xfe\n",
-        b"[" * 100_000 + b"\n",
+        _frame(b"this is not json"),
+        _frame(_PING + b"\x09\x03\x00\x00\x00" + struct.pack("<3q", 1, 2, 3)),
+        _frame(b"\x00\x06\x00nobody\x00\x00" + _EMPTY_ARGS),
+        _frame(b"\x09\x02\x00\xff\xfe" + _EMPTY_ARGS),
+        _frame(_PING + b"\x07\x01\x00\x00\x00" * 100_000 + b"\x00"),
     ],
     ids=["garbage", "not-an-object", "no-op", "not-utf8", "nested-too-deep"],
 )
@@ -221,8 +234,9 @@ def test_bye_closes_after_answering(served):
         {"material_oid": "seven"},
         {"material_oid": None},
         {"material_oid": [1]},
+        {"material_oid": 7.5},
     ],
-    ids=["infinite", "word", "null", "list"],
+    ids=["infinite", "word", "null", "list", "fraction"],
 )
 def test_bad_argument_is_a_typed_error_not_a_dead_connection(served, args):
     connect, healthy, _service, _runner = served

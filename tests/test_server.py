@@ -9,9 +9,13 @@ same work committed one unit at a time.
 
 import os
 import socket
+import struct
 import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     DuplicateKeyError,
@@ -42,6 +46,7 @@ from repro.server import (
     encode_response,
     run_concurrent_clients,
 )
+from repro.server.communicator import MAX_MESSAGE_BYTES, OPS, RECV_BYTES, FrameBuffer
 from repro.storage import ObjectStoreSM, TexasSM
 
 
@@ -66,34 +71,273 @@ def test_response_roundtrip():
     assert decode_response(encode_response(response)) == response
 
 
+def _frame(body):
+    """A frame around ``body``: its u32 little-endian length first."""
+    return struct.pack("<I", len(body)) + body
+
+
+def _q(value):
+    return struct.pack("<q", value)
+
+
 def test_decode_rejects_garbage():
     with pytest.raises(ProtocolError):
         decode_request(b"not json\n")
     with pytest.raises(ProtocolError):
-        decode_request(b'{"session": "x"}\n')  # no op
+        decode_request(_frame(b"\x00\x01\x00x\x00\x00"))  # no op
     with pytest.raises(ProtocolError):
-        decode_request(b'{"op": "q", "args": [1]}\n')  # args not an object
+        # ping, with args [1]: args not an object
+        decode_request(_frame(b"\x09\x01\x00q\x07\x01\x00\x00\x00\x03" + _q(1)))
     with pytest.raises(ProtocolError):
-        decode_response(b'{"value": 1}\n')  # no ok flag
+        decode_response(_frame(b"\x03\x03" + _q(1)))  # no ok flag
 
 
 def test_encoding_is_deterministic():
-    """Sorted keys, default separators, ASCII escapes: the exact bytes,
-    so a captured exchange byte-compares across runs and across PRs."""
-    request = Request(op="q", session="s", args={"b": 1, "a": [2, "\u00b5"]})
-    assert encode_request(request) == (
-        b'{"args": {"a": [2, "\\u00b5"], "b": 1}, "op": "q", "session": "s"}\n'
+    """Fixed layouts, sorted keys, UTF-8: the exact bytes, so a captured
+    exchange byte-compares across runs and across hosts."""
+    request = Request(
+        op="set_state", session="s",
+        args={"material_oid": 7, "state": "\u00b5", "valid_time": 2},
+    )
+    assert encode_request(request) == _frame(
+        b"\x03"                  # op code: set_state
+        + b"\x01\x00s"          # session
+        + _q(7)                  # material_oid
+        + b"\x02\x00\xc2\xb5"    # state
+        + _q(2)                  # valid_time
+    )
+    tagged = Request(op="q", session="s", args={"b": 1, "a": [2, "\u00b5"]})
+    assert encode_request(tagged) == _frame(
+        b"\x00\x01\x00s\x01\x00q"   # op code 0: named op "q"
+        + b"\x08\x02\x00\x00\x00"   # a dict of two, keys sorted
+        + b"\x01\x00\x00\x00a\x07\x02\x00\x00\x00\x03" + _q(2)
+        + b"\x06\x02\x00\x00\x00\xc2\xb5"
+        + b"\x01\x00\x00\x00b\x03" + _q(1)
     )
     response = Response(ok=True, value={"n": 7, "m": None, "f": 0.5})
-    assert encode_response(response) == (
-        b'{"error": "", "error_type": "", "ok": true, '
-        b'"value": {"f": 0.5, "m": null, "n": 7}}\n'
+    assert encode_response(response) == _frame(
+        b"\x01\x08\x03\x00\x00\x00"
+        + b"\x01\x00\x00\x00f\x05" + struct.pack("<d", 0.5)
+        + b"\x01\x00\x00\x00m\x00"
+        + b"\x01\x00\x00\x00n\x03" + _q(7)
     )
     refusal = Response(ok=False, error="page 3", error_type="LockError")
-    assert encode_response(refusal) == (
-        b'{"error": "page 3", "error_type": "LockError", "ok": false, '
-        b'"value": null}\n'
+    assert encode_response(refusal) == _frame(
+        b"\x00\x09\x00LockError\x06\x00\x00\x00page 3\x00"
     )
+
+
+# A valid frame of each of the sixteen ops (and of the two ways a
+# request leaves the table) and of each response shape.
+_VALID_REQUESTS = [
+    Request("create_material", "s", {
+        "class_name": "clone", "key": "k-1", "valid_time": 1, "state": "active",
+    }),
+    Request("create_material", "s", {
+        "class_name": "clone", "key": "k-2", "valid_time": 2, "state": None,
+    }),
+    Request("record_step", "s", {
+        "class_name": "measure", "valid_time": 3, "involves": [5, 9],
+        "results": {"value": 7, "note": "\u00b5"},
+    }),
+    Request("set_state", "s", {"material_oid": 5, "state": "busy", "valid_time": 4}),
+    Request("most_recent", "s", {"material_oid": 5, "attribute": "value"}),
+    Request("state_of", "s", {"material_oid": 5}),
+    Request("lookup", "s", {"class_name": "clone", "key": "k-1"}),
+    Request("in_state", "s", {"state": "busy"}),
+    Request("history_len", "s", {"material_oid": 5}),
+    Request("ping"),
+    Request("bye"),
+    Request("open_session", "s"),
+    Request("close_session", "s", {"failed": True}),
+    Request("drain"),
+    Request("stats"),
+    Request("sample"),
+    Request("verify"),
+    Request("state_of", "s", {"material_oid": 1.5}),  # a data op, tagged body
+    Request("q", "s", {"nested": [[1, "x"], {"k": 2**70}], "f": -0.25}),
+]
+_VALID_RESPONSES = [
+    Response(ok=True, value=7),
+    Response(ok=True),
+    Response(ok=True, value="active"),
+    Response(ok=True, value=[3, 1, 2]),
+    Response(ok=True, value={"ok": False, "problems": ["page 3"]}),
+    Response(ok=True, value=[True, 1.5, -(2**70), []]),
+    Response(ok=False, error="page 3", error_type="LockError"),
+]
+_VALID_FRAMES = [
+    (decode_request, encode_request(request)) for request in _VALID_REQUESTS
+] + [
+    (decode_response, encode_response(response)) for response in _VALID_RESPONSES
+]
+_FRAME_IDS = [r.op for r in _VALID_REQUESTS] + [
+    f"response-{i}" for i in range(len(_VALID_RESPONSES))
+]
+
+
+def _decoded_or_refused(decode, frame):
+    """The only way a decoder may fail is a ProtocolError."""
+    try:
+        decode(frame)
+    except ProtocolError:
+        pass
+
+
+def test_every_op_has_a_valid_frame():
+    assert {r.op for r in _VALID_REQUESTS} >= set(OPS)
+    for decode, frame in _VALID_FRAMES:
+        decode(frame)
+
+
+@pytest.mark.parametrize("decode,frame", _VALID_FRAMES, ids=_FRAME_IDS)
+def test_malformed_frame_prefixes_and_byte_changes_raise_only_protocol_error(
+    decode, frame
+):
+    for end in range(len(frame)):
+        with pytest.raises(ProtocolError):
+            decode(frame[:end])
+    for index in range(len(frame)):
+        for byte in range(256):
+            _decoded_or_refused(
+                decode, frame[:index] + bytes((byte,)) + frame[index + 1:]
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.integers(0, len(_VALID_FRAMES) - 1),
+    cut=st.integers(0, 200),
+    garbage=st.binary(max_size=64),
+)
+def test_arbitrary_bytes_in_a_frame_raise_only_protocol_error(which, cut, garbage):
+    """Arbitrary bytes alone, and spliced into a valid body under a
+    header that matches, so the body decoders see them too."""
+    decode, frame = _VALID_FRAMES[which]
+    _decoded_or_refused(decode, garbage)
+    body = frame[4:4 + cut] + garbage
+    _decoded_or_refused(decode, _frame(body))
+    _decoded_or_refused(decode, _frame(frame[4:] + garbage))
+
+
+_HUGE = struct.pack("<I", 2**32 - 1)
+_PING = b"\x09\x00\x00"
+# Frames whose one count needs more bytes than are left.
+_OVERCOUNTED = {
+    "session": (decode_request, _frame(b"\x09\xff\xff" + b"ab")),
+    "str": (decode_request, _frame(_PING + b"\x06" + _HUGE + b"x")),
+    "list": (decode_request, _frame(_PING + b"\x07" + _HUGE + b"\x00")),
+    "dict": (decode_request, _frame(_PING + b"\x08" + _HUGE + b"\x00")),
+    "int-array": (decode_request, _frame(_PING + b"\x09" + _HUGE + _q(1))),
+    "big-int": (decode_request, _frame(_PING + b"\x04" + _HUGE + b"1")),
+    "involves": (decode_request, _frame(
+        b"\x02\x00\x00\x07\x00measure" + _q(3) + _HUGE + _q(5) + b"\x00"
+    )),
+    "error-type": (decode_response, _frame(b"\x00\xff\xff" + b"LockError")),
+    "error": (decode_response, _frame(b"\x00\x00\x00" + _HUGE + b"page 3\x00")),
+    "reply-ints": (
+        decode_response, _frame(b"\x01\x09" + struct.pack("<I", 2) + _q(1))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "decode,frame", list(_OVERCOUNTED.values()), ids=list(_OVERCOUNTED)
+)
+def test_a_count_past_the_bytes_left_is_refused_before_allocating(decode, frame):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="a count of"):
+            decode(frame)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_I64S = st.integers(-(2**63), 2**63 - 1)
+_NAMES = st.text(max_size=12)
+_LAID_OUT = st.one_of(
+    st.tuples(st.just("create_material"), st.fixed_dictionaries({
+        "class_name": _NAMES, "key": _NAMES, "valid_time": _I64S,
+        "state": st.none() | _NAMES,
+    })),
+    st.tuples(st.just("record_step"), st.fixed_dictionaries({
+        "class_name": _NAMES, "valid_time": _I64S,
+        "involves": st.lists(_I64S, max_size=4), "results": _PLAIN,
+    })),
+    st.tuples(st.just("set_state"), st.fixed_dictionaries({
+        "material_oid": _I64S, "state": _NAMES, "valid_time": _I64S,
+    })),
+    st.tuples(st.sampled_from(["state_of", "history_len"]),
+              st.fixed_dictionaries({"material_oid": _I64S})),
+    st.tuples(st.just("most_recent"), st.fixed_dictionaries({
+        "material_oid": _I64S, "attribute": _NAMES,
+    })),
+    st.tuples(st.just("lookup"), st.fixed_dictionaries({
+        "class_name": _NAMES, "key": _NAMES,
+    })),
+    st.tuples(st.just("in_state"), st.fixed_dictionaries({"state": _NAMES})),
+)
+_TAGGED = st.tuples(
+    st.sampled_from(["state_of", "record_step", "ping", "close_session", "q"]),
+    st.dictionaries(st.text(max_size=8), _PLAIN, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_args=st.one_of(_LAID_OUT, _TAGGED), session=_NAMES)
+def test_plain_data_requests_round_trip(op_args, session):
+    op, args = op_args
+    request = Request(op=op, session=session, args=args)
+    assert decode_request(encode_request(request)) == request
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    value=_PLAIN,
+    error=st.none() | st.tuples(st.text(max_size=12), st.text()),
+)
+def test_plain_data_responses_round_trip(value, error):
+    if error is None:
+        response = Response(ok=True, value=value)
+    else:
+        error_type, message = error
+        response = Response(
+            ok=False, value=value, error=message, error_type=error_type
+        )
+    assert decode_response(encode_response(response)) == response
+
+
+def test_frame_buffer_refuses_an_oversized_header_as_it_arrives():
+    header = struct.pack("<I", MAX_MESSAGE_BYTES + 1)
+    frames = FrameBuffer()
+    frames.feed(header[:3])
+    assert frames.take() is None
+    frames.feed(header[3:] + b"x" * RECV_BYTES)
+    assert len(frames) <= 4 + RECV_BYTES
+    with pytest.raises(ProtocolError):
+        frames.take()
+
+
+def test_frame_buffer_hands_out_pipelined_frames_in_order():
+    first = encode_request(Request(op="ping"))
+    second = encode_request(Request(op="state_of", session="s",
+                                    args={"material_oid": 3}))
+    frames = FrameBuffer()
+    frames.feed(first + second[:5])
+    assert frames.take() == first
+    assert frames.take() is None
+    frames.feed(second[5:])
+    assert frames.take() == second
+    assert frames.take() is None and len(frames) == 0
 
 
 # -- commit coordinator ------------------------------------------------------
@@ -185,6 +429,46 @@ def test_duplicate_create_fails_without_allocating():
     with pytest.raises(DuplicateKeyError):
         alice.create_material("clone", "dup", 2)
     assert sorted(db.storage.oids()) == oids_before  # pre-check: no orphan
+    service.shutdown()
+    db.storage.close()
+
+
+def test_a_fractional_oid_or_time_is_refused_not_truncated():
+    """An argument that should be an integer and is a fraction is a
+    protocol error; it used to be truncated onto a neighbouring oid or
+    an earlier valid time."""
+    db = _served_db()
+    service = LabFlowService(db, group_cap=1)
+    client = LocalClient(service, "c")
+    oid = client.create_material("clone", "m-0", 1, state="active")
+    with pytest.raises(ProtocolError):
+        client.call("state_of", material_oid=oid + 0.7)
+    with pytest.raises(ProtocolError):
+        client.call(
+            "set_state", material_oid=oid + 0.9, state="done", valid_time=2.5
+        )
+    with pytest.raises(ProtocolError):
+        client.call("set_state", material_oid=oid, state="done", valid_time=2.5)
+    assert client.state_of(oid) == "active"
+    assert client.call("state_of", material_oid=float(oid)) == "active"
+    service.shutdown()
+    db.storage.close()
+
+
+def test_a_query_checks_the_page_and_takes_no_lock():
+    """A served query's conflict check is all a SHARED grant returned at
+    the unit's end would have done: no grant is counted, none is left."""
+    db = _served_db()
+    service = LabFlowService(db, group_cap=1)
+    client = LocalClient(service, "c")
+    oid = client.create_material("clone", "m-0", 1, state="active")
+    stats = db.storage.stats
+    before = stats.snapshot()
+    assert client.state_of(oid) == "active"
+    assert client.history_len(oid) == 0
+    delta = stats.delta(before)
+    assert delta["lock_acquisitions"] == 0 and delta["lock_waits"] == 0
+    assert db.storage.lock_manager.held_pages("c") == set()
     service.shutdown()
     db.storage.close()
 

@@ -300,6 +300,46 @@ def test_partial_grab_failing_on_a_foreign_lock_spares_the_mates_entries():
     sm.close()
 
 
+@pytest.mark.parametrize(
+    "holds",
+    [
+        {},
+        {"a": LockMode.SHARED},
+        {"a": LockMode.EXCLUSIVE},
+        {"q": LockMode.SHARED},
+        {"q": LockMode.EXCLUSIVE},
+        {"q": LockMode.EXCLUSIVE, "a": LockMode.EXCLUSIVE},  # commit-mates
+    ],
+    ids=["free", "read", "written", "own-read", "own-write", "co-held"],
+)
+def test_check_shared_raises_exactly_where_a_shared_acquire_would(holds):
+    """The served query check: the same verdict and wait count as a
+    SHARED grant for ``q``, and nothing else changes."""
+    def held(stats):
+        locks = LockManager(stats)
+        for client, mode in holds.items():
+            locks.acquire(client, 1, mode, mates=tuple(holds))
+        return locks
+
+    granted_stats, stats = StorageStats(), StorageStats()
+    granted, checked = held(granted_stats), held(stats)
+    try:
+        granted.acquire("q", 1, LockMode.SHARED)
+        conflict = False
+    except LockError:
+        conflict = True
+    holders, pages, counts = checked.holders(1), checked.held_pages("q"), stats.snapshot()
+    if conflict:
+        with pytest.raises(LockError):
+            checked.check_shared("q", 1)
+    else:
+        checked.check_shared("q", 1)
+    assert (checked.holders(1), checked.held_pages("q")) == (holders, pages)
+    counts["lock_waits"] += conflict
+    assert stats.snapshot() == counts
+    assert stats.lock_waits == granted_stats.lock_waits
+
+
 # -- the usability difference the paper reports ---------------------------
 
 
