@@ -7,10 +7,14 @@ arguments; a response body is an ok byte and one tagged value, or, for
 a refusal, the error's type and message.  DESIGN.md §13 has the full
 table.
 
-The eight data ops — the workflow units — have a fixed field layout:
-ints as ``i64``, strings with a ``u16`` length, ``involves`` as a counted
-``i64`` array, ``results`` as one tagged value and ``create_material``'s
-``state`` behind a presence byte.  Every admin op, and any request whose
+The eight data ops — the workflow units — are the rows of
+:data:`DATA_OPS`, each written out once: its field layout (ints as
+``i64``, strings with a ``u16`` length, ``involves`` as a counted ``i64``
+array, ``results`` as one tagged value and ``create_material``'s
+``state`` behind a presence byte), its lock kind and the LabBase method
+it calls.  Each op's encoder and decoder are built from its row at
+import; the service takes its lock choice, its dispatch and its argument
+check from the same row.  Every admin op, and any request whose
 arguments do not match its op's layout exactly (keys and types), carries
 its arguments as one tagged value instead.  A tagged value is plain
 data: ``None``, ``bool``, ``int`` (as text beyond ``i64``), ``float``,
@@ -42,7 +46,7 @@ import sys
 from array import array
 from struct import Struct
 from struct import error as StructError
-from typing import Callable, KeysView, Sequence, cast
+from typing import Callable, NamedTuple, Sequence, cast
 
 from repro.errors import ProtocolError
 
@@ -56,15 +60,59 @@ RECV_BYTES = 64 * 1024
 #: How deeply lists and dicts may nest inside one tagged value.
 MAX_DEPTH = 100
 
-#: The op codes, from 1: the eight data ops, then the admin ops.
-OPS = (
-    "create_material", "record_step", "set_state", "most_recent",
-    "state_of", "lookup", "in_state", "history_len",
+# Field kinds of a data op's fixed layout.
+I64 = "i64"        # an int, as i64
+S16 = "s16"        # a str: u16 length, then UTF-8
+OPT_S16 = "s16?"   # None or a str: a presence byte, then an s16 if present
+I64S = "i64[]"     # a list of ints: u32 count, then count x i64
+VALUE = "value"    # one tagged plain-data value
+
+
+class DataOp(NamedTuple):
+    """One data op -- a workflow unit -- written out once: the wire
+    codec, the service's argument check, lock choice and dispatch all
+    read it.  ``fields`` is the layout, ``(name, kind)`` in wire order;
+    the names are the request's keys and the parameters of ``method``,
+    the LabBase method the unit calls.  An ``update`` joins the commit
+    group and locks the oids in its ``locks`` field EXCLUSIVE; a query
+    checks that field's pages for another session's pending writer; a
+    row whose ``locks`` is ``None`` touches no lock.
+    """
+
+    name: str
+    fields: tuple[tuple[str, str], ...]
+    update: bool
+    locks: str | None
+    method: str
+
+
+#: The data ops, in op-code order from 1.
+DATA_OPS = (
+    DataOp("create_material", (
+        ("class_name", S16), ("key", S16), ("valid_time", I64), ("state", OPT_S16),
+    ), True, None, "create_material"),
+    DataOp("record_step", (
+        ("class_name", S16), ("valid_time", I64), ("involves", I64S),
+        ("results", VALUE),
+    ), True, "involves", "record_step"),
+    DataOp("set_state", (
+        ("material_oid", I64), ("state", S16), ("valid_time", I64),
+    ), True, "material_oid", "set_state"),
+    DataOp("most_recent", (("material_oid", I64), ("attribute", S16)),
+           False, "material_oid", "most_recent"),
+    DataOp("state_of", (("material_oid", I64),), False, "material_oid", "state_of"),
+    DataOp("lookup", (("class_name", S16), ("key", S16)), False, None, "lookup"),
+    DataOp("in_state", (("state", S16),), False, None, "in_state"),
+    DataOp("history_len", (("material_oid", I64),),
+           False, "material_oid", "history_length"),
+)
+
+#: The op codes, from 1: the data ops, then the admin ops.
+OPS = tuple(row.name for row in DATA_OPS) + (
     "ping", "bye", "open_session", "close_session", "drain", "stats",
     "sample", "verify",
 )
 _CODES = {op: code for code, op in enumerate(OPS, 1)}
-_DATA_OPS = 8
 
 #: Op code 0: an op outside the table, named by a ``u16`` string and
 #: followed by a tagged body (the service answers it with a refusal).
@@ -168,15 +216,12 @@ def encode_request(request: Request) -> bytes:
     args = request.args
     code = _CODES.get(op, _NAMED)
     session = _str16(request.session)
-    if _NAMED < code <= _DATA_OPS:
-        keys, encode = _LAYOUTS[code]
-        if args.keys() == keys:
-            try:
-                body = bytes((code,)) + session + encode(args)
-                return _U32.pack(len(body)) + body
-            except _Misfit:
-                pass
-        code |= _TAGGED
+    encode = _ENCODERS.get(code)
+    if encode is not None:
+        try:
+            return encode(session, args)
+        except _Misfit:
+            code |= _TAGGED
     parts = [b"", bytes((code,)), session]
     if code == _NAMED:
         parts.append(_str16(op))
@@ -280,9 +325,9 @@ def _packed_ints(values: Sequence[object]) -> bytes | None:
     return packed.tobytes()
 
 
-# The data ops' fixed layouts: the keys a request must have exactly, and
-# the encoder of their fields, which raises _Misfit when a value does not
-# fit its field (the request then goes with a tagged body).
+# A data op's fixed fields: one encoder per kind, which raises _Misfit
+# when a value does not fit its field (the request then goes with a
+# tagged body).
 
 
 class _Misfit(Exception):
@@ -307,67 +352,51 @@ def _s16(value: object) -> bytes:
     return _U16.pack(len(data)) + data
 
 
-def _enc_create_material(args: dict[str, object]) -> bytes:
-    state = args["state"]
-    presence = b"\x00" if state is None else b"\x01" + _s16(state)
-    return (
-        _s16(args["class_name"]) + _s16(args["key"])
-        + _i64(args["valid_time"]) + presence
-    )
+def _opt_s16(value: object) -> bytes:
+    return b"\x00" if value is None else b"\x01" + _s16(value)
 
 
-def _enc_record_step(args: dict[str, object]) -> bytes:
-    involves = args["involves"]
-    if type(involves) is not list:
+def _i64s(value: object) -> bytes:
+    if type(value) is not list:
         raise _Misfit
-    packed = _packed_ints(involves)
+    packed = _packed_ints(value)
     if packed is None:
         raise _Misfit
-    parts = [
-        _s16(args["class_name"]), _i64(args["valid_time"]),
-        _U32.pack(len(involves)), packed,
-    ]
-    _put_value(args["results"], parts, 0)
+    return _U32.pack(len(value)) + packed
+
+
+def _value(value: object) -> bytes:
+    parts: list[bytes] = []
+    _put_value(value, parts, 0)
     return b"".join(parts)
 
 
-def _enc_set_state(args: dict[str, object]) -> bytes:
-    return (
-        _i64(args["material_oid"]) + _s16(args["state"])
-        + _i64(args["valid_time"])
-    )
+_PUT: dict[str, Callable[[object], bytes]] = {
+    I64: _i64, S16: _s16, OPT_S16: _opt_s16, I64S: _i64s, VALUE: _value,
+}
+
+def _encoder(
+    code: int, fields: tuple[tuple[str, str], ...]
+) -> Callable[[bytes, dict[str, object]], bytes]:
+    """A data op's whole frame, from the encoded session and the args,
+    which must have exactly the op's keys."""
+    head = bytes((code,))
+    keys = dict.fromkeys(name for name, _kind in fields).keys()
+    puts = tuple((name, _PUT[kind]) for name, kind in fields)
+
+    def encode(session: bytes, args: dict[str, object]) -> bytes:
+        if args.keys() != keys:
+            raise _Misfit
+        body = head + session
+        for name, put in puts:
+            body += put(args[name])
+        return _U32.pack(len(body)) + body
+
+    return encode
 
 
-def _enc_most_recent(args: dict[str, object]) -> bytes:
-    return _i64(args["material_oid"]) + _s16(args["attribute"])
-
-
-def _enc_material(args: dict[str, object]) -> bytes:
-    return _i64(args["material_oid"])
-
-
-def _enc_lookup(args: dict[str, object]) -> bytes:
-    return _s16(args["class_name"]) + _s16(args["key"])
-
-
-def _enc_in_state(args: dict[str, object]) -> bytes:
-    return _s16(args["state"])
-
-
-_LAYOUTS: dict[int, tuple[KeysView[str], Callable[[dict[str, object]], bytes]]] = {
-    _CODES[op]: (dict.fromkeys(keys).keys(), encode)
-    for op, keys, encode in (
-        ("create_material", ("class_name", "key", "valid_time", "state"),
-         _enc_create_material),
-        ("record_step", ("class_name", "valid_time", "involves", "results"),
-         _enc_record_step),
-        ("set_state", ("material_oid", "state", "valid_time"), _enc_set_state),
-        ("most_recent", ("material_oid", "attribute"), _enc_most_recent),
-        ("state_of", ("material_oid",), _enc_material),
-        ("lookup", ("class_name", "key"), _enc_lookup),
-        ("in_state", ("state",), _enc_in_state),
-        ("history_len", ("material_oid",), _enc_material),
-    )
+_ENCODERS = {
+    code: _encoder(code, row.fields) for code, row in enumerate(DATA_OPS, 1)
 }
 
 
@@ -468,7 +497,7 @@ def _take_ints(frame: bytes, pos: int) -> tuple[list[int], int]:
     return values.tolist(), end
 
 
-def _take_value(frame: bytes, pos: int, depth: int) -> tuple[object, int]:
+def _take_value(frame: bytes, pos: int, depth: int = 0) -> tuple[object, int]:
     tag = frame[pos]
     pos += 1
     if tag == T_INT:
@@ -517,6 +546,23 @@ def _take_value(frame: bytes, pos: int, depth: int) -> tuple[object, int]:
     raise ProtocolError(f"unknown value tag {tag}")
 
 
+def _take_i64(frame: bytes, pos: int) -> tuple[int, int]:
+    return _I64.unpack_from(frame, pos)[0], pos + 8
+
+
+def _take_opt_s16(frame: bytes, pos: int) -> tuple[str | None, int]:
+    present = frame[pos]
+    if present == 0:
+        return None, pos + 1
+    if present != 1:
+        raise ProtocolError(f"presence byte {present}")
+    return _take_s16(frame, pos + 1)
+
+
+_TAKE: dict[str, Callable[[bytes, int], tuple[object, int]]] = {
+    I64: _take_i64, S16: _take_s16, OPT_S16: _take_opt_s16, I64S: _take_ints,
+    VALUE: _take_value,
+}
 
 # One decoder per op code: ``(op, args, end)`` from the bytes after the
 # session name.
@@ -524,68 +570,17 @@ def _take_value(frame: bytes, pos: int, depth: int) -> tuple[object, int]:
 _Decoder = Callable[[bytes, int], tuple[str, dict[str, object], int]]
 
 
-def _dec_create_material(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
-    class_name, pos = _take_s16(frame, pos)
-    key, pos = _take_s16(frame, pos)
-    (valid_time,) = _I64.unpack_from(frame, pos)
-    pos += 8
-    present = frame[pos]
-    pos += 1
-    state = None
-    if present == 1:
-        state, pos = _take_s16(frame, pos)
-    elif present != 0:
-        raise ProtocolError(f"presence byte {present}")
-    return "create_material", {
-        "class_name": class_name, "key": key, "valid_time": valid_time,
-        "state": state,
-    }, pos
+def _decoder(op: str, fields: tuple[tuple[str, str], ...]) -> _Decoder:
+    """A data op's fixed fields, in layout order."""
+    takes = tuple((name, _TAKE[kind]) for name, kind in fields)
 
-
-def _dec_record_step(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
-    class_name, pos = _take_s16(frame, pos)
-    (valid_time,) = _I64.unpack_from(frame, pos)
-    involves, pos = _take_ints(frame, pos + 8)
-    results, pos = _take_value(frame, pos, 0)
-    return "record_step", {
-        "class_name": class_name, "valid_time": valid_time,
-        "involves": involves, "results": results,
-    }, pos
-
-
-def _dec_set_state(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
-    (material_oid,) = _I64.unpack_from(frame, pos)
-    state, pos = _take_s16(frame, pos + 8)
-    (valid_time,) = _I64.unpack_from(frame, pos)
-    return "set_state", {
-        "material_oid": material_oid, "state": state, "valid_time": valid_time,
-    }, pos + 8
-
-
-def _dec_most_recent(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
-    (material_oid,) = _I64.unpack_from(frame, pos)
-    attribute, pos = _take_s16(frame, pos + 8)
-    return "most_recent", {
-        "material_oid": material_oid, "attribute": attribute,
-    }, pos
-
-
-def _dec_material(op: str) -> _Decoder:
     def decode(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
-        return op, {"material_oid": _I64.unpack_from(frame, pos)[0]}, pos + 8
+        args: dict[str, object] = {}
+        for name, take in takes:
+            args[name], pos = take(frame, pos)
+        return op, args, pos
 
     return decode
-
-
-def _dec_lookup(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
-    class_name, pos = _take_s16(frame, pos)
-    key, pos = _take_s16(frame, pos)
-    return "lookup", {"class_name": class_name, "key": key}, pos
-
-
-def _dec_in_state(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
-    state, pos = _take_s16(frame, pos)
-    return "in_state", {"state": state}, pos
 
 
 def _tagged(op: str) -> _Decoder:
@@ -598,7 +593,7 @@ def _tagged(op: str) -> _Decoder:
     return decode
 
 
-def _dec_named(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
+def _named(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
     op, pos = _take_s16(frame, pos)
     if not op:
         raise ProtocolError("request has no operation name")
@@ -608,19 +603,12 @@ def _dec_named(frame: bytes, pos: int) -> tuple[str, dict[str, object], int]:
 
 
 _DECODERS: dict[int, _Decoder] = {
-    _CODES["create_material"]: _dec_create_material,
-    _CODES["record_step"]: _dec_record_step,
-    _CODES["set_state"]: _dec_set_state,
-    _CODES["most_recent"]: _dec_most_recent,
-    _CODES["state_of"]: _dec_material("state_of"),
-    _CODES["lookup"]: _dec_lookup,
-    _CODES["in_state"]: _dec_in_state,
-    _CODES["history_len"]: _dec_material("history_len"),
+    **{code: _decoder(row.name, row.fields) for code, row in enumerate(DATA_OPS, 1)},
     **{
-        code | (_TAGGED if code <= _DATA_OPS else 0): _tagged(op)
+        code | (_TAGGED if code in _ENCODERS else 0): _tagged(op)
         for op, code in _CODES.items()
     },
-    _NAMED: _dec_named,
+    _NAMED: _named,
 }
 
 

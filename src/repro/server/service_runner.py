@@ -16,6 +16,11 @@ state, so there is nothing for a lock to guard; a client that wants to
 read a live server (``repro monitor``, ``repro serve --sample-log``)
 asks over the wire like any other.
 
+A unit is one row of :data:`~repro.server.communicator.DATA_OPS`, the
+op table the wire codec is built from too: ``submit`` checks the args
+against the row's fields, the row's lock kind picks the lock, and the
+unit calls the row's LabBase method with the args as keywords.
+
 Lock discipline (strict two-phase for updates):
 
 * update units take EXCLUSIVE locks up front and keep them until the
@@ -79,7 +84,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Iterable
+from typing import Any, Callable
 
 from repro.errors import (
     DuplicateKeyError,
@@ -96,8 +101,15 @@ from repro.obs.registry import gauges_from
 from repro.obs.tracing import UnitTracer
 from repro.server.commit import DEFAULT_GROUP_CAP, CommitCoordinator
 from repro.server.communicator import (
+    DATA_OPS,
+    I64,
+    I64S,
     MAX_MESSAGE_BYTES,
+    OPT_S16,
     RECV_BYTES,
+    S16,
+    VALUE,
+    DataOp,
     FrameBuffer,
     Request,
     Response,
@@ -124,11 +136,8 @@ COMPLETED_LOG_UNITS = 65_536
 #: gave up between the readiness and the ``accept``.
 _OUT_OF_DESCRIPTORS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 
-_UPDATE_OPS = frozenset({"create_material", "record_step", "set_state"})
-_QUERY_OPS = frozenset(
-    {"lookup", "most_recent", "state_of", "in_state", "history_len"}
-)
-_UNIT_OPS = _UPDATE_OPS | _QUERY_OPS
+#: The units of work: each data op by name.
+_UNITS = {row.name: row for row in DATA_OPS}
 
 
 class LabFlowService:
@@ -253,15 +262,16 @@ class LabFlowService:
         exhausted.
         """
         self._check_owner()
-        call_args: dict[str, object] = dict(args or {})
-        if op not in _UNIT_OPS:
+        row = _UNITS.get(op)
+        if row is None:
             raise ProtocolError(f"unknown operation {op!r}")
         if not self._sessions.is_open(name):
             raise SessionError(f"no open session {name!r}")
+        call_args = _checked_args(row, args or {})
         attempts = 0
         while True:
             try:
-                return self._run_unit(name, op, call_args)
+                return self._run_unit(name, row, call_args)
             except LockError:
                 attempts += 1
                 if self._tracer is not None:
@@ -286,20 +296,29 @@ class LabFlowService:
 
     # -- unit internals ------------------------------------------------------
 
-    def _run_unit(self, name: str, op: str, args: dict[str, object]) -> object:
+    def _run_unit(self, name: str, row: DataOp, args: dict[str, Any]) -> object:
         cache = self._db.cache
         tracer = self._tracer
+        op = row.name
         # Every tracer touch (including clock reads) is guarded: with no
         # tracer attached this method is byte-for-byte the PR 6 path —
         # the sampling-on/off equivalence property depends on that.
         t_begin = tracer.now() if tracer is not None else 0.0
         if tracer is not None:
             tracer.unit_begin(name, op)
-        taken = self._acquire(name, op, args)
+        taken = self._acquire(name, row, args)
         t_locked = tracer.now() if tracer is not None else 0.0
         cache.begin_unit()
         try:
-            value = self._execute(name, op, args)
+            db = self._db
+            # create_material allocates before its index insert can
+            # raise, and allocation is not undoable by a unit discard:
+            # refuse a duplicate before touching storage.
+            if op == "create_material" and db.material_exists(
+                args["class_name"], args["key"]
+            ):
+                raise DuplicateKeyError(args["class_name"], args["key"])
+            value: object = getattr(db, row.method)(**args)
             t_executed = tracer.now() if tracer is not None else 0.0
             cache.end_unit()
         except BaseException as exc:
@@ -313,8 +332,8 @@ class LabFlowService:
             if tracer is not None:
                 tracer.abort(name, op, error_type=type(exc).__name__)
             raise
-        if op in _UPDATE_OPS:
-            self._completed.append((name, op, dict(args)))
+        if row.update:
+            self._completed.append((name, op, args))
             self._coordinator.note_unit(name)
             if self._coordinator.should_close():
                 self._close_group()
@@ -328,80 +347,24 @@ class LabFlowService:
             )
         return value
 
-    def _acquire(self, name: str, op: str, args: dict[str, object]) -> LockedPages:
+    def _acquire(self, name: str, row: DataOp, args: dict[str, Any]) -> LockedPages:
+        field = row.locks
+        if field is None:
+            # create_material locks nothing: the material does not exist
+            # yet and its record may share a page only with records the
+            # executor serializes anyway.  lookup/in_state are
+            # catalog-level reads.
+            return LockedPages()
+        oids = args[field]
+        if not row.update:
+            self._sessions.check_object_shared(name, oids)
+            return LockedPages()
         # An update unit will join the open group: the sessions already
         # in it are its commit-mates, and it may build on their pages.
-        if op == "record_step":
-            involves = [_as_int(oid) for oid in _as_iterable(args.get("involves"))]
-            return self._sessions.lock_objects(
-                name, involves, True, self._coordinator.pending_sessions()
-            )
-        if op == "set_state":
-            return self._sessions.lock_object(
-                name,
-                _as_int(args.get("material_oid")),
-                True,
-                self._coordinator.pending_sessions(),
-            )
-        if op in ("most_recent", "state_of", "history_len"):
-            self._sessions.check_object_shared(
-                name, _as_int(args.get("material_oid"))
-            )
-            return LockedPages()
-        # create_material locks nothing: the material does not exist yet
-        # and its record may share a page only with records the executor
-        # serializes anyway.  lookup/in_state are catalog-level reads.
-        return LockedPages()
-
-    def _execute(self, name: str, op: str, args: dict[str, object]) -> object:
-        db = self._db
-        if op == "create_material":
-            class_name = str(args.get("class_name"))
-            key = str(args.get("key"))
-            # Pre-check: create_material allocates before its index
-            # insert can raise, and allocation is not undoable by a
-            # unit discard — refuse duplicates before touching storage.
-            if db.material_exists(class_name, key):
-                raise DuplicateKeyError(class_name, key)
-            state = args.get("state")
-            return db.create_material(
-                class_name,
-                key,
-                _as_int(args.get("valid_time")),
-                state=None if state is None else str(state),
-            )
-        if op == "record_step":
-            results = args.get("results")
-            if results is not None and not isinstance(results, dict):
-                raise ProtocolError("record_step results must be an object")
-            version = args.get("version_id")
-            return db.record_step(
-                str(args.get("class_name")),
-                _as_int(args.get("valid_time")),
-                [_as_int(oid) for oid in _as_iterable(args.get("involves"))],
-                results,
-                None if version is None else _as_int(version),
-            )
-        if op == "set_state":
-            db.set_state(
-                _as_int(args.get("material_oid")),
-                str(args.get("state")),
-                _as_int(args.get("valid_time")),
-            )
-            return None
-        if op == "most_recent":
-            return db.most_recent(
-                _as_int(args.get("material_oid")), str(args.get("attribute"))
-            )
-        if op == "state_of":
-            return db.state_of(_as_int(args.get("material_oid")))
-        if op == "lookup":
-            return db.lookup(str(args.get("class_name")), str(args.get("key")))
-        if op == "in_state":
-            return db.in_state(str(args.get("state")))
-        if op == "history_len":
-            return db.history_length(_as_int(args.get("material_oid")))
-        raise ProtocolError(f"unknown operation {op!r}")
+        mates = self._coordinator.pending_sessions()
+        if isinstance(oids, list):
+            return self._sessions.lock_objects(name, oids, True, mates)
+        return self._sessions.lock_object(name, oids, True, mates)
 
     def _close_group(self) -> None:
         participants = self._coordinator.close()
@@ -430,21 +393,63 @@ class LabFlowService:
             self._db.storage.downgrade_page(name, page_id)
 
 
-def _as_int(value: object) -> int:
+def _int(name: str, value: object) -> int:
+    """An int that is not a bool, an integral float, or a string that
+    ``int()`` parses."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ProtocolError(f"expected an integer, got {value!r}")
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():  # 7.5, inf, nan
-        raise ProtocolError(f"expected an integer, got {value!r}")
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except ValueError as exc:  # "x"
-        raise ProtocolError(f"expected an integer, got {value!r}") from exc
+        raise ProtocolError(f"{name} must be an integer, got {value!r}") from exc
 
 
-def _as_iterable(value: object) -> Iterable[object]:
+def _str(name: str, value: object) -> str:
+    if isinstance(value, str):
+        return value
+    raise ProtocolError(f"{name} must be a string, got {value!r}")
+
+
+def _opt_str(name: str, value: object) -> str | None:
+    return None if value is None else _str(name, value)
+
+
+def _ints(name: str, value: object) -> list[int]:
     if not isinstance(value, (list, tuple)):
-        raise ProtocolError(f"expected a list, got {value!r}")
+        raise ProtocolError(f"{name} must be a list, got {value!r}")
+    return [_int(name, item) for item in value]
+
+
+def _object(name: str, value: object) -> object:
+    if value is not None and not isinstance(value, dict):
+        raise ProtocolError(f"{name} must be an object, got {value!r}")
     return value
+
+
+_CHECKS: dict[str, Callable[[str, object], object]] = {
+    I64: _int, S16: _str, OPT_S16: _opt_str, I64S: _ints, VALUE: _object,
+}
+
+
+def _checked_args(row: DataOp, args: dict[str, object]) -> dict[str, Any]:
+    """``args`` as ``row``'s LabBase method takes them, or a
+    :class:`ProtocolError`: the row's fields and no other key, each of
+    its field's kind.  Only an optional field may be left out; the
+    method's own default, ``None``, then applies."""
+    checked: dict[str, Any] = {}
+    for name, kind in row.fields:
+        if name in args:
+            checked[name] = _CHECKS[kind](name, args[name])
+        elif kind != OPT_S16:
+            raise ProtocolError(f"{row.name} needs {name!r}")
+    if len(checked) != len(args):
+        extra = [key for key in args if key not in checked]
+        raise ProtocolError(f"{row.name} takes no {extra!r}")
+    return checked
 
 
 def _thread_name(ident: int) -> str:
@@ -731,7 +736,7 @@ def apply_request(service: LabFlowService, request: Request) -> object:
     workflow units first because nearly every request is one.
     """
     op = request.op
-    if op in _UNIT_OPS:
+    if op in _UNITS:
         return service.submit(request.session, op, request.args)
     if op == "ping" or op == "bye":
         return "pong"

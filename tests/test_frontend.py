@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.errors import ServerError
+from repro.errors import ServerError, UnknownMaterialError
 from repro.labbase import LabBase
 from repro.obs import UnitTracer
 from repro.server import (
@@ -255,6 +255,31 @@ def test_bad_argument_is_a_typed_error_not_a_dead_connection(served, args):
         reply = peer.reply()
         assert not reply.ok and reply.error_type == "ProtocolError"
     assert peer.reply().value == "pong"
+    _still_served(healthy)
+
+
+def test_a_missing_or_misspelt_argument_is_a_typed_error_not_a_guess(served):
+    """An op's arguments are exactly its fields: a ``lookup`` with no
+    ``key`` looked up the material 'None', and ``stat=`` in place of
+    ``state=`` created a material with no state and no error."""
+    connect, healthy, _service, _runner = served
+    peer = connect()
+    peer.send(
+        Request(op="open_session", session="p"),
+        Request(op="lookup", session="p", args={"class_name": "clone"}),
+        Request(op="create_material", session="p", args={
+            "class_name": "clone", "key": "p-0", "valid_time": 2,
+            "stat": "active",
+        }),
+        Request(op="ping"),
+    )
+    assert peer.reply().ok
+    for _ in range(2):
+        reply = peer.reply()
+        assert not reply.ok and reply.error_type == "ProtocolError"
+    assert peer.reply().value == "pong"
+    with pytest.raises(UnknownMaterialError):
+        healthy.lookup("clone", "p-0")
     _still_served(healthy)
 
 

@@ -26,6 +26,7 @@ from repro.errors import (
     ServerError,
     SessionError,
     TransactionError,
+    UnknownMaterialError,
 )
 from repro.labbase import LabBase, model
 from repro.server import (
@@ -46,7 +47,13 @@ from repro.server import (
     encode_response,
     run_concurrent_clients,
 )
-from repro.server.communicator import MAX_MESSAGE_BYTES, OPS, RECV_BYTES, FrameBuffer
+from repro.server.communicator import (
+    DATA_OPS,
+    MAX_MESSAGE_BYTES,
+    OPS,
+    RECV_BYTES,
+    FrameBuffer,
+)
 from repro.storage import ObjectStoreSM, TexasSM
 
 
@@ -188,6 +195,58 @@ def test_every_op_has_a_valid_frame():
     assert {r.op for r in _VALID_REQUESTS} >= set(OPS)
     for decode, frame in _VALID_FRAMES:
         decode(frame)
+
+
+# The exact frames of _VALID_REQUESTS and _VALID_RESPONSES, in order: the
+# wire format is a contract with every deployed client, so a codec
+# rewrite must reproduce it byte for byte.
+_GOLDEN_REQUESTS = [
+    "21000000010100730500636c6f6e6503006b2d3101000000000000000106006163746976"
+    "65",
+    "19000000010100730500636c6f6e6503006b2d32020000000000000000",
+    "4f0000000201007307006d65617375726503000000000000000200000005000000000000"
+    "0009000000000000000802000000040000006e6f74650602000000c2b50500000076616c"
+    "7565030700000000000000",
+    "1a0000000301007305000000000000000400627573790400000000000000",
+    "13000000040100730500000000000000050076616c7565",
+    "0c000000050100730500000000000000",
+    "10000000060100730500636c6f6e6503006b2d31",
+    "0a00000007010073040062757379",
+    "0c000000080100730500000000000000",
+    "080000000900000800000000",
+    "080000000a00000800000000",
+    "090000000b0100730800000000",
+    "140000000c0100730801000000060000006661696c656402",
+    "080000000d00000800000000",
+    "080000000e00000800000000",
+    "080000000f00000800000000",
+    "080000001000000800000000",
+    "220000008501007308010000000c0000006d6174657269616c5f6f696405000000000000"
+    "f83f",
+    "62000000000100730100710802000000010000006605000000000000d0bf060000006e65"
+    "737465640702000000070200000003010000000000000006010000007808010000000100"
+    "00006b041600000031313830353931363230373137343131333033343234",
+]
+_GOLDEN_RESPONSES = [
+    "0a00000001030700000000000000",
+    "020000000100",
+    "0c000000010606000000616374697665",
+    "1e000000010903000000030000000000000001000000000000000200000000000000",
+    "29000000010802000000020000006f6b010800000070726f626c656d7307010000000606"
+    "000000706167652033",
+    "310000000107040000000205000000000000f83f04170000002d31313830353931363230"
+    "3731373431313330333432340700000000",
+    "170000000009004c6f636b4572726f720600000070616765203300",
+]
+
+
+def test_golden_frames_are_the_wire_format():
+    assert len(_GOLDEN_REQUESTS) == len(_VALID_REQUESTS)
+    assert len(_GOLDEN_RESPONSES) == len(_VALID_RESPONSES)
+    for request, golden in zip(_VALID_REQUESTS, _GOLDEN_REQUESTS):
+        assert encode_request(request).hex() == golden, request
+    for response, golden in zip(_VALID_RESPONSES, _GOLDEN_RESPONSES):
+        assert encode_response(response).hex() == golden, response
 
 
 @pytest.mark.parametrize("decode,frame", _VALID_FRAMES, ids=_FRAME_IDS)
@@ -451,6 +510,27 @@ def test_a_fractional_oid_or_time_is_refused_not_truncated():
         client.call("set_state", material_oid=oid, state="done", valid_time=2.5)
     assert client.state_of(oid) == "active"
     assert client.call("state_of", material_oid=float(oid)) == "active"
+    service.shutdown()
+    db.storage.close()
+
+
+def test_a_string_argument_must_be_a_string():
+    """A string field takes a ``str`` and nothing else; it used to be
+    coerced with ``str()``, so ``None`` became the state "None" and 7
+    answered for the state "7"."""
+    db = _served_db()
+    service = LabFlowService(db, group_cap=1)
+    client = LocalClient(service, "c")
+    oid = client.create_material("clone", "m-0", 1, state="active")
+    with pytest.raises(ProtocolError):
+        client.set_state(oid, None, 2)
+    assert client.state_of(oid) == "active"
+    with pytest.raises(ProtocolError):
+        client.in_state(7)
+    with pytest.raises(ProtocolError):
+        client.create_material("clone", 123, 3)
+    with pytest.raises(UnknownMaterialError):
+        client.lookup("clone", "123")
     service.shutdown()
     db.storage.close()
 
@@ -901,6 +981,78 @@ def test_socket_roundtrip(served):
     alice.drain()
     assert alice.verify_ok()
     alice.close()
+
+
+# Per data op: a valid call's args on a database holding one material
+# (oid ``m``, key "k-1", one step) and one argument to mistype in them.
+_BOTH_PATHS = {
+    "create_material": (
+        lambda m: {"class_name": "clone", "key": "k-2", "valid_time": 5,
+                   "state": "busy"},
+        {"key": 123},
+    ),
+    "record_step": (
+        lambda m: {"class_name": "measure", "valid_time": 5, "involves": [m],
+                   "results": {"value": 3}},
+        {"involves": ["x"]},
+    ),
+    "set_state": (
+        lambda m: {"material_oid": m, "state": "done", "valid_time": 5},
+        {"state": None},
+    ),
+    "most_recent": (
+        lambda m: {"material_oid": m, "attribute": "value"},
+        {"attribute": 7},
+    ),
+    "state_of": (lambda m: {"material_oid": m}, {"material_oid": 1.5}),
+    "lookup": (
+        lambda m: {"class_name": "clone", "key": "k-1"}, {"class_name": None}
+    ),
+    "in_state": (lambda m: {"state": "active"}, {"state": ["active"]}),
+    "history_len": (lambda m: {"material_oid": m}, {"material_oid": "seven"}),
+}
+
+
+def _both_paths_outcome(client, op):
+    """What a valid call answers and what a mistyped one raises."""
+    oid = client.create_material("clone", "k-1", 1, state="active")
+    client.record_step("measure", 2, [oid], {"value": 7})
+    valid, mistyped = _BOTH_PATHS[op]
+    args = valid(oid)
+    with pytest.raises(ProtocolError) as refused:
+        client.call(op, **{**args, **mistyped})
+    return client.call(op, **args), type(refused.value)
+
+
+def test_the_op_table_holds_the_first_op_codes():
+    assert [row.name for row in DATA_OPS] == list(OPS[:len(DATA_OPS)]) == [
+        "create_material", "record_step", "set_state", "most_recent",
+        "state_of", "lookup", "in_state", "history_len",
+    ]
+    assert set(_BOTH_PATHS) == {row.name for row in DATA_OPS}
+
+
+@pytest.mark.parametrize("op", [row.name for row in DATA_OPS])
+def test_local_and_socket_clients_agree(op):
+    """The in-process client and the socket client answer a data op
+    alike, and refuse its mistyped argument alike."""
+    db = _served_db()
+    service = LabFlowService(db, group_cap=1)
+    local = _both_paths_outcome(LocalClient(service, "c"), op)
+    service.shutdown()
+    db.storage.close()
+
+    db = _served_db()
+    runner = ServiceRunner(LabFlowService(db, group_cap=1))
+    host, port = runner.start()
+    client = ServiceClient(host, port, "c")
+    try:
+        served = _both_paths_outcome(client, op)
+    finally:
+        client.close()
+        runner.stop()
+        db.storage.close()
+    assert local == served
 
 
 def _ask(host, port, op):
