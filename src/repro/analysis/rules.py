@@ -14,11 +14,6 @@ LF03 no cross-module private-attribute reach-ins (``other._attr`` where
      the accessing module — same-module friend access stays legal)
 LF06 no broad exception handling on storage/labbase paths (``except
      Exception`` / bare ``except`` without a bare re-raise)
-LF08 page-lock discipline: lock-acquiring loops iterate canonically
-     ordered sources and can give a partial acquisition back; on the
-     served core's policy layer, releases happen only on unwind/commit
-     boundaries and rollback handlers that drop page locks restore
-     upgrades (interprocedural; defined in ``repro.analysis.concurrency``)
 ==== =======================================================================
 
 Ids are never reused.  LF05 (counter hygiene) and LF07 (metric-registry
@@ -26,13 +21,16 @@ hygiene) are retired: they cross-checked hand-copied lists of counter
 and gauge names, and those lists are now derived from the
 ``StorageStats`` fields and ``repro.obs.registry.DERIVED_METRICS``, so
 there is no second copy left to disagree with the first.  The
-shared-state confinement rule (the id after LF08) is retired with
-LF08's lock-rank checks: ``LabFlowService`` answers only the thread
-that owns it and raises for any other, so no service state is shared
-between threads and no ``threading`` lock is left to rank.  LF04
-(lock-ordering discipline) is retired into LF08, which checks the same
-two things about lock-acquiring loops — sorted source, release guard —
-over the same modules, through callees rather than by call name.
+shared-state confinement rule (LF09) is retired: ``LabFlowService``
+answers only the thread that owns it and raises for any other, so no
+service state is shared between threads and no ``threading`` lock is
+left to rank.  LF04 (lock ordering) and LF08 (page-lock discipline,
+which had absorbed LF04) are retired: every mutant of the page-lock
+policy they guarded fails a behavioural test — oid-ordered
+acquisition, all-or-nothing rollback of partial and multi-page grabs,
+upgrade restore, release only at the group close
+(``tests/test_storage_locks.py``, ``tests/test_labbase_sessions.py``,
+``tests/test_server.py``, ``tests/test_server_properties.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.concurrency import CONCURRENCY_RULES
 from repro.analysis.core import (
     NAMEDTUPLE_METHODS,
     Finding,
@@ -392,7 +389,7 @@ ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     PrivateReachInRule(),
     BroadExceptRule(),
-) + CONCURRENCY_RULES
+)
 
 
 def rules_by_id(ids: Iterable[str] | None = None) -> tuple[Rule, ...]:

@@ -130,7 +130,6 @@ class Session:
         self._check()
         # This IS the end-of-transaction boundary: the only
         # caller-facing point where a session's locks drop.
-        # lint: ignore[LF08] -- end-of-transaction boundary
         return self._manager.release(self.name)
 
     def close(self, failed: bool = False) -> None:
@@ -210,7 +209,7 @@ class SessionManager:
                 elif grant is LockGrant.UPGRADED:
                     taken.upgraded.append(page_id)
         except LockError:
-            self._restore_pages(client, taken)
+            self.restore(client, taken)
             raise
         return taken
 
@@ -248,12 +247,16 @@ class SessionManager:
             for oid in sorted(set(int(oid) for oid in oids)):
                 taken.extend(self.lock_object(client, oid, exclusive, mates))
         except LockError:
-            self._restore_pages(client, taken)
+            self.restore(client, taken)
             raise
         return taken
 
-    def _restore_pages(self, client: str, taken: LockedPages) -> None:
-        """Undo a partial acquisition: release new locks, demote upgrades."""
+    def restore(self, client: str, taken: LockedPages) -> None:
+        """Undo an acquisition: release new locks, demote upgrades.
+
+        The one rollback of page locks: a partial grab here, and a
+        served unit that died after its acquisition.  An empty
+        ``taken`` (a store without concurrency) touches nothing."""
         for page_id in taken.new:
             self._sm.unlock_page(client, page_id)
         for page_id in taken.upgraded:
@@ -287,7 +290,6 @@ class SessionManager:
             return 0
         # Whole-session release at the transaction boundary (group
         # close / session end), not a mid-unit unlock.
-        # lint: ignore[LF08] -- transaction-boundary release
         return self._sm.unlock_all(client)
 
     def detach(self, name: str, failed: bool = False) -> None:

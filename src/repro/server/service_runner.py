@@ -328,7 +328,7 @@ class LabFlowService:
             # A unit left buffering would refuse every later unit of
             # every session.
             cache.discard_unit()
-            self._restore_unit_locks(name, taken)
+            self._sessions.restore(name, taken)
             if tracer is not None:
                 tracer.abort(name, op, error_type=type(exc).__name__)
             raise
@@ -371,7 +371,6 @@ class LabFlowService:
         for participant in participants:
             # The group close IS unit/commit end: every participant's
             # locks go at the durability boundary.
-            # lint: ignore[LF08] -- group-commit durability boundary
             self._sessions.release(participant)
 
     def _flush_conflicting_group(self) -> None:
@@ -383,14 +382,6 @@ class LabFlowService:
         if self._coordinator.pending_units:
             self._db.storage.stats.commit_stalls += 1
             self._close_group()
-
-    def _restore_unit_locks(self, name: str, taken: LockedPages) -> None:
-        if not self._db.storage.supports_concurrency:
-            return
-        for page_id in taken.new:
-            self._db.storage.unlock_page(name, page_id)
-        for page_id in taken.upgraded:
-            self._db.storage.downgrade_page(name, page_id)
 
 
 def _int(name: str, value: object) -> int:
@@ -409,9 +400,15 @@ def _int(name: str, value: object) -> int:
 
 
 def _str(name: str, value: object) -> str:
-    if isinstance(value, str):
-        return value
-    raise ProtocolError(f"{name} must be a string, got {value!r}")
+    """A ``str`` the wire could carry: one UTF-8 can encode."""
+    if not isinstance(value, str):
+        raise ProtocolError(f"{name} must be a string, got {value!r}")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise ProtocolError(f"{name} is not valid UTF-8: {value!r}") from exc
+    return value
 
 
 def _opt_str(name: str, value: object) -> str | None:

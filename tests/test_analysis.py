@@ -2,8 +2,7 @@
 
 The fixture corpus under ``tests/lint_fixtures/<RULE>/`` drives the
 per-rule checks: ``good_*``/``support_*`` files must be clean for their
-rule, every ``bad_*`` file must trip it; a retired rule's corpus is
-checked by the rule that absorbed it.  The remaining tests pin the
+rule, every ``bad_*`` file must trip it.  The remaining tests pin the
 engine-level guarantees — deterministic reports, self-application over
 the shipped tree, and regression traps that re-introduce previously
 fixed violations into real source and expect the linter to object.
@@ -22,9 +21,6 @@ from repro.analysis.rules import ALL_RULES, rules_by_id
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
 
 RULE_IDS = tuple(rule.id for rule in ALL_RULES)
-
-#: Corpora of retired rules, each checked by the rule that absorbed it.
-ABSORBED = {"LF04": "LF08"}
 
 
 def _fixture_project(rule_id):
@@ -47,10 +43,9 @@ def test_every_rule_has_fixture_coverage():
         assert len(bad) >= 2, f"{rule_id}: need at least two failing fixtures"
 
 
-@pytest.mark.parametrize("corpus", RULE_IDS + tuple(ABSORBED))
-def test_rule_against_fixture_corpus(corpus):
-    rule_id = ABSORBED.get(corpus, corpus)
-    project = _fixture_project(corpus)
+@pytest.mark.parametrize("rule_id", RULE_IDS)
+def test_rule_against_fixture_corpus(rule_id):
+    project = _fixture_project(rule_id)
     findings = run_rules(project, rules_by_id([rule_id]))
     flagged_files = {os.path.basename(f.path) for f in findings}
     for module in project:
@@ -212,9 +207,9 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in RULE_IDS:
         assert rule_id in out
-    # retired ids (LF04 into LF08, LF05, LF07 and the one after LF08) are
-    # gone; the rest keep their numbers
-    assert RULE_IDS == ("LF01", "LF02", "LF03", "LF06", "LF08")
+    # retired ids (LF04, LF05, LF07, LF08, LF09) are gone; the rest keep
+    # their numbers
+    assert RULE_IDS == ("LF01", "LF02", "LF03", "LF06")
 
 
 def test_rule_subset_runs_only_named_rules():

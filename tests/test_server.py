@@ -531,6 +531,11 @@ def test_a_string_argument_must_be_a_string():
         client.create_material("clone", 123, 3)
     with pytest.raises(UnknownMaterialError):
         client.lookup("clone", "123")
+    # a str UTF-8 cannot encode is refused before LabBase sees it
+    with pytest.raises(ProtocolError):
+        client.create_material("clone", "a\udc80", 3)
+    assert db.count_materials("clone") == 1
+    assert client.state_of(client.create_material("clone", "m-1", 4)) is None
     service.shutdown()
     db.storage.close()
 

@@ -297,6 +297,55 @@ def test_partial_grab_failing_on_a_foreign_lock_spares_the_mates_entries():
     assert sm.lock_manager.holders(page_first) == {
         "alice": LockMode.EXCLUSIVE, "bob": LockMode.EXCLUSIVE,
     }
+    # one record over several pages, a stranger on its last page: the
+    # pages taken before the conflict go back, bob keeps what it held
+    big = sm.allocate_write(b"x" * 12_000)
+    big_pages = sm.pages_of(big)
+    assert len(big_pages) > 2
+    sm.lock_page("outsider", big_pages[-1], exclusive=True)
+    held = sm.lock_manager.held_pages("bob")
+    with pytest.raises(LockError):
+        manager.lock_object("bob", big, exclusive=True)
+    assert sm.lock_manager.held_pages("bob") == held
+    assert all(sm.lock_manager.holders(page) == {} for page in big_pages[:-1])
+    sm.close()
+
+
+def test_lock_objects_takes_pages_in_oid_order_whatever_the_caller_order(
+    monkeypatch,
+):
+    """Every session requests its pages lowest oid first, so two sessions
+    after overlapping sets meet on the same first page: a conflict on
+    the lower oid comes before any grant, however the caller listed the
+    oids."""
+    sm = ObjectStoreSM(codec="pickle")
+    db = LabBase(sm)
+    db.define_material_class("clone")
+    oids = [db.create_material("clone", f"c-{n}", n + 1) for n in range(60)]
+    low, high = oids[0], oids[-1]
+    assert sm.pages_of(low) != sm.pages_of(high)
+    manager = SessionManager(db)
+    for name in ("bob", "outsider"):
+        manager.open_session(name)
+    requested = []
+    lock_page = sm.lock_page
+
+    def recording_lock_page(client, page_id, **kwargs):
+        requested.append(page_id)
+        return lock_page(client, page_id, **kwargs)
+
+    monkeypatch.setattr(sm, "lock_page", recording_lock_page)
+    manager.lock_objects("bob", [high, low, high], exclusive=True)
+    assert requested == sm.pages_of(low) + sm.pages_of(high)
+    manager.release("bob")
+    manager.lock_object("outsider", low, exclusive=True)
+    requested.clear()
+    acquisitions = sm.stats.lock_acquisitions
+    with pytest.raises(LockError):
+        manager.lock_objects("bob", [high, low], exclusive=True)
+    assert requested == sm.pages_of(low)
+    assert sm.stats.lock_acquisitions == acquisitions
+    assert sm.lock_manager.held_pages("bob") == set()
     sm.close()
 
 
