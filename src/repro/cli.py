@@ -13,7 +13,6 @@
     python -m repro monitor --port P [--samples N] [--interval SEC]
     python -m repro verify DBFILE [--server OStore]
     python -m repro recover DBFILE [--server OStore]
-    python -m repro lint [PATHS] [--format json]
 
 ``compare`` regenerates the paper's Section 10 table; ``graph`` and
 ``eer`` emit the Appendix B and Figure 1 artefacts; ``query``/``shell``
@@ -243,20 +242,6 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.analysis.main import main as lint_main
-
-    lint_argv = list(args.paths)
-    lint_argv += ["--format", args.format]
-    if args.rules:
-        lint_argv += ["--rules", args.rules]
-    if args.list_rules:
-        lint_argv.append("--list-rules")
-    if args.check_ignores:
-        lint_argv.append("--check-ignores")
-    return lint_main(lint_argv)
-
-
 def cmd_serve(args) -> int:
     import threading
 
@@ -442,17 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=persistent_servers[0],
                    help="store format of the file")
     p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser("lint",
-                       help="run the storage-stack invariant linter (the LF rules)")
-    p.add_argument("paths", nargs="*",
-                   help="files or directories (default: the repro package)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--rules", default=None, metavar="LF01,LF02,...")
-    p.add_argument("--list-rules", action="store_true")
-    p.add_argument("--check-ignores", action="store_true",
-                   help="also flag lint: ignore markers that suppress nothing")
-    p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("serve",
                        help="serve a database to concurrent socket clients")

@@ -2,8 +2,10 @@
 
 Everything in ``repro.obs`` that needs "now" takes a clock argument
 instead of reading the wall clock directly, for the same reason the
-crash matrix bans ``time.time()`` (lint rule LF02): a run whose
-schedule depends on ambient time can never be replayed bit-for-bit.
+storage stack never reads ``time.time()``: a run whose schedule
+depends on ambient time can never be replayed bit-for-bit
+(``tests/test_hash_seed.py`` and the drift tests in
+``tests/test_bench_results.py`` compare the bytes of repeated runs).
 Production code injects :func:`system_clock` (``perf_counter``, the
 one timing source the harness already trusts); deterministic tests
 inject a :class:`ManualClock` and get byte-identical sample and trace

@@ -656,7 +656,8 @@ class ServiceRunner:
             return False  # reset: nobody left to answer
         # A bug one frame can reach costs that frame's connection, as it
         # cost its thread before; the other stations keep their server.
-        # lint: ignore[LF06] -- loop boundary; injected crashes are ReproErrors, answered above
+        # This is the loop's boundary; injected crashes are ReproErrors,
+        # answered above.
         except Exception:
             sys.excepthook(*sys.exc_info())
             return False

@@ -741,7 +741,7 @@ class RecordCodec:
                 return pickle.loads(body)
             # Corrupt payloads raise whatever opcode pickle trips over;
             # translate them all into the stack's corruption error.
-            except Exception as exc:  # lint: ignore[LF06]
+            except Exception as exc:
                 raise StorageError(f"corrupt record payload: {exc}") from exc
         try:
             if tag == TAG_STEP:

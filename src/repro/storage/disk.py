@@ -452,7 +452,7 @@ class PageFile:
                 offset += _META_FRAME.size + length
         # A half-written or bit-flipped blob raises arbitrary unpickling
         # errors; all of them mean the same thing — corrupt metadata.
-        except Exception as exc:  # lint: ignore[LF06]
+        except Exception as exc:
             raise StorageError(
                 f"{meta_path or '<memory>'}: corrupt metadata blob: {exc}"
             ) from exc

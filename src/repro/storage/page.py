@@ -193,7 +193,7 @@ class Page:
         # A corrupt pickle stream raises whatever the truncated opcodes
         # happen to hit (UnpicklingError, EOFError, AttributeError, even
         # MemoryError on a mangled length) — breadth is the point here.
-        except Exception as exc:  # lint: ignore[LF06]
+        except Exception as exc:
             raise PageError(f"page {page_id}: corrupt image: {exc}") from exc
         page = cls(page_id, segment_id)
         page._records = records

@@ -101,7 +101,7 @@ def deserialize(payload: "bytes | bytearray | memoryview") -> object:
     # Corrupt payloads raise whatever opcode pickle trips over
     # (UnpicklingError, EOFError, ValueError, ...); catch them all and
     # translate into the storage stack's own corruption error.
-    except Exception as exc:  # lint: ignore[LF06]
+    except Exception as exc:
         raise StorageError(f"corrupt record payload: {exc}") from exc
 
 

@@ -254,46 +254,6 @@ def test_shell_handles_eof(tmp_path, capsys, monkeypatch):
     assert main(["shell", db_path]) == 0
 
 
-def test_lint_clean_tree_exits_zero(capsys):
-    assert main(["lint"]) == 0
-    assert "0 findings" in capsys.readouterr().out
-
-
-def test_lint_reports_findings_nonzero(capsys):
-    fixture = os.path.join(
-        os.path.dirname(__file__), "lint_fixtures", "LF03", "bad_reach_in.py"
-    )
-    assert main(["lint", fixture]) == 1
-    out = capsys.readouterr().out
-    assert "LF03" in out and "finding" in out
-
-
-def test_lint_json_schema(capsys):
-    import json
-
-    fixture_dir = os.path.join(
-        os.path.dirname(__file__), "lint_fixtures", "LF06"
-    )
-    assert main(["lint", fixture_dir, "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"version", "checked_files", "counts", "findings"}
-    assert payload["counts"].get("LF06", 0) >= 2
-
-
-def test_lint_list_rules(capsys):
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    assert "LF01" in out and "LF06" in out
-
-
-def test_lint_rule_subset(capsys):
-    fixture = os.path.join(
-        os.path.dirname(__file__), "lint_fixtures", "LF03", "bad_reach_in.py"
-    )
-    assert main(["lint", fixture, "--rules", "LF06"]) == 0
-    capsys.readouterr()
-
-
 def test_serve_smoke_in_memory(capsys):
     assert main(["serve", "--smoke", "3", "--units", "8"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import ConcurrencyUnsupportedError, LabBaseError, LockError
+from repro.errors import (
+    ConcurrencyUnsupportedError,
+    LabBaseError,
+    LockError,
+    StorageError,
+)
 from repro.labbase import LabBase, LabClock
 from repro.labbase.sessions import SessionManager
 from repro.storage import ObjectStoreSM, OStoreMM, TexasSM
@@ -43,6 +48,23 @@ def test_memory_store_has_no_session_support():
     db, _clock, _oid = _lab(OStoreMM())
     with pytest.raises(ConcurrencyUnsupportedError):
         SessionManager(db)
+
+
+def test_a_client_that_never_attached_gets_no_lock():
+    """``lock_object`` goes through the store's ``lock_page``, whose
+    attached-client check refuses a stranger; a call straight into the
+    lock manager would grant it."""
+    db, _clock, oid = _lab(ObjectStoreSM())
+    manager = SessionManager(db)
+    manager.open_session("alice")
+    for lock in (
+        lambda: manager.lock_object("stranger", oid, exclusive=True),
+        lambda: manager.lock_objects("stranger", [oid], exclusive=False),
+    ):
+        with pytest.raises(StorageError, match="not attached"):
+            lock()
+    assert db.storage.stats.lock_acquisitions == 0
+    assert db.storage.lock_manager.held_pages("stranger") == set()
 
 
 def test_readers_share_writers_conflict():

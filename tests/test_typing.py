@@ -1,9 +1,9 @@
 """The typing ratchet.
 
 ``pyproject.toml`` promotes ``repro.storage``, ``repro.labbase``,
-``repro.server``, ``repro.obs`` and ``repro.analysis`` to
-mypy's strict flag set.  CI runs mypy itself; this module keeps two
-guarantees testable without mypy installed:
+``repro.server`` and ``repro.obs`` to mypy's strict flag set.  CI runs
+mypy itself; this module keeps two guarantees testable without mypy
+installed:
 
 * the ratchet configuration stays present and free of ``ignore_errors``
   escape hatches;
@@ -30,7 +30,6 @@ RATCHETED = (
     "repro/labbase",
     "repro/server",
     "repro/obs",
-    "repro/analysis",
 )
 
 
@@ -48,7 +47,6 @@ def test_ratchet_config_present_and_honest():
     assert "[tool.mypy]" in text
     assert '"repro.storage.*"' in text and '"repro.labbase.*"' in text
     assert '"repro.server.*"' in text and '"repro.obs.*"' in text
-    assert '"repro.analysis.*"' in text
     assert "disallow_untyped_defs = true" in text
     assert "ignore_errors = true" not in text  # no blanket escape hatches
 
@@ -83,7 +81,7 @@ def test_mypy_strict_on_ratcheted_packages():
         [
             sys.executable, "-m", "mypy",
             "-p", "repro.storage", "-p", "repro.labbase", "-p", "repro.server",
-            "-p", "repro.obs", "-p", "repro.analysis",
+            "-p", "repro.obs",
         ],
         cwd=REPO,
         capture_output=True,
