@@ -2,9 +2,21 @@
 
 One record in the hot ``catalog`` segment holds the user-level schema
 (material classes, step-class versions), the oids of the key-index
-buckets, the material-set directory, and per-class instance counters.
-It is reachable from the storage root ``labbase_catalog``, which is how a
-reopened LabBase finds everything.
+buckets and the material-set directory.  It is reachable from the
+storage root ``labbase_catalog``, which is how a reopened LabBase finds
+everything.  A second small record, under ``labbase_counters``, holds
+the per-class instance counters.
+
+The counters change with every created material and recorded step, but
+their record is written only at durability boundaries: inside a
+transaction or a served unit :meth:`Catalog.save_counters` just marks
+them dirty, and the storage manager's checkpoint notification (a commit
+that checkpoints, ``checkpoint()``, ``close()``) writes them in the
+drain ahead of that checkpoint.  The record on disk therefore counts
+what the last checkpoint's directory holds — a crash-reopen finds
+counters that agree with the recovered store — and an abort restores
+the counters as of :meth:`Catalog.begin`, since the record may be older
+than the last commit.
 
 Schema evolution happens here: :meth:`Catalog.register_step_class` keys
 versions by attribute set, so changing a step's attributes creates a new
@@ -22,17 +34,23 @@ from repro.storage.objcache import ObjectCache
 CATALOG_ROOT = "labbase_catalog"
 COUNTERS_ROOT = "labbase_counters"
 
+#: Material, step and step-version counts, and whether they are dirty.
+_Counters = tuple[dict[str, int], dict[str, int], dict[int, int], bool]
+
 
 class Catalog:
     """In-memory image of the catalog record, persisted on change.
 
     ``sm`` is LabBase's cache-backed store handle (any object with the
     storage-manager object API works, e.g. a raw storage manager).
+    Counters an update leaves dirty inside a transaction are written by
+    :meth:`write_counters`, which LabBase hooks to the checkpoint.
     """
 
     def __init__(self, sm: ObjectCache, segment: str | None) -> None:
         self._sm = sm
         self._segment = segment
+        self._at_begin: _Counters | None = None
         self.reload()
 
     def _clear(self) -> None:
@@ -74,6 +92,38 @@ class Catalog:
             assert counters_root is not None, "catalog without counters record"
             self._counters_oid = counters_root
             self._restore_counters(self._sm.read(self._counters_oid))
+        self._counters_dirty = False
+
+    def begin(self) -> None:
+        """Remember the counters as a transaction finds them, for
+        :meth:`rollback`."""
+        self._at_begin = (
+            dict(self.material_counts),
+            dict(self.step_counts),
+            dict(self.version_step_counts),
+            self._counters_dirty,
+        )
+
+    def rollback(self) -> None:
+        """Undo an aborted transaction's changes to the image.
+
+        The catalog record is re-read: the transaction's writes to it
+        were buffered, and the abort dropped them.  The counters are put
+        back as :meth:`begin` found them instead — their record waits
+        for a checkpoint, so it may be older than the last commit.
+        Without a :meth:`begin` this is a :meth:`reload`.
+        """
+        counters, self._at_begin = self._at_begin, None
+        if counters is None:
+            self.reload()
+            return
+        self._restore(self._sm.read(self._oid))
+        (
+            self.material_counts,
+            self.step_counts,
+            self.version_step_counts,
+            self._counters_dirty,
+        ) = counters
 
     def _record(self) -> dict:
         return {
@@ -130,8 +180,30 @@ class Catalog:
         self._sm.write(self._oid, self._record())
 
     def save_counters(self) -> None:
-        """Write just the counters record (hot path: once per step)."""
+        """Persist the counters after an update changed them.
+
+        Outside a transaction or served unit the record is written now,
+        like every other write-through.  Inside one it is only marked
+        dirty: :meth:`write_counters` writes it at the next durability
+        boundary, once however many updates ran before it.
+        """
+        if self._sm.in_transaction:
+            self._counters_dirty = True
+        else:
+            self._write_counters()
+
+    def write_counters(self) -> None:
+        """Write the counters record if an update left it dirty.
+
+        LabBase runs this on the storage manager's checkpoint
+        notification, ahead of the drain that precedes the checkpoint.
+        """
+        if self._counters_dirty:
+            self._write_counters()
+
+    def _write_counters(self) -> None:
         self._sm.write(self._counters_oid, self._counters_record())
+        self._counters_dirty = False
 
     # -- material classes ---------------------------------------------------------
 

@@ -105,14 +105,17 @@ class LabBase:
         # per step; the cache's flush listener installs them exactly
         # once, at the head of the commit drain.
         self._pending_recent: dict[int, dict[str, list]] = {}
-        self._store.set_unit_listeners(
-            flush=self._install_pending_recent,
-            discard=self._pending_recent.clear,
-        )
         for name, description in SEGMENT_PLAN:
             sm.create_segment(name, description)
         seg = self.segment_arg
         self.catalog = Catalog(self._store, seg(SEG_CATALOG))
+        # The counters record is written when a checkpoint follows, not
+        # per update (see ``repro.labbase.catalog``).
+        self._store.set_unit_listeners(
+            flush=self._install_pending_recent,
+            discard=self._pending_recent.clear,
+            checkpoint=self.catalog.write_counters,
+        )
         self.history = HistoryStore(self._store, seg(SEG_HISTORY), chunk=history_chunk)
         self.sets = StateStore(self._store, self.catalog, seg(SEG_SETS))
 
@@ -142,7 +145,11 @@ class LabBase:
         Recovery may drop objects the catalog (as read at construction)
         still references, or drop the catalog record itself; reloading
         re-reads it from the repaired roots — or bootstraps a fresh one.
+        Counters this process left dirty count commits the directory
+        holds, so they are written first; a store reopened after a
+        crash has none.
         """
+        self.catalog.write_counters()
         outcome = self._sm.recover()
         self.catalog.reload()
         return outcome
@@ -676,10 +683,11 @@ class LabBase:
 
     def begin(self) -> None:
         self._store.begin()
+        self.catalog.begin()
 
     def commit(self) -> None:
         self._store.commit()
 
     def abort(self) -> None:
         self._store.abort()
-        self.catalog.reload()
+        self.catalog.rollback()

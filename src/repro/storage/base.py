@@ -574,9 +574,17 @@ class PagedStorageManager(StorageManager):
 
         Metadata is persisted by :meth:`checkpoint` and :meth:`close`,
         not per commit — matching how the 1996 stores wrote data pages
-        eagerly but maintained their maps in virtual memory.
+        eagerly but maintained their maps in virtual memory.  A commit
+        that checkpoints (``checkpoint_every``) tells the attached
+        caches so before its drain, as those two do.
         """
         self._check_open()
+        checkpointing = (
+            self.checkpoint_every != 0
+            and self._commits_since_checkpoint + 1 >= self.checkpoint_every
+        )
+        if checkpointing:
+            self._checkpoint_caches()
         # Coalesced object-cache writes land first (oid order), so the
         # page flush below carries them out in this same commit.
         self._drain_caches()
@@ -587,11 +595,11 @@ class PagedStorageManager(StorageManager):
         self._undo_dir = None
         self._undo_small = None
         self.stats.commits += 1
-        if self.checkpoint_every:
+        if checkpointing:
+            self._write_checkpoint()
+            self._commits_since_checkpoint = 0
+        elif self.checkpoint_every:
             self._commits_since_checkpoint += 1
-            if self._commits_since_checkpoint >= self.checkpoint_every:
-                self._write_checkpoint()
-                self._commits_since_checkpoint = 0
 
     def abort(self) -> None:
         self._check_open()
@@ -633,6 +641,7 @@ class PagedStorageManager(StorageManager):
         self._check_open()
         if self._in_txn:
             raise TransactionError("checkpoint inside an open transaction")
+        self._checkpoint_caches()
         self._flush_all()
 
     def _flush_all(self, compact: bool = False) -> None:
@@ -914,6 +923,7 @@ class PagedStorageManager(StorageManager):
             return
         if self._in_txn:
             raise TransactionError("close() inside an open transaction")
+        self._checkpoint_caches()
         self._drain_caches()
         self._flush_all(compact=True)
         # Release pool pages (and any staged read images that may view

@@ -33,6 +33,7 @@ class CacheHooks(Protocol):
 
     def on_sm_begin(self) -> None: ...
     def on_sm_drain(self) -> None: ...
+    def on_sm_checkpoint(self) -> None: ...
     def on_sm_txn_end(self) -> None: ...
     def on_sm_invalidate(self) -> None: ...
     def on_sm_delete(self, oid: int) -> None: ...
@@ -63,6 +64,9 @@ class StorageManager(abc.ABC):
     # the manager can keep it coherent: transactions drain it, aborts and
     # recovery invalidate it, deletes evict.  Concrete managers call the
     # ``_*_caches`` helpers from their commit/abort/delete/recover paths.
+    # A drain that a metadata checkpoint follows (close, an explicit
+    # checkpoint, a commit that checkpoints) is announced first: state
+    # its owner keeps durable only at checkpoints joins that drain.
 
     def attach_cache(self, cache: CacheHooks) -> None:
         """Register an object cache for coherence callbacks."""
@@ -78,6 +82,10 @@ class StorageManager(abc.ABC):
     def _drain_caches(self) -> None:
         for cache in self._caches:
             cache.on_sm_drain()
+
+    def _checkpoint_caches(self) -> None:
+        for cache in self._caches:
+            cache.on_sm_checkpoint()
 
     def _begin_caches(self) -> None:
         for cache in self._caches:

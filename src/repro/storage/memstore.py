@@ -194,6 +194,7 @@ class MainMemorySM(StorageManager):
             return
         if self._in_txn:
             raise TransactionError("close() inside an open transaction")
+        self._checkpoint_caches()
         self._drain_caches()
         self._closed = True
 

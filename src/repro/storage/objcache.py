@@ -26,6 +26,9 @@ SM event           cache reaction
 =================  ========================================================
 ``begin()``        drain pending writes, enter buffering (unit-of-work) mode
 ``commit()``       drain (flush dirty objects, oid order) *before* pages go out
+checkpoint         before that drain, when a metadata checkpoint follows it
+                   (a commit that checkpoints, ``checkpoint()``,
+                   ``close()``): call the checkpoint listener
 ``abort()``        invalidate everything — in-memory objects may carry
                    mutations the undo journal just rolled back
 ``delete(oid)``    evict the oid
@@ -96,6 +99,7 @@ class ObjectCache:
         self._in_txn = False
         self._flush_listener: Callable[[], None] | None = None
         self._discard_listener: Callable[[], None] | None = None
+        self._checkpoint_listener: Callable[[], None] | None = None
         sm.attach_cache(self)
 
     # -- introspection -------------------------------------------------------
@@ -262,6 +266,7 @@ class ObjectCache:
         self,
         flush: Callable[[], None] | None = None,
         discard: Callable[[], None] | None = None,
+        checkpoint: Callable[[], None] | None = None,
     ) -> None:
         """Register callbacks around the unit-of-work boundary.
 
@@ -273,10 +278,14 @@ class ObjectCache:
         ``discard`` fires whenever buffered state is dropped without
         writing (:meth:`discard_unit`, :meth:`invalidate`), so the
         listener's pending state dies with the dirty entries it
-        belonged to.
+        belonged to.  ``checkpoint`` fires when the storage manager
+        announces that the next drain precedes a metadata checkpoint:
+        LabBase writes its counters record there, once per durability
+        boundary instead of once per update.
         """
         self._flush_listener = flush
         self._discard_listener = discard
+        self._checkpoint_listener = checkpoint
 
     # -- cache maintenance ---------------------------------------------------
 
@@ -348,6 +357,10 @@ class ObjectCache:
 
     def on_sm_drain(self) -> None:
         self.flush()
+
+    def on_sm_checkpoint(self) -> None:
+        if self._checkpoint_listener is not None:
+            self._checkpoint_listener()
 
     def on_sm_txn_end(self) -> None:
         self._in_txn = False
