@@ -20,7 +20,7 @@ from repro.labbase.database import (
 from repro.labbase.history import HistoryStore
 from repro.labbase.model import TABLE_1
 from repro.labbase.schema import MaterialClass, StepClass, StepClassVersion
-from repro.labbase.sessions import Session, SessionManager
+from repro.labbase.sessions import SessionManager
 from repro.labbase.statestore import StateStore, state_set_name
 from repro.labbase.temporal import LabClock
 from repro.labbase.views import MaterialView, view
@@ -36,7 +36,6 @@ __all__ = [
     "HistoryStore",
     "StateStore",
     "state_set_name",
-    "Session",
     "SessionManager",
     "MaterialClass",
     "StepClass",

@@ -389,9 +389,8 @@ class LabBase:
         for material_oid in sorted(self._pending_recent):
             # The unit that buffered the winners also wrote the material
             # (the history append dirties it), so the dirty peek avoids
-            # billing a logical read for pure install bookkeeping.  The
-            # read fallback covers a session detach that settled the
-            # dirty entry before the drain.
+            # billing a logical read for pure install bookkeeping; the
+            # read fallback covers a material that is no longer dirty.
             material = self._store.peek_dirty(material_oid)
             if material is None:
                 material = self._store.read(material_oid)

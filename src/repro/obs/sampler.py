@@ -14,6 +14,7 @@ byte-identical across replays.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import IO, Callable, Mapping
 
@@ -23,6 +24,10 @@ from repro.obs.registry import gauges_from
 #: Float fields are rounded before serialization so a JSONL stream is a
 #: stable artifact, not a parade of 17-digit reprs.
 FLOAT_DIGITS = 6
+
+#: How many samples :attr:`IntervalSampler.samples` keeps — the last N.
+#: The sink receives every sample.
+SAMPLES_KEPT = 1_024
 
 
 @dataclass(frozen=True)
@@ -74,12 +79,13 @@ def sample_from_snapshots(
 
 
 class IntervalSampler:
-    """Polls a counter source into a growing list of :class:`Sample`.
+    """Polls a counter source into :class:`Sample` observations.
 
     The caller owns the cadence: each :meth:`sample` call takes one
     observation.  ``repro serve --sample-log`` calls it on a timer from
     a wire client's thread (:func:`repro.obs.monitor.start_sample_log`);
     the deterministic tests call it directly with a manual clock.
+    ``samples`` keeps the last :data:`SAMPLES_KEPT` of them.
     """
 
     def __init__(
@@ -94,16 +100,16 @@ class IntervalSampler:
         self._sink = sink
         self._last: dict[str, int] | None = None
         self._last_t: float | None = None
-        self.samples: list[Sample] = []
+        self._seq = 0
+        self.samples: deque[Sample] = deque(maxlen=SAMPLES_KEPT)
 
     def sample(self) -> Sample:
         """Take one observation now (by the injected clock)."""
         t = self._clock()
         current = self._source()
         dt = 0.0 if self._last_t is None else t - self._last_t
-        observation = sample_from_snapshots(
-            len(self.samples), t, dt, current, self._last
-        )
+        observation = sample_from_snapshots(self._seq, t, dt, current, self._last)
+        self._seq += 1
         self._last = observation.counters
         self._last_t = t
         self.samples.append(observation)

@@ -5,20 +5,21 @@ The service core emits one event per interesting transition —
 sends it through the queued-wait retry path, ``unit_end`` with
 per-phase durations on success, ``abort`` on a unit that never
 happened, and ``group_flush`` when the commit coordinator closes a
-group.  Events are appended to an in-memory list and, when a sink is
-attached, written as sorted-JSON JSONL; with an injected
-:class:`~repro.obs.clock.ManualClock` the stream is byte-identical
-across runs (the determinism test in ``tests/test_obs.py`` proves it).
+group.  Every event is counted and, when a sink is attached, written as
+sorted-JSON JSONL; with an injected :class:`~repro.obs.clock.ManualClock`
+the stream is byte-identical across runs (the determinism test in
+``tests/test_obs.py`` proves it).  In memory the tracer keeps only the
+last :data:`TRACE_EVENTS_KEPT` events: a traced server runs for days.
 
 ``unit_end`` durations also feed fixed-boundary histograms per phase
 (``lock`` / ``exec`` / ``drain``), so the monitor can show a latency
-shape without the tracer ever holding unbounded per-unit state beyond
-the event list itself.
+shape from state of a fixed size.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from typing import IO
 
 from repro.obs.clock import Clock, system_clock
@@ -37,6 +38,11 @@ HISTOGRAM_BOUNDS: tuple[float, ...] = (
 #: Durations are rounded to nanoseconds before they enter an event, so
 #: the JSONL stream never depends on float repr tails.
 DURATION_DIGITS = 9
+
+#: How many events :attr:`UnitTracer.events` keeps — the last N.  The
+#: sink receives every event, and :meth:`UnitTracer.summary` counts every
+#: event; only the in-memory tail is bounded.
+TRACE_EVENTS_KEPT = 4_096
 
 
 class PhaseHistogram:
@@ -80,7 +86,8 @@ class UnitTracer:
         self._clock = clock
         self._sink = sink
         self._seq = 0
-        self.events: list[dict[str, object]] = []
+        self._by_event: dict[str, int] = {}
+        self.events: deque[dict[str, object]] = deque(maxlen=TRACE_EVENTS_KEPT)
         self.histograms: dict[str, PhaseHistogram] = {
             phase: PhaseHistogram() for phase in PHASES
         }
@@ -125,13 +132,9 @@ class UnitTracer:
 
     def summary(self) -> dict[str, object]:
         """A JSON-safe digest: event counts and phase histograms."""
-        by_event: dict[str, int] = {}
-        for event in self.events:
-            name = str(event["event"])
-            by_event[name] = by_event.get(name, 0) + 1
         return {
-            "events": len(self.events),
-            "by_event": by_event,
+            "events": self._seq,
+            "by_event": dict(self._by_event),
             "histograms": {
                 phase: hist.as_dict()
                 for phase, hist in self.histograms.items()
@@ -139,7 +142,8 @@ class UnitTracer:
         }
 
     def jsonl(self) -> str:
-        """The full event stream as sorted-JSON JSONL."""
+        """The kept events (the whole stream while fewer than
+        :data:`TRACE_EVENTS_KEPT` were emitted) as sorted-JSON JSONL."""
         return "".join(
             json.dumps(event, sort_keys=True) + "\n" for event in self.events
         )
@@ -154,6 +158,7 @@ class UnitTracer:
         }
         event.update(fields)
         self._seq += 1
+        self._by_event[name] = self._by_event.get(name, 0) + 1
         self.events.append(event)
         if self._sink is not None:
             self._sink.write(json.dumps(event, sort_keys=True) + "\n")

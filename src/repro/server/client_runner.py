@@ -183,8 +183,8 @@ class LocalClient(_ClientOps):
         request = Request(op=op, session=self.session, args=dict(args))
         return apply_request(self._service, request)
 
-    def close(self, failed: bool = False) -> None:
-        self.call("close_session", failed=failed)
+    def close(self) -> None:
+        self.call("close_session")
 
 
 class ServiceClient(_ClientOps):
@@ -211,15 +211,14 @@ class ServiceClient(_ClientOps):
             return response.value
         raise _revive_error(response.error_type, response.error)
 
-    def close(self, failed: bool = False) -> None:
+    def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         try:
-            request = Request(
-                op="close_session", session=self.session, args={"failed": failed}
+            self._channel.send_request(
+                Request(op="close_session", session=self.session)
             )
-            self._channel.send_request(request)
             self._channel.recv_response()
             self._channel.send_request(Request(op="bye", session=self.session))
             self._channel.recv_response()

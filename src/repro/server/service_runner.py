@@ -24,8 +24,11 @@ unit calls the row's LabBase method with the args as keywords.
 Lock discipline (strict two-phase for updates):
 
 * update units take EXCLUSIVE locks up front and keep them until the
-  group closes — no other session can *observe* a unit whose pages are
-  not yet durable;
+  group closes — no other session can *observe* a page the unit locked
+  before it is durable.  The record of a material the unit grows may
+  move to a page the unit never locked, and a query from another
+  session then reads that pending value without a stall: a known hole,
+  recorded in ROADMAP.md's open items;
 * an update unit may *build on* such pages when their holder is a
   **commit-mate**: a session with a unit pending in the open group, the
   group this unit is about to join.  The two are made durable by the
@@ -38,14 +41,13 @@ Lock discipline (strict two-phase for updates):
   close.  Closing the group to let such a unit in would split a group
   it was welcome in;
 * query units take no lock: they *check* that no other session holds
-  one of the material's pages EXCLUSIVE
-  (:meth:`~repro.storage.objectstore.ObjectStoreSM.check_page_shared`),
-  which raises exactly where a SHARED grant would.  Units run one at a
-  time on the owner thread, so a grant taken and returned inside one
-  unit could never be seen by anybody; the conflict is all it did.  A
-  query *is* an observation, so it has no mates: it conflicts with any
-  other session's EXCLUSIVE hold, also on a page its own session
-  co-holds with a mate;
+  one of the material's pages
+  (:meth:`~repro.storage.objectstore.ObjectStoreSM.check_page_shared`).
+  Units run one at a time on the owner thread, so a grant taken and
+  returned inside one unit could never be seen by anybody; the conflict
+  is all it would do.  A query *is* an observation, so it has no mates:
+  it conflicts with any other session's hold, also on a page its own
+  session co-holds with a mate;
 * a conflict raises :class:`~repro.errors.LockError` inside the core —
   the service turns that into the queued-wait discipline of a real page
   server: close the open group early if it holds the contended locks
@@ -96,7 +98,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.labbase.database import LabBase
-from repro.labbase.sessions import LockedPages, SessionManager
+from repro.labbase.sessions import SessionManager
 from repro.obs.registry import gauges_from
 from repro.obs.tracing import UnitTracer
 from repro.server.commit import DEFAULT_GROUP_CAP, CommitCoordinator
@@ -238,16 +240,21 @@ class LabFlowService:
             raise SessionError("session name must be non-empty")
         self._sessions.open_session(name)
 
-    def close_session(self, name: str, failed: bool = False) -> None:
+    def close_session(self, name: str) -> None:
         """Detach a session; its group-pending units stay committed.
 
-        A failing session only loses what was never completed — units
-        already in the open group were executed and drained, so they
-        remain part of the group and become durable when it closes.
+        A session that leaves, cleanly or with its connection, only
+        loses what was never completed: units already in the open group
+        were executed and drained.  Their locks are what keeps the other
+        sessions from reading them before they are durable, so when the
+        session has units in the group, the group closes first — the
+        units become durable, then the locks go.
         """
         self._check_owner()
         if self._sessions.is_open(name):
-            self._sessions.detach(name, failed=failed)
+            if name in self._coordinator.pending_sessions():
+                self._close_group()
+            self._sessions.detach(name)
 
     # -- the unit-of-work surface -------------------------------------------
 
@@ -347,24 +354,24 @@ class LabFlowService:
             )
         return value
 
-    def _acquire(self, name: str, row: DataOp, args: dict[str, Any]) -> LockedPages:
+    def _acquire(self, name: str, row: DataOp, args: dict[str, Any]) -> list[int]:
         field = row.locks
         if field is None:
             # create_material locks nothing: the material does not exist
             # yet and its record may share a page only with records the
             # executor serializes anyway.  lookup/in_state are
             # catalog-level reads.
-            return LockedPages()
+            return []
         oids = args[field]
         if not row.update:
             self._sessions.check_object_shared(name, oids)
-            return LockedPages()
+            return []
         # An update unit will join the open group: the sessions already
         # in it are its commit-mates, and it may build on their pages.
         mates = self._coordinator.pending_sessions()
         if isinstance(oids, list):
-            return self._sessions.lock_objects(name, oids, True, mates)
-        return self._sessions.lock_object(name, oids, True, mates)
+            return self._sessions.lock_objects(name, oids, mates)
+        return self._sessions.lock_object(name, oids, mates)
 
     def _close_group(self) -> None:
         participants = self._coordinator.close()
@@ -486,8 +493,8 @@ class ServiceRunner:
     :data:`~repro.server.communicator.MAX_MESSAGE_BYTES` is neither read
     from nor answered until its peer drains them, so a stalled reader
     holds neither memory nor the other stations; every session a
-    connection opened and did not close is closed for it, as failed,
-    however the connection ends; and at the descriptor limit the loop
+    connection opened and did not close is closed for it, however the
+    connection ends; and at the descriptor limit the loop
     stops watching the listener until it drops a connection, so the
     peers that wait in the kernel's backlog cost no CPU.
 
@@ -705,11 +712,11 @@ class ServiceRunner:
 
     def _drop(self, conn: _Connection, owners: dict[str, _Connection]) -> None:
         """Close a connection; the sessions it opened and did not close
-        are closed for it, as failed."""
+        are closed for it."""
         conn.sock.close()
         for name in sorted(n for n, owner in owners.items() if owner is conn):
             del owners[name]
-            self._service.close_session(name, failed=True)
+            self._service.close_session(name)
 
     def _handle(
         self, conn: _Connection, request: Request, owners: dict[str, _Connection]
@@ -742,9 +749,7 @@ def apply_request(service: LabFlowService, request: Request) -> object:
         service.open_session(request.session)
         return None
     if op == "close_session":
-        service.close_session(
-            request.session, failed=bool(request.args.get("failed"))
-        )
+        service.close_session(request.session)
         return None
     if op == "drain":
         return service.drain()

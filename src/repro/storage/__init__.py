@@ -30,7 +30,7 @@ from repro.storage.buffer import (
 from repro.storage.clustered import TexasTCSM
 from repro.storage.contract import CacheHooks
 from repro.storage.faultinject import FaultInjector, FaultyPageFile
-from repro.storage.locks import LockManager, LockMode
+from repro.storage.locks import LockManager
 from repro.storage.memstore import MainMemorySM, OStoreMM, TexasMM
 from repro.storage.objcache import DEFAULT_CACHE_OBJECTS, ObjectCache
 from repro.storage.objectstore import ObjectStoreSM
@@ -77,7 +77,6 @@ __all__ = [
     "DEFAULT_POOL_PAGES",
     "DEFAULT_READAHEAD_PAGES",
     "LockManager",
-    "LockMode",
     "Page",
     "PAGE_SIZE",
     "Segment",

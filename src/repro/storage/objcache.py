@@ -122,15 +122,6 @@ class ObjectCache:
     def dirty_objects(self) -> int:
         return len(self._dirty)
 
-    def dirty_oid_set(self) -> frozenset[int]:
-        """The oids with buffered (dirty) entries.
-
-        Sessions diff this around an operation to attribute the dirty
-        entries the operation created, so a departing client's claims
-        can be drained or invalidated precisely.
-        """
-        return frozenset(self._dirty)
-
     @property
     def in_transaction(self) -> bool:
         return self._in_txn
@@ -307,19 +298,6 @@ class ObjectCache:
             self._sm.write(oid, obj)
             self._admit(oid, obj)
         return len(dirty)
-
-    def evict(self, oid: int, write_back: bool = True) -> None:
-        """Drop one oid from the cache, flushing it first if dirty.
-
-        ``SessionManager.detach`` settles a departing session's dirty
-        entries with this: written back on a clean detach, dropped on a
-        failed one.
-        """
-        if oid in self._dirty:
-            obj = self._dirty.pop(oid)
-            if write_back:
-                self._sm.write(oid, obj)
-        self._clean.pop(oid, None)
 
     def invalidate(self) -> None:
         """Drop everything, dirty included, without writing.

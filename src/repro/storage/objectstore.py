@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from repro.storage.faultinject import FaultInjector
 from repro.storage.buffer import DEFAULT_POOL_PAGES, DEFAULT_READAHEAD_PAGES
 from repro.storage.codec import DEFAULT_CODEC
-from repro.storage.locks import LockGrant, LockManager, LockMode
+from repro.storage.locks import LockManager
 from repro.storage.page import exact_charge
 
 
@@ -74,33 +74,26 @@ class ObjectStoreSM(PagedStorageManager):
         self._lock_manager.release_all(client)
 
     def lock_page(
-        self,
-        client: str,
-        page_id: int,
-        exclusive: bool = False,
-        mates: Collection[str] = (),
-    ) -> LockGrant:
-        """Acquire a page lock on behalf of an attached client.
+        self, client: str, page_id: int, mates: Collection[str] = ()
+    ) -> bool:
+        """Lock a page for an attached client; True for a new hold.
 
-        Returns the :class:`LockGrant` kind (NEW / UPGRADED / HELD), so
-        a multi-page caller knows how to back each page out if the
-        acquisition fails partway.  ``mates`` are the clients an
-        exclusive request may share the page with
-        (:meth:`LockManager.acquire`).
+        A multi-page caller releases the new holds if the acquisition
+        fails partway.  ``mates`` are the clients the request may share
+        the page with (:meth:`LockManager.acquire`).
         """
         self._check_open()
         if client not in self._clients:
             raise StorageError(f"client {client!r} is not attached")
-        mode = LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
-        return self._lock_manager.acquire(client, page_id, mode, mates)
+        return self._lock_manager.acquire(client, page_id, mates)
 
     def check_page_shared(self, client: str, page_id: int) -> None:
-        """Raise where a SHARED :meth:`lock_page` would, and take no lock.
+        """Raise where another client holds the page, and take no lock.
 
         The served core's query units use this instead of a grant they
         would return before the next unit runs (units run one at a time
-        on the service's owner thread): the same
-        :class:`~repro.errors.LockError` and ``lock_waits`` on a
+        on the service's owner thread): the
+        :class:`~repro.errors.LockError` and ``lock_waits`` of a
         conflict, no ``lock_acquisitions`` and nothing to release.
         """
         self._check_open()
@@ -112,11 +105,6 @@ class ObjectStoreSM(PagedStorageManager):
         """Release one page lock (backing out a failed multi-page grab)."""
         self._check_open()
         return self._lock_manager.release(client, page_id)
-
-    def downgrade_page(self, client: str, page_id: int) -> bool:
-        """Demote an EXCLUSIVE hold to SHARED (backing out an upgrade)."""
-        self._check_open()
-        return self._lock_manager.downgrade(client, page_id)
 
     def unlock_all(self, client: str) -> int:
         """Release a client's locks (transaction end)."""

@@ -27,7 +27,6 @@ class StorageStats:
     swizzle_operations: int = 0  # Texas: pointer slots swizzled at fault time
     lock_acquisitions: int = 0   # ObjectStore: page-lock grants
     lock_waits: int = 0          # ObjectStore: lock conflicts observed
-    lock_upgrades: int = 0       # ObjectStore: SHARED -> EXCLUSIVE promotions
     commits: int = 0
     aborts: int = 0
     cache_hits: int = 0          # object-cache: reads served in memory

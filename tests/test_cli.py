@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 
 import pytest
 
@@ -272,6 +273,27 @@ def test_serve_smoke_persists_database(tmp_path, capsys):
     assert main(["verify", db_path]) == 0
     out = capsys.readouterr().out
     assert "OK" in out
+
+
+def test_serve_trace_writes_one_event_per_line_for_every_unit(tmp_path, capsys):
+    trace = tmp_path / "served.trace.jsonl"
+    assert main([
+        "serve", str(tmp_path / "x.pages"), "--smoke", "2", "--units", "12",
+        "--trace", str(trace),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "verify: OK" in out
+    tally = {
+        name: int(count)
+        for name, count in re.findall(r"^  (\w+): (\d+)$", out, re.MULTILINE)
+    }
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    units = sum(tally[n] for n in ("creates", "steps", "state_sets", "queries"))
+    assert units == 2 * (4 + 12) - tally["conflicts"]
+    ends = [event for event in events if event["event"] == "unit_end"]
+    assert len(ends) == units
+    flushed = sum(event["units"] for event in events if event["event"] == "group_flush")
+    assert flushed == tally["creates"] + tally["steps"] + tally["state_sets"]
 
 
 def test_serve_sample_log_is_a_monotone_counter_stream(tmp_path, capsys):

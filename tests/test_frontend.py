@@ -511,7 +511,7 @@ def test_dropped_client_leaks_nothing(served):
     healthy.drain()
     assert db.storage.lock_manager.held_pages("a") == set()
     assert db.storage.lock_manager.held_pages("healthy") == set()
-    assert db.cache.dirty_oid_set() == frozenset()
+    assert db.cache.dirty_objects == 0
     assert healthy.verify_ok()
     runner.stop()  # the log is read by the thread that owns the service
     done = [(s, op) for s, op, _args in service.completed_units() if s == "a"]

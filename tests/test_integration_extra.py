@@ -11,7 +11,8 @@ from repro.benchmark import (
     all_servers,
     replay,
 )
-from repro.labbase import LabBase, SessionManager
+from repro.labbase import LabBase
+from repro.server import LabFlowService, LocalClient
 from repro.storage import ObjectStoreSM, OStoreMM
 from repro.util.rng import DeterministicRng
 from repro.workflow import WorkflowEngine, build_genome_workflow, load_workflow
@@ -68,12 +69,13 @@ def test_sessions_over_a_benchmark_database(tmp_path):
     db = LabBase(sm)
     workload = LabFlowWorkload(db, TINY.with_(clones_per_interval=4))
     workload.run_all()
-    manager = SessionManager(db)
-    with manager.open_session("analyst") as analyst:
-        key, oid = workload.registry.by_class["clone"][0]
-        analyst.lock_material(oid)
-        value = db.material(oid)["key"]
-        assert value == key
+    service = LabFlowService(db)
+    analyst = LocalClient(service, "analyst")
+    key, oid = workload.registry.by_class["clone"][0]
+    assert analyst.lookup("clone", key) == oid
+    assert analyst.state_of(oid) == db.material(oid)["state"]
+    analyst.close()
+    service.shutdown()
     sm.close()
 
 

@@ -1,4 +1,4 @@
-"""Tests for multi-client sessions (the concurrency usability gap)."""
+"""Tests for client sessions (the concurrency usability gap)."""
 
 import pytest
 
@@ -10,8 +10,8 @@ from repro.errors import (
 )
 from repro.labbase import LabBase, LabClock
 from repro.labbase.sessions import SessionManager
+from repro.server import LabFlowService, LocalClient
 from repro.storage import ObjectStoreSM, OStoreMM, TexasSM
-from repro.storage.locks import LockMode
 
 
 def _lab(sm):
@@ -26,22 +26,24 @@ def _lab(sm):
 def test_ostore_supports_many_sessions():
     db, clock, oid = _lab(ObjectStoreSM())
     manager = SessionManager(db)
-    entry = manager.open_session("data-entry")
-    reports = manager.open_session("reports")
+    manager.open_session("data-entry")
+    manager.open_session("reports")
     assert manager.open_sessions() == ["data-entry", "reports"]
-    entry.close()
-    reports.close()
+    manager.detach("data-entry")
+    manager.detach("reports")
+    assert manager.open_sessions() == []
 
 
 def test_texas_refuses_second_session():
     db, clock, oid = _lab(TexasSM())
     manager = SessionManager(db)
-    first = manager.open_session("only")
+    manager.open_session("only")
     with pytest.raises(ConcurrencyUnsupportedError):
         manager.open_session("second")
-    first.close()
-    # after closing, a new client may attach (serial reuse)
-    manager.open_session("second").close()
+    manager.detach("only")
+    # after the first detaches, a new client may attach (serial reuse)
+    manager.open_session("second")
+    assert manager.open_sessions() == ["second"]
 
 
 def test_memory_store_has_no_session_support():
@@ -58,8 +60,9 @@ def test_a_client_that_never_attached_gets_no_lock():
     manager = SessionManager(db)
     manager.open_session("alice")
     for lock in (
-        lambda: manager.lock_object("stranger", oid, exclusive=True),
-        lambda: manager.lock_objects("stranger", [oid], exclusive=False),
+        lambda: manager.lock_object("stranger", oid),
+        lambda: manager.lock_objects("stranger", [oid]),
+        lambda: manager.check_object_shared("stranger", oid),
     ):
         with pytest.raises(StorageError, match="not attached"):
             lock()
@@ -67,61 +70,29 @@ def test_a_client_that_never_attached_gets_no_lock():
     assert db.storage.lock_manager.held_pages("stranger") == set()
 
 
-def test_readers_share_writers_conflict():
-    db, clock, oid = _lab(ObjectStoreSM())
-    manager = SessionManager(db)
-    reader_a = manager.open_session("reader-a")
-    reader_b = manager.open_session("reader-b")
-    writer = manager.open_session("writer")
-
-    db.record_step("s", clock.tick(), [oid], {"a": 1})
-    # two shared readers coexist
-    assert reader_a.most_recent(oid, "a") == 1
-    assert reader_b.most_recent(oid, "a") == 1
-    # a writer conflicts with the readers
-    with pytest.raises(LockError):
-        writer.record_step("s", clock.tick(), [oid], {"a": 2})
-    # readers release -> the writer proceeds (the 1996 retry discipline)
-    reader_a.release_locks()
-    reader_b.release_locks()
-    writer.record_step("s", clock.tick(), [oid], {"a": 2})
-    writer.release_locks()
-    assert db.most_recent(oid, "a") == 2
-
-
 def test_writer_blocks_reader_until_release():
     db, clock, oid = _lab(ObjectStoreSM())
     manager = SessionManager(db)
-    writer = manager.open_session("writer")
-    reader = manager.open_session("reader")
-    writer.set_state(oid, "busy", clock.tick())
+    manager.open_session("writer")
+    manager.open_session("reader")
+    manager.lock_object("writer", oid)
     with pytest.raises(LockError):
-        reader.most_recent(oid, "a") if db.has_attribute(oid, "a") else \
-            reader.lock_material(oid)
-    writer.release_locks()
-    reader.lock_material(oid)  # now fine
+        manager.check_object_shared("reader", oid)
+    manager.release("writer")
+    manager.check_object_shared("reader", oid)  # now fine
 
 
 def test_session_lifecycle_errors():
     db, clock, oid = _lab(ObjectStoreSM())
     manager = SessionManager(db)
-    session = manager.open_session("s")
+    manager.open_session("s")
     with pytest.raises(LabBaseError, match="already open"):
         manager.open_session("s")
-    session.close()
-    session.close()  # idempotent
-    with pytest.raises(LabBaseError, match="closed"):
-        session.lock_material(oid)
-
-
-def test_context_manager_releases():
-    db, clock, oid = _lab(ObjectStoreSM())
-    manager = SessionManager(db)
-    with manager.open_session("ctx") as session:
-        session.lock_material(oid, exclusive=True)
-    # lock released on exit: another writer succeeds immediately
-    with manager.open_session("next") as other:
-        other.lock_material(oid, exclusive=True)
+    manager.lock_object("s", oid)
+    manager.detach("s")
+    manager.detach("s")  # idempotent
+    assert not manager.is_open("s")
+    assert db.storage.lock_manager.held_pages("s") == set()
 
 
 def _two_materials_on_distinct_pages(db, clock):
@@ -130,9 +101,7 @@ def _two_materials_on_distinct_pages(db, clock):
     These locking scenarios need record geometry that stays put: the
     records must remain on the pages the sessions lock, so the stores
     under test open with ``codec="pickle"`` (pickle's looser packing
-    leaves every page slack for in-place growth; the schema-aware codec
-    packs materials so densely that the update inside ``record_step``
-    would relocate the record to a page nobody locked).
+    leaves every page slack for in-place growth).
     """
     sm = db.storage
     oids = [db.create_material("clone", f"m-{i}", clock.tick())
@@ -145,27 +114,26 @@ def _two_materials_on_distinct_pages(db, clock):
 
 
 def test_record_step_locks_in_oid_order_no_livelock():
-    """Regression: two sessions locking [A, B] vs [B, A] used to grab
-    their first material each, fail on the second, and leak the first —
-    a livelock on retry.  Sorted acquisition makes the loser fail on its
-    FIRST lock, holding nothing, so the winner's retry succeeds."""
+    """Regression: two sessions locking [A, B] vs [B, A] (a served
+    ``record_step``'s ``lock_objects``) used to grab their first
+    material each, fail on the second, and leak the first — a livelock
+    on retry.  Sorted acquisition makes the loser fail on its FIRST
+    lock, holding nothing, so the winner's retry succeeds."""
     db, clock, _oid = _lab(ObjectStoreSM(codec="pickle"))
     a, b = _two_materials_on_distinct_pages(db, clock)
     manager = SessionManager(db)
-    s1 = manager.open_session("s1")
-    s2 = manager.open_session("s2")
+    manager.open_session("s1")
+    manager.open_session("s2")
 
-    s1.record_step("s", clock.tick(), [a, b], {"a": 1})   # s1 holds both
+    manager.lock_objects("s1", [a, b])                # s1 holds both
     with pytest.raises(LockError):
-        s2.record_step("s", clock.tick(), [b, a], {"a": 2})  # reversed order
+        manager.lock_objects("s2", [b, a])            # reversed order
     # the loser leaked nothing: it holds no pages at all
     assert db.storage.lock_manager.held_pages("s2") == set()
     # so the winner can keep going, and after release the loser's retry wins
-    s1.record_step("s", clock.tick(), [b, a], {"a": 3})
-    s1.release_locks()
-    s2.record_step("s", clock.tick(), [b, a], {"a": 4})
-    s2.release_locks()
-    assert db.most_recent(a, "a") == 4
+    assert manager.lock_objects("s1", [b, a]) == []   # already held
+    manager.release("s1")
+    assert len(manager.lock_objects("s2", [b, a])) == 2
 
 
 def test_failed_multi_lock_releases_only_newly_acquired():
@@ -174,88 +142,18 @@ def test_failed_multi_lock_releases_only_newly_acquired():
     db, clock, _oid = _lab(ObjectStoreSM(codec="pickle"))
     a, b = _two_materials_on_distinct_pages(db, clock)
     manager = SessionManager(db)
-    s1 = manager.open_session("s1")
-    s2 = manager.open_session("s2")
+    manager.open_session("s1")
+    manager.open_session("s2")
 
-    s1.lock_material(a, exclusive=True)          # s1 pre-holds material a
-    s2.lock_material(b, exclusive=True)          # s2 pre-holds material b
+    manager.lock_object("s1", a)                  # s1 pre-holds material a
+    manager.lock_object("s2", b)                  # s2 pre-holds material b
     held_before = db.storage.lock_manager.held_pages("s1")
     with pytest.raises(LockError):
-        s1.record_step("s", clock.tick(), [a, b], {"a": 1})  # blocked on b
+        manager.lock_objects("s1", [a, b])         # blocked on b
     # s1 keeps the lock it held before the failed call, gains nothing new
     assert db.storage.lock_manager.held_pages("s1") == held_before
     # and b's holder is untouched
-    assert "s2" in db.storage.lock_manager.holders(
-        db.storage._entry(b)[0]
-    )
-
-
-def test_failed_upgrade_downgrades_back_to_shared():
-    """Regression (the lock-upgrade rollback leak): a session reading
-    material A holds its page SHARED; its record_step on [A, B] upgrades
-    A's page to EXCLUSIVE, then conflicts on B (held by another writer)
-    and rolls back.  The upgrade used to be invisible to the rollback
-    (acquire returned False for it), so A's page stayed EXCLUSIVE and a
-    third client was wrongly refused SHARED access for the life of the
-    process.  The rollback must downgrade A back to SHARED — not keep
-    EXCLUSIVE, and not drop the pre-held SHARED lock either."""
-    db, clock, _oid = _lab(ObjectStoreSM(codec="pickle"))
-    a, b = _two_materials_on_distinct_pages(db, clock)
-    manager = SessionManager(db)
-    s1 = manager.open_session("s1")
-    s2 = manager.open_session("s2")
-    reader = manager.open_session("reader")
-
-    s1.lock_material(a)                      # SHARED on a's page
-    s2.lock_material(b, exclusive=True)      # the conflict source
-    page_a = db.storage.pages_of(a)[0]
-    with pytest.raises(LockError):
-        s1.record_step("s", clock.tick(), [a, b], {"a": 1})
-    # the failed call's upgrade was undone: s1 is back to SHARED
-    assert db.storage.lock_manager.holders(page_a)["s1"] is LockMode.SHARED
-    # so another reader is admitted (the pre-fix leak refused this)
-    reader.lock_material(a)
-    # and s1 still holds what it held before the failed call
-    assert page_a in db.storage.lock_manager.held_pages("s1")
-
-
-def test_exception_close_invalidates_buffered_writes():
-    """A session dying mid-unit-of-work must not strand locks or dirty
-    cache state: its buffered writes are dropped, its locks released."""
-    db, clock, oid = _lab(ObjectStoreSM())
-    # Pre-create the target state's set so the doomed unit below only
-    # *writes* existing records (allocation is eager and out of scope).
-    db.set_state(oid, "busy", clock.tick())
-    db.set_state(oid, "active", clock.tick())
-    manager = SessionManager(db)
-    survivor = manager.open_session("survivor")
-    db.begin()  # unit-of-work buffering: writes stay in the object cache
-    with pytest.raises(RuntimeError):
-        with manager.open_session("doomed") as doomed:
-            doomed.set_state(oid, "busy", clock.tick())
-            assert db.cache.dirty_objects > 0
-            raise RuntimeError("client died mid-unit")
-    # the dying session's buffered write was invalidated, not drained
-    assert db.cache.dirty_objects == 0
-    # and its locks are gone: a writer proceeds immediately
-    survivor.set_state(oid, "done", clock.tick())
-    survivor.release_locks()
-    db.commit()
-    assert db.material(oid)["state"] == "done"
-
-
-def test_clean_close_drains_buffered_writes():
-    """A clean close mid-transaction hands the session's dirty cache
-    entries to the storage manager instead of stranding them."""
-    db, clock, oid = _lab(ObjectStoreSM())
-    manager = SessionManager(db)
-    db.begin()
-    with manager.open_session("worker") as worker:
-        worker.set_state(oid, "busy", clock.tick())
-        assert db.cache.dirty_objects > 0
-    assert db.cache.dirty_objects == 0  # drained by the close, not stranded
-    db.commit()
-    assert db.material(oid)["state"] == "busy"
+    assert "s2" in db.storage.lock_manager.holders(db.storage.pages_of(b)[0])
 
 
 def test_record_step_preserves_caller_involves_order():
@@ -263,16 +161,23 @@ def test_record_step_preserves_caller_involves_order():
     the caller's involves order."""
     db, clock, _oid = _lab(ObjectStoreSM(codec="pickle"))
     a, b = _two_materials_on_distinct_pages(db, clock)
-    manager = SessionManager(db)
-    with manager.open_session("s") as session:
-        step_oid = session.record_step("s", clock.tick(), [b, a], {"a": 1})
+    service = LabFlowService(db)
+    session = LocalClient(service, "s")
+    step_oid = session.record_step("s", clock.tick(), [b, a], {"a": 1})
     assert db.step(step_oid)["involves"] == [b, a]
+    service.shutdown()
 
 
 def test_same_session_may_rewrite_its_own_lock():
+    """A session's units pending in one group build on each other's
+    pages, and its own query reads them, without a conflict."""
     db, clock, oid = _lab(ObjectStoreSM())
-    manager = SessionManager(db)
-    with manager.open_session("solo") as session:
-        session.record_step("s", clock.tick(), [oid], {"a": 1})
-        session.record_step("s", clock.tick(), [oid], {"a": 2})  # no self-conflict
-        assert session.most_recent(oid, "a") == 2
+    service = LabFlowService(db, group_cap=100)
+    session = LocalClient(service, "solo")
+    session.record_step("s", clock.tick(), [oid], {"a": 1})
+    session.record_step("s", clock.tick(), [oid], {"a": 2})  # no self-conflict
+    assert session.most_recent(oid, "a") == 2
+    stats = db.storage.stats
+    assert stats.lock_waits == 0 and stats.commit_stalls == 0
+    assert service.sample()["pending_units"] == 2
+    service.shutdown()

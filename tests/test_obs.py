@@ -251,6 +251,45 @@ def test_tracer_histograms_and_summary():
     assert histograms["exec"]["sum_seconds"] == pytest.approx(0.004)
 
 
+def test_tracer_keeps_a_bounded_tail_and_counts_every_event(monkeypatch):
+    """A traced server runs for days: memory holds the last events only,
+    while the sink gets the whole stream and the summary counts it."""
+    from repro.obs import tracing
+
+    monkeypatch.setattr(tracing, "TRACE_EVENTS_KEPT", 4)
+    sink = io.StringIO()
+    tracer = UnitTracer(clock=ManualClock(), sink=sink)
+    for _ in range(10):
+        tracer.unit_begin("alice", "set_state")
+        tracer.unit_end(
+            "alice", "set_state",
+            lock_seconds=0.0, exec_seconds=0.0, drain_seconds=0.0,
+        )
+    tracer.group_flush(width=1, units=10)
+    assert len(tracer.events) == 4
+    assert [event["seq"] for event in tracer.events] == [17, 18, 19, 20]
+    summary = tracer.summary()
+    assert summary["events"] == 21
+    assert summary["by_event"] == {"unit_begin": 10, "unit_end": 10, "group_flush": 1}
+    assert summary["histograms"]["exec"]["total"] == 10
+    assert len(sink.getvalue().splitlines()) == 21
+
+
+def test_sampler_keeps_a_bounded_tail_and_numbers_every_sample(monkeypatch):
+    from repro.obs import sampler
+
+    monkeypatch.setattr(sampler, "SAMPLES_KEPT", 2)
+    sink = io.StringIO()
+    frames = [{"buffer_hits": n} for n in range(5)]
+    polled = IntervalSampler(_scripted_source(frames), clock=ManualClock(), sink=sink)
+    for _ in frames:
+        polled.sample()
+    assert [sample.seq for sample in polled.samples] == [3, 4]
+    assert [json.loads(line)["seq"] for line in sink.getvalue().splitlines()] == [
+        0, 1, 2, 3, 4,
+    ]
+
+
 # -- service integration ----------------------------------------------------
 
 

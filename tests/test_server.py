@@ -599,8 +599,8 @@ def test_unit_dying_of_a_bug_is_discarded_like_any_other(monkeypatch):
     monkeypatch.setattr(LabBase, "set_state", fails_once)
     with pytest.raises(ValueError):
         a.set_state(oid, "busy", 2)
-    assert db.cache.dirty_oid_set() == frozenset()
-    a.close(failed=True)  # what the loop does with the connection
+    assert db.cache.dirty_objects == 0
+    a.close()  # what the loop does with the connection
 
     assert b.state_of(oid) == "active"  # the next query ...
     b.set_state(oid, "done", 3)  # ... and the next update, on the same page
@@ -757,7 +757,7 @@ def test_commit_mates_update_shares_the_page_without_a_stall():
     delta = stats.delta(before)
     assert delta["commits"] == delta["group_commits"] == 1
     assert delta["sessions_per_group"] == 2
-    assert db.storage.lock_manager.holders(page) == {}
+    assert db.storage.lock_manager.holders(page) == set()
     assert db.verify_storage().ok
     assert bob.state_of(target) == "done"
     service.shutdown()
@@ -775,7 +775,7 @@ def test_co_holder_query_stalls_like_any_observer():
     delta = stats.delta(before)
     assert delta["commit_stalls"] == 1 and delta["commits"] == 1
     assert delta["sessions_per_group"] == 2
-    assert db.storage.lock_manager.holders(page) == {}
+    assert db.storage.lock_manager.holders(page) == set()
     service.shutdown()
     db.storage.close()
 
@@ -791,7 +791,7 @@ def test_unit_dying_on_a_shared_page_gives_back_only_its_own_hold():
     assert service._coordinator.pending_units == 1  # alice's, untouched
     alice.set_state(target, "done", 5)
     service.drain()
-    assert db.storage.lock_manager.holders(page) == {}
+    assert db.storage.lock_manager.holders(page) == set()
     service.shutdown()
     db.storage.close()
 
@@ -807,7 +807,7 @@ def test_retry_budget_exhausts_against_foreign_lock():
     sm = db.storage
     sm.attach_client("outsider")
     page = sm.pages_of(oid)[0]
-    sm.lock_page("outsider", page, exclusive=True)
+    sm.lock_page("outsider", page)
     with pytest.raises(LockError):
         alice.set_state(oid, "busy", 2)
     sm.unlock_all("outsider")
@@ -854,18 +854,46 @@ def test_completed_units_log_is_bounded(monkeypatch):
 
 def test_close_session_keeps_group_pending_units():
     """A session dying after completing units does not retract them:
-    they stay in the group and become durable at the next close."""
+    its close makes them durable in the one commit of their group."""
     db = _served_db()
     service = LabFlowService(db, group_cap=100)
     alice = LocalClient(service, "alice")
     oid = alice.create_material("clone", "a-0", 1, state="active")
     alice.record_step("measure", 2, [oid], {"value": 9})
-    alice.close(failed=True)
-    assert service._coordinator.pending_units == 2
+    alice.close()
+    assert service._coordinator.pending_units == 0
     service.drain()
     bob = LocalClient(service, "bob")
     assert bob.most_recent(oid, "value") == 9
     assert db.storage.stats.commits == 1
+    service.shutdown()
+    db.storage.close()
+
+
+def test_closing_a_session_commits_its_pending_units_before_its_locks_go():
+    """a's locks are what keep b from reading a's pending step; closing
+    a must not drop them while that unit waits in the group.  The close
+    makes the unit durable first, so b's query reads a committed value
+    (it read the uncommitted one, with no stall, while the close only
+    dropped the locks)."""
+    db = _served_db()
+    stats = db.storage.stats
+    service = LabFlowService(db, group_cap=100)
+    a = LocalClient(service, "a")
+    b = LocalClient(service, "b")
+    m = a.create_material("clone", "m", 1, state="active")
+    a.record_step("measure", 2, [m], {"value": 1})
+    service.drain()
+    a.record_step("measure", 3, [m], {"value": 2})
+    assert service._coordinator.pending_units == 1
+    commits, stalls = stats.commits, stats.commit_stalls
+    a.close()
+    assert service._coordinator.pending_units == 0
+    assert stats.commits == commits + 1
+    assert db.storage.lock_manager.held_pages("a") == set()
+    assert b.most_recent(m, "value") == 2
+    assert stats.commit_stalls == stalls
+    b.close()
     service.shutdown()
     db.storage.close()
 

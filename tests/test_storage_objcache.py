@@ -167,19 +167,6 @@ def test_delete_through_sm_evicts_cached_object():
         cache.read(oid)
 
 
-def test_evict_writes_back_dirty_object():
-    sm, cache = _cached()
-    oid = cache.allocate_write({"v": "old"})
-    cache.begin()
-    cache.write(oid, {"v": "new"})
-    cache.evict(oid)                     # a clean session detach
-    assert sm.read(oid) == {"v": "new"}  # not lost
-    cache.commit()
-    sm.calls.clear()
-    cache.read(oid)
-    assert sm.calls == [("read", oid)]   # really gone from the cache
-
-
 def test_begin_drains_pending_autocommit_state():
     sm, cache = _cached()
     oid = cache.allocate_write({"v": 1})
