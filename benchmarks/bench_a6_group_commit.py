@@ -11,10 +11,10 @@ update unit, storage commits, mean group width, vectored I/O batches
 and checkpoint bytes per unit.
 
 One more leg is *contended*: two sessions drawing every target from one
-page, 60 % updates / 40 % locking queries.  There an update meets the
-page lock of a commit-mate and shares it — no stall — while a query
-that meets a pending writer closes the group early, so this is the leg
-whose ``commit_stalls`` is not 0 by construction.
+page, 60 % updates / 40 % checking queries.  There an update holds
+the page next to its commit-mates — it checks nothing, so no stall —
+while a query that meets a pending writer closes the group early, so
+this is the leg whose ``commit_stalls`` is not 0 by construction.
 
 The acceptance floor pinned here (and in tests/test_server.py): at four
 sessions, grouping must make *strictly* fewer io_batches + meta bytes

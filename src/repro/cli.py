@@ -183,6 +183,10 @@ def cmd_replay(args) -> int:
     return 0
 
 
+#: How many of a refused store's open problems ``repro serve`` prints.
+SERVE_PROBLEMS_SHOWN = 5
+
+
 def _open_existing_store(args):
     """Open a database file for verify/recover; refuse to create one.
 
@@ -196,31 +200,39 @@ def _open_existing_store(args):
     return server_class(args.server)(path=args.db)  # type: ignore[call-arg]
 
 
+def _verdict(sm) -> tuple:
+    """The one verdict ``verify`` and ``recover`` give: the storage
+    report, then the state-set disagreements of a LabBase file — or
+    ``None`` when they were not checked (the storage is unsound, or the
+    file has no catalog, where constructing a LabBase would bootstrap
+    one).  Reads only; the caller decides whether to close."""
+    from repro.labbase.catalog import CATALOG_ROOT
+
+    report = sm.verify()
+    if not report.ok or sm.get_root(CATALOG_ROOT) is None:
+        return report, None
+    return report, LabBase(sm).check_state_sets()
+
+
 def cmd_verify(args) -> int:
     sm = _open_existing_store(args)
     if sm is None:
         return 2
-    report = sm.verify()
+    # Deliberately no close(): closing checkpoints, and verification
+    # must never modify the store it is judging.
+    report, disagreements = _verdict(sm)
     print(f"{report.manager}: checked {report.objects_checked} objects, "
           f"{report.pages_checked} pages")
     for problem in report.problems:
         print(f"  {problem}")
     print("OK" if report.ok else f"{len(report.problems)} problem(s) found "
           "— run 'repro recover' to repair")
-    # Deliberately no close(): closing checkpoints, and verification
-    # must never modify the store it is judging.
-    if not report.ok:
-        return 1
-    from repro.labbase.catalog import CATALOG_ROOT
-
-    if sm.get_root(CATALOG_ROOT) is None:
-        return 0  # not a LabBase file (constructing one would bootstrap it)
-    disagreements = LabBase(sm).check_state_sets()
-    for problem in disagreements:
-        print(f"  {problem}")
-    print("state sets: " + ("OK" if not disagreements else
-                            f"{len(disagreements)} problem(s) found"))
-    return 1 if disagreements else 0
+    if disagreements is not None:
+        for problem in disagreements:
+            print(f"  {problem}")
+        print("state sets: " + ("OK" if not disagreements else
+                                f"{len(disagreements)} problem(s) found"))
+    return 0 if report.ok and not disagreements else 1
 
 
 def cmd_recover(args) -> int:
@@ -231,10 +243,12 @@ def cmd_recover(args) -> int:
     print(f"dropped {outcome['dropped_objects']} object(s), "
           f"{outcome['dropped_roots']} root(s); "
           f"vacuumed {outcome['vacuumed_slots']} slot(s)")
-    report = sm.verify()
+    report, disagreements = _verdict(sm)
     sm.close()
-    if not report.ok:
-        for problem in report.problems:
+    problems = list(report.problems) + (disagreements or [])
+    if problems:
+        # Storage recovery repairs storage; what it leaves, say so.
+        for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         print("store is still inconsistent after recovery", file=sys.stderr)
         return 1
@@ -257,6 +271,15 @@ def cmd_serve(args) -> int:
     sm = server_class(args.server)(  # type: ignore[call-arg]
         path=args.db, checkpoint_every=args.checkpoint_every
     )
+    problems = sm.open_problems()
+    if problems:
+        # Crash evidence recorded at open: serving would hand out oids
+        # the directory no longer knows.  No close() — it checkpoints.
+        for problem in problems[:SERVE_PROBLEMS_SHOWN]:
+            print(f"  {problem}", file=sys.stderr)
+        print(f"{len(problems)} problem(s) found — run 'repro recover' to "
+              "repair before serving", file=sys.stderr)
+        return 1
     db = LabBase(sm)
     bootstrap_schema(db)
     trace_sink = open(args.trace, "w") if args.trace else None

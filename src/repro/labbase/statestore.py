@@ -104,9 +104,6 @@ class StateStore:
             self._catalog.save()
         return oid
 
-    def set_names(self) -> list[str]:
-        return sorted(self._catalog.set_directory)
-
     def _runs(self, name: str) -> Iterator[list[int]]:
         """The set's members as ascending runs, one per leaf (read-only)."""
         oid = self._catalog.set_directory.get(name)

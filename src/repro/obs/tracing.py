@@ -1,8 +1,8 @@
 """Unit-of-work tracing: span events from the served session layer.
 
 The service core emits one event per interesting transition —
-``unit_begin`` when a unit starts, ``lock_wait`` when a lock conflict
-sends it through the queued-wait retry path, ``unit_end`` with
+``unit_begin`` when a unit starts, ``lock_wait`` when a query meets a
+page the open group holds and closes the group first, ``unit_end`` with
 per-phase durations on success, ``abort`` on a unit that never
 happened, and ``group_flush`` when the commit coordinator closes a
 group.  Every event is counted and, when a sink is attached, written as
@@ -101,8 +101,8 @@ class UnitTracer:
     def unit_begin(self, session: str, op: str) -> None:
         self._emit("unit_begin", session=session, op=op)
 
-    def lock_wait(self, session: str, op: str, attempt: int) -> None:
-        self._emit("lock_wait", session=session, op=op, attempt=attempt)
+    def lock_wait(self, session: str, op: str) -> None:
+        self._emit("lock_wait", session=session, op=op)
 
     def unit_end(
         self,

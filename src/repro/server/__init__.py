@@ -4,7 +4,7 @@ The paper's Section 10 usability headline — ObjectStore "offers
 concurrent access with lock based concurrency control implemented in a
 page server" — becomes runnable here: N clients drive workflow sessions
 against one storage manager through a socket server, with per-session
-page locking, queued waits with bounded retry, and **group commit**
+page holds until the commit group closes, and **group commit**
 batching concurrently-arriving session commits into one vectored flush.
 
 Decomposition (see DESIGN.md §13):
@@ -42,7 +42,6 @@ from repro.server.client_runner import (
     run_concurrent_clients,
 )
 from repro.server.service_runner import (
-    DEFAULT_MAX_RETRIES,
     LabFlowService,
     ServiceRunner,
     apply_request,
@@ -51,7 +50,6 @@ from repro.server.service_runner import (
 __all__ = [
     "CommitCoordinator",
     "DEFAULT_GROUP_CAP",
-    "DEFAULT_MAX_RETRIES",
     "Channel",
     "Request",
     "Response",

@@ -6,9 +6,7 @@ Three pieces, smallest first:
   in-process :class:`~repro.server.service_runner.LabFlowService`
   (property tests and benchmarks want the core without socket noise);
 * :class:`ServiceClient` — the same API over a socket
-  :class:`~repro.server.communicator.Channel`, with bounded
-  retry/backoff on lock conflicts (the client half of the queued-wait
-  discipline);
+  :class:`~repro.server.communicator.Channel`;
 * :class:`ClientRunner` — a seeded, deterministic E8-style operation
   mix (create / record_step / set_state / queries) driven through
   either client, used by the CI smoke run and bench_a6.
@@ -30,8 +28,7 @@ from repro.labbase.database import LabBase
 from repro.server.communicator import Channel, Request
 from repro.server.service_runner import LabFlowService, apply_request
 
-#: Client-side retry budget for lock conflicts (the service retries
-#: internally first; this covers budget exhaustion under real contention).
+#: Client-side retry budget for lock conflicts.
 DEFAULT_CLIENT_RETRIES = 4
 
 #: Base client-side backoff in seconds, scaled linearly by attempt.
@@ -59,6 +56,7 @@ class _ClientOps:
     def call(self, op: str, **args: object) -> object:
         raise NotImplementedError
 
+    # The service raises no LockError; the e2e benchmark's stations still call this.
     def call_with_retry(
         self,
         op: str,
@@ -282,7 +280,6 @@ class ClientRunner:
             "steps": 0,
             "state_sets": 0,
             "queries": 0,
-            "conflicts": 0,
         }
         tick = 0
 
@@ -307,49 +304,46 @@ class ClientRunner:
         for _unit in range(units):
             roll = rng.random()
             pool = own + self._shared
-            try:
-                if roll < 0.45:
-                    involves = [rng.choice(pool)]
-                    if len(pool) > 1 and rng.random() < 0.3:
-                        other = rng.choice(pool)
-                        if other != involves[0]:
-                            involves.append(other)
-                    client.call_with_retry(
-                        "record_step",
-                        class_name="measure",
-                        valid_time=next_tick(),
-                        involves=involves,
-                        results={"value": tick},
-                    )
-                    stepped.extend(o for o in involves if o not in stepped)
-                    tally["steps"] += 1
-                elif roll < 0.60:
-                    client.call_with_retry(
-                        "set_state",
-                        material_oid=rng.choice(pool),
-                        state=rng.choice(MIX_STATES),
-                        valid_time=next_tick(),
-                    )
-                    tally["state_sets"] += 1
-                elif roll < 0.80 and stepped:
-                    client.call_with_retry(
-                        "most_recent",
-                        material_oid=rng.choice(stepped),
-                        attribute="value",
-                    )
-                    tally["queries"] += 1
-                else:
-                    self._run_query(rng, own)
-                    tally["queries"] += 1
-            except LockError:
-                tally["conflicts"] += 1  # retries exhausted: skip the unit
+            if roll < 0.45:
+                involves = [rng.choice(pool)]
+                if len(pool) > 1 and rng.random() < 0.3:
+                    other = rng.choice(pool)
+                    if other != involves[0]:
+                        involves.append(other)
+                client.call(
+                    "record_step",
+                    class_name="measure",
+                    valid_time=next_tick(),
+                    involves=involves,
+                    results={"value": tick},
+                )
+                stepped.extend(o for o in involves if o not in stepped)
+                tally["steps"] += 1
+            elif roll < 0.60:
+                client.call(
+                    "set_state",
+                    material_oid=rng.choice(pool),
+                    state=rng.choice(MIX_STATES),
+                    valid_time=next_tick(),
+                )
+                tally["state_sets"] += 1
+            elif roll < 0.80 and stepped:
+                client.call(
+                    "most_recent",
+                    material_oid=rng.choice(stepped),
+                    attribute="value",
+                )
+                tally["queries"] += 1
+            else:
+                self._run_query(rng, own)
+                tally["queries"] += 1
         return tally
 
     def _run_query(self, rng: random.Random, own: list[int]) -> None:
         client = self._client
         roll = rng.random()
         if roll < 0.4:
-            client.call_with_retry("state_of", material_oid=rng.choice(own))
+            client.call("state_of", material_oid=rng.choice(own))
         elif roll < 0.7:
             client.lookup("clone", f"{client.session}-0")
         else:

@@ -23,16 +23,15 @@ Counters (all rendered by the benchmark reports):
 * ``group_commits`` — storage commits that closed a group;
 * ``sessions_per_group`` — distinct sessions fused into those groups
   (so ``sessions_per_group / group_commits`` is the mean batch width);
-* ``commit_stalls`` — groups forced closed early because a unit
-  conflicted with locks the group still held (bumped by the service,
-  which owns conflict handling).  That unit is a *query*: it would
-  observe pages the group has not made durable.  An update unit does
-  not stall on the group — it is about to join it, so the sessions in
-  it (:meth:`CommitCoordinator.pending_sessions`) are its commit-mates
-  and it shares their page locks; closing the group to let it in would
-  only make the group it joins narrower.  On the end-to-end benchmark's
-  hot mix two conflicts in three were of that kind (1 723 of 2 555;
-  EXPERIMENTS.md "E2E — PR 23").
+* ``commit_stalls`` — groups forced closed early because a query met
+  a page the group still held (bumped by the service, which owns the
+  page table): it would observe work the group has not made durable.
+  An update unit never stalls on the group — it is about to join it,
+  so the sessions in it are its commit-mates, and closing the group to
+  let it in would only make the group it joins narrower.  On the
+  end-to-end benchmark's hot mix two early closes in three were of that
+  kind while updates still checked (1 723 of 2 555; EXPERIMENTS.md
+  "E2E — PR 23").
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ class CommitCoordinator:
     def close(self) -> list[str]:
         """Close the group: one commit covering every pending unit.
 
-        Returns the distinct participant sessions (their locks may now
-        be released by the caller).  A no-op when nothing is pending.
+        Returns the distinct participant sessions.  A no-op when
+        nothing is pending.
         """
         if not self._pending:
             return []

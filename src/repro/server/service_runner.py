@@ -1,74 +1,59 @@
-"""The served session layer: N clients, one LabBase, one lock space.
+"""The served session layer: N clients, one LabBase, one page table.
 
 ``LabFlowService`` is the synchronous heart of the server.  Every client
-request is one **unit of work**: page locks are acquired first (oid
-order, all-or-nothing), then the operation runs with its object writes
-buffered in the shared object cache, then the unit drains — its writes
-reach the storage manager in oid order — and, for updates, joins the
-open commit group (:mod:`repro.server.commit`).  Units execute one at a
+request is one **unit of work**: a query first checks its material's
+pages against the open group's page table, then the operation runs with
+its object writes buffered in the shared object cache, then the unit
+drains — its writes reach the storage manager in oid order — and, for
+updates, records its pages and joins the open commit group
+(:mod:`repro.server.commit`).  Units execute one at a
 time on the one thread that owns the service; concurrency is in the
 *interleaving* of sessions' units, exactly like the page-server model
 the paper describes.  :class:`ServiceRunner` puts the core behind a
 socket: one event-loop thread serves every connection and owns the
 service while it runs.  Every other thread is refused with a
 :class:`~repro.errors.ServerError` before the service touches any
-state, so there is nothing for a lock to guard; a client that wants to
-read a live server (``repro monitor``, ``repro serve --sample-log``)
-asks over the wire like any other.
+state, so there is nothing for a thread lock to guard; a client that
+wants to read a live server (``repro monitor``, ``repro serve
+--sample-log``) asks over the wire like any other.
 
 A unit is one row of :data:`~repro.server.communicator.DATA_OPS`, the
 op table the wire codec is built from too: ``submit`` checks the args
-against the row's fields, the row's lock kind picks the lock, and the
-unit calls the row's LabBase method with the args as keywords.
+against the row's fields, the row's lock field names the oids whose
+pages the unit holds or checks, and the unit calls the row's LabBase
+method with the args as keywords.
 
-Lock discipline (strict two-phase for updates):
+Page discipline (strict two-phase for updates, with nothing to wait on):
 
-* update units take EXCLUSIVE locks up front and keep them until the
-  group closes — no other session can *observe* a page the unit locked
-  before it is durable.  The record of a material the unit grows may
-  move to a page the unit never locked, and a query from another
-  session then reads that pending value without a stall: a known hole,
-  recorded in ROADMAP.md's open items;
-* an update unit may *build on* such pages when their holder is a
-  **commit-mate**: a session with a unit pending in the open group, the
-  group this unit is about to join.  The two are made durable by the
-  same ``db.commit()``, in execution order, or not at all (a completed
-  unit is never rolled back), so the newcomer cannot outlive what it
-  built on, and its reply — a freshly allocated step oid, or ``None``
-  — carries nothing it read there.  The request names the
-  coordinator's pending sessions as its mates, both sessions become
-  holders of the page, and every holder's locks go at the one group
-  close.  Closing the group to let such a unit in would split a group
-  it was welcome in;
-* query units take no lock: they *check* that no other session holds
-  one of the material's pages
-  (:meth:`~repro.storage.objectstore.ObjectStoreSM.check_page_shared`).
-  Units run one at a time on the owner thread, so a grant taken and
-  returned inside one unit could never be seen by anybody; the conflict
-  is all it would do.  A query *is* an observation, so it has no mates:
-  it conflicts with any other session's hold, also on a page its own
-  session co-holds with a mate;
-* a conflict raises :class:`~repro.errors.LockError` inside the core —
-  the service turns that into the queued-wait discipline of a real page
-  server: close the open group early if it holds the contended locks
-  (a ``commit_stall``) and retry, up to a fixed budget, before the
-  error reaches the client.  What still conflicts is a query meeting a
-  pending writer's page, and anybody meeting a lock of a client the
-  service does not know.
-
-Because all lock holders across unit boundaries are, by construction,
-sessions with units in the open group, closing the group releases every
-blocking lock: the retry always makes progress, so there is no deadlock
-and nothing to sleep for.  Only a lock held by a client the service
-does not know (a foreign attachment on the storage manager — nobody's
-mate) outlasts the budget.
+* an update unit, once it completes, holds the pages of the oids in its
+  row's lock field until the group closes — no other session can
+  *observe* them before they are durable.  The pages are taken from
+  the store (``pages_of``) before the unit runs; the record of a
+  material the unit grows may move to a page it never held, and a
+  query from another session then reads that pending value without a
+  stall: a known hole, recorded in ROADMAP.md's open items;
+* an update checks nothing.  Units run one at a time on the owner
+  thread, and every page another session holds belongs to a unit in
+  the open group — the group this unit is about to join (its holders
+  are its **commit-mates**).  One ``db.commit()`` makes them durable
+  together, in execution order, or not at all (a completed unit is
+  never rolled back), and its reply — a freshly allocated step oid, or
+  ``None`` — carries nothing it read there.  Closing the group to let
+  it in would split a group it was welcome in;
+* a query takes no hold.  If another session holds a page of its
+  material (:meth:`~repro.storage.locks.LockManager.held_by_other`),
+  also one the query's own session co-holds, it would observe work
+  that is not yet durable: the service counts one ``lock_waits`` and
+  one ``commit_stall``, closes the group — which makes every holder
+  durable and empties the table — and then runs the query, once.
 
 Measured on ``served_mix_hot`` (both stations on the same 500
 materials; EXPERIMENTS.md "E2E — PR 23"): while an update stalled on
-its mates, a replay of the whole script closed 2 912 groups, 2 555 of
-them early, and 1 723 of those conflicts were ``record_step`` or
-``set_state`` meeting a commit-mate; with mates sharing, the same
-replay closes 1 946 groups, 943 early, every one of them for a query.
+its commit-mates, a replay of the whole script closed 2 912 groups,
+2 555 of them early, and 1 723 of those conflicts were ``record_step``
+or ``set_state`` meeting a commit-mate; with updates checking nothing,
+the same replay closes 1 946 groups, 943 early, every one of them for
+a query.
 
 Durability: a unit's completion acknowledges *execution*; durability
 arrives when its group closes (cap reached, conflict stall, or an
@@ -90,7 +75,6 @@ from typing import Any, Callable
 
 from repro.errors import (
     DuplicateKeyError,
-    LockError,
     ProtocolError,
     ReproError,
     ServerError,
@@ -118,10 +102,7 @@ from repro.server.communicator import (
     decode_request,
     encode_response,
 )
-
-#: Retry budget for a lock-conflicted unit before the error reaches the
-#: client (who may retry again at its own layer).
-DEFAULT_MAX_RETRIES = 8
+from repro.storage.locks import LockManager
 
 #: How long :meth:`ServiceRunner.stop` waits, over all connections, for
 #: peers to take the replies it still owes them.
@@ -150,7 +131,6 @@ class LabFlowService:
         db: LabBase,
         *,
         group_cap: int = DEFAULT_GROUP_CAP,
-        max_retries: int = DEFAULT_MAX_RETRIES,
         tracer: UnitTracer | None = None,
     ) -> None:
         if db.storage.in_transaction:
@@ -160,9 +140,9 @@ class LabFlowService:
             )
         self._db = db
         self._sessions = SessionManager(db)
+        self._locks = LockManager(db.storage.stats)
         self._tracer = tracer
         self._coordinator = CommitCoordinator(db, cap=group_cap, tracer=tracer)
-        self._max_retries = max(0, max_retries)
         self._completed: deque[tuple[str, str, dict[str, object]]] = deque(
             maxlen=COMPLETED_LOG_UNITS
         )
@@ -245,10 +225,10 @@ class LabFlowService:
 
         A session that leaves, cleanly or with its connection, only
         loses what was never completed: units already in the open group
-        were executed and drained.  Their locks are what keeps the other
+        were executed and drained.  Their holds are what keeps the other
         sessions from reading them before they are durable, so when the
         session has units in the group, the group closes first — the
-        units become durable, then the locks go.
+        units become durable, and the holds go with the group.
         """
         self._check_owner()
         if self._sessions.is_open(name):
@@ -261,31 +241,14 @@ class LabFlowService:
     def submit(
         self, name: str, op: str, args: dict[str, object] | None = None
     ) -> object:
-        """Run one unit of work for session ``name`` and return its value.
-
-        Retries lock conflicts internally (closing the open group,
-        which holds every lock a served session can be waiting on);
-        raises the final :class:`LockError` only when the budget is
-        exhausted.
-        """
+        """Run one unit of work for session ``name`` and return its value."""
         self._check_owner()
         row = _UNITS.get(op)
         if row is None:
             raise ProtocolError(f"unknown operation {op!r}")
         if not self._sessions.is_open(name):
             raise SessionError(f"no open session {name!r}")
-        call_args = _checked_args(row, args or {})
-        attempts = 0
-        while True:
-            try:
-                return self._run_unit(name, row, call_args)
-            except LockError:
-                attempts += 1
-                if self._tracer is not None:
-                    self._tracer.lock_wait(name, op, attempt=attempts)
-                self._flush_conflicting_group()
-                if attempts > self._max_retries:
-                    raise
+        return self._run_unit(name, row, _checked_args(row, args or {}))
 
     def drain(self) -> int:
         """Close the open group now; returns the units made durable."""
@@ -313,7 +276,16 @@ class LabFlowService:
         t_begin = tracer.now() if tracer is not None else 0.0
         if tracer is not None:
             tracer.unit_begin(name, op)
-        taken = self._acquire(name, row, args)
+        pages = self._pages(row, args)
+        if pages and not row.update and self._locks.held_by_other(name, pages):
+            # Every holder has a unit in the open group: closing it makes
+            # what the query would observe durable, and empties the table.
+            stats = self._db.storage.stats
+            stats.lock_waits += 1
+            stats.commit_stalls += 1
+            if tracer is not None:
+                tracer.lock_wait(name, op)
+            self._close_group()
         t_locked = tracer.now() if tracer is not None else 0.0
         cache.begin_unit()
         try:
@@ -330,16 +302,16 @@ class LabFlowService:
             cache.end_unit()
         except BaseException as exc:
             # The unit never happened, whatever it died of — a refusal
-            # or a bug, executing or draining: drop its buffered writes
-            # and put its locks back the way the acquisition found them.
-            # A unit left buffering would refuse every later unit of
-            # every session.
+            # or a bug, executing or draining: drop its buffered writes.
+            # It holds no page yet.  A unit left buffering would refuse
+            # every later unit of every session.
             cache.discard_unit()
-            self._sessions.restore(name, taken)
             if tracer is not None:
                 tracer.abort(name, op, error_type=type(exc).__name__)
             raise
         if row.update:
+            for page in pages:
+                self._locks.acquire(name, page)
             self._completed.append((name, op, args))
             self._coordinator.note_unit(name)
             if self._coordinator.should_close():
@@ -354,41 +326,29 @@ class LabFlowService:
             )
         return value
 
-    def _acquire(self, name: str, row: DataOp, args: dict[str, Any]) -> list[int]:
+    def _pages(self, row: DataOp, args: dict[str, Any]) -> list[int]:
+        """The pages a unit holds (update) or checks (query): those of
+        the oids in the row's lock field, read before the unit runs.
+
+        create_material names none: the material does not exist yet
+        and its record may share a page only with records the executor
+        serializes anyway; lookup/in_state are catalog-level reads.  A
+        store without concurrency support has one session, and nobody
+        to hold a page against."""
         field = row.locks
-        if field is None:
-            # create_material locks nothing: the material does not exist
-            # yet and its record may share a page only with records the
-            # executor serializes anyway.  lookup/in_state are
-            # catalog-level reads.
+        if field is None or not self._db.storage.supports_concurrency:
             return []
         oids = args[field]
-        if not row.update:
-            self._sessions.check_object_shared(name, oids)
-            return []
-        # An update unit will join the open group: the sessions already
-        # in it are its commit-mates, and it may build on their pages.
-        mates = self._coordinator.pending_sessions()
+        pages_of = self._db.storage.pages_of
         if isinstance(oids, list):
-            return self._sessions.lock_objects(name, oids, mates)
-        return self._sessions.lock_object(name, oids, mates)
+            return [page for oid in oids for page in pages_of(oid)]
+        return pages_of(oids)
 
     def _close_group(self) -> None:
-        participants = self._coordinator.close()
-        for participant in participants:
-            # The group close IS unit/commit end: every participant's
-            # locks go at the durability boundary.
-            self._sessions.release(participant)
-
-    def _flush_conflicting_group(self) -> None:
-        """Conflict handling: the open group may hold the contended locks.
-
-        Closing it early releases them (and makes its units durable) —
-        the cost is a smaller batch, counted as a ``commit_stall``.
-        """
-        if self._coordinator.pending_units:
-            self._db.storage.stats.commit_stalls += 1
-            self._close_group()
+        # The group close IS unit/commit end: every hold goes at the
+        # durability boundary.
+        self._coordinator.close()
+        self._locks.release_all()
 
 
 def _int(name: str, value: object) -> int:

@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from repro.storage.integrity import IntegrityReport
 
 from repro.errors import (
-    PageOverflowError,
     StorageClosedError,
     StorageError,
     TransactionError,
@@ -49,7 +48,6 @@ from repro.storage.page import (
     exact_charge,
 )
 from repro.storage.segment import DEFAULT_SEGMENT, Segment
-from repro.storage import serializer
 from repro.storage.codec import DEFAULT_CODEC, RecordCodec
 from repro.storage.stats import StorageStats
 from repro.util.ids import OidAllocator
@@ -389,13 +387,6 @@ class PagedStorageManager(StorageManager):
         except KeyError:
             raise UnknownSegmentError(f"unknown segment {segment!r}") from None
 
-    def segment_of(self, oid: int) -> str:
-        """Name of the segment holding an object (its first chunk)."""
-        entry = self._entry(oid)
-        page_id = entry[1][0][0] if entry[0] == "L" else entry[0]
-        page = self._pool.fetch(page_id)
-        return self._segment_by_id[page.segment_id].name
-
     # -- record placement ---------------------------------------------------------
 
     def _place_record(self, payload: bytes, segment: Segment) -> tuple[int, int]:
@@ -708,15 +699,6 @@ class PagedStorageManager(StorageManager):
         """The record codec new writes use (``"labf"`` or ``"pickle"``)."""
         return self._codec.mode
 
-    def decode_record(self, payload: "bytes | bytearray | memoryview") -> object:
-        """Decode one raw record payload (any codec era).
-
-        The public decode surface for tools that read slots directly —
-        the integrity checker and size accounting — so they never reach
-        into the manager's codec state.
-        """
-        return self._codec.decode(payload)
-
     # -- accounting ------------------------------------------------------------------
 
     def size_bytes(self) -> int:
@@ -725,17 +707,12 @@ class PagedStorageManager(StorageManager):
         # what the 1996 size column measured: the database file(s) on disk.
         return self._disk.size_bytes + len_meta(self)
 
-    def buffer_resident_pages(self) -> int:
-        return self._pool.resident_pages
-
     # -- introspection accessors -------------------------------------------------
     #
     # The read-only view the integrity checker and the segment reports
     # need.  Public so those modules (and future tools) never reach into
     # ``_directory`` / ``_segments`` / ``_pool``; review holds them to
-    # that.  The reach-in that would change behaviour (``lock_object``
-    # past ``lock_page``'s open-store and attached-client checks) is
-    # pinned by ``tests/test_labbase_sessions.py``.
+    # that.
 
     def segments(self) -> list[Segment]:
         """Every segment, in segment-id order."""
@@ -766,11 +743,6 @@ class PagedStorageManager(StorageManager):
     def open_problems(self) -> list[str]:
         """Crash evidence recorded at open; cleared only by recover()."""
         return list(self._open_problems)
-
-    @property
-    def disk_epoch(self) -> int:
-        """The commit epoch new page writes are stamped with."""
-        return self._disk.epoch
 
     def disk_issues(self, max_epoch: int | None = None) -> list[str]:
         """Disk-level problems: torn pages, epochs beyond ``max_epoch``

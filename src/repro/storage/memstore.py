@@ -185,10 +185,6 @@ class MainMemorySM(StorageManager):
         self._check_open()
         return 0  # no database file: the paper prints "-" here
 
-    def memory_bytes(self) -> int:
-        """Resident payload bytes (not part of the paper's size column)."""
-        return sum(len(p) for p in self._objects.values())
-
     def close(self) -> None:
         if self._closed:
             return

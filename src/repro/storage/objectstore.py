@@ -10,13 +10,13 @@ What the paper attributes to ObjectStore, and what this class models:
   size (plus slot overhead), giving the smaller database file the paper's
   size column shows (16.6 MB vs Texas's 24.3-24.6 MB at 0.5X).
 * **Page server with lock-based concurrency control.**  All access is
-  mediated; multiple clients may attach, and their page locks are
-  tracked by a :class:`~repro.storage.locks.LockManager`.
+  mediated and multiple clients may attach; the served layer keeps the
+  pages their pending units wrote in a
+  :class:`~repro.storage.locks.LockManager`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     from repro.storage.faultinject import FaultInjector
 from repro.storage.buffer import DEFAULT_POOL_PAGES, DEFAULT_READAHEAD_PAGES
 from repro.storage.codec import DEFAULT_CODEC
-from repro.storage.locks import LockManager
 from repro.storage.page import exact_charge
 
 
@@ -56,7 +55,6 @@ class ObjectStoreSM(PagedStorageManager):
             readahead_pages=readahead_pages,
             codec=codec,
         )
-        self._lock_manager = LockManager(self.stats)
         self._clients: set[str] = set()
 
     # -- client sessions (the concurrency surface) -----------------------------
@@ -71,46 +69,3 @@ class ObjectStoreSM(PagedStorageManager):
     def detach_client(self, client: str) -> None:
         self._check_open()
         self._clients.discard(client)
-        self._lock_manager.release_all(client)
-
-    def lock_page(
-        self, client: str, page_id: int, mates: Collection[str] = ()
-    ) -> bool:
-        """Lock a page for an attached client; True for a new hold.
-
-        A multi-page caller releases the new holds if the acquisition
-        fails partway.  ``mates`` are the clients the request may share
-        the page with (:meth:`LockManager.acquire`).
-        """
-        self._check_open()
-        if client not in self._clients:
-            raise StorageError(f"client {client!r} is not attached")
-        return self._lock_manager.acquire(client, page_id, mates)
-
-    def check_page_shared(self, client: str, page_id: int) -> None:
-        """Raise where another client holds the page, and take no lock.
-
-        The served core's query units use this instead of a grant they
-        would return before the next unit runs (units run one at a time
-        on the service's owner thread): the
-        :class:`~repro.errors.LockError` and ``lock_waits`` of a
-        conflict, no ``lock_acquisitions`` and nothing to release.
-        """
-        self._check_open()
-        if client not in self._clients:
-            raise StorageError(f"client {client!r} is not attached")
-        self._lock_manager.check_shared(client, page_id)
-
-    def unlock_page(self, client: str, page_id: int) -> bool:
-        """Release one page lock (backing out a failed multi-page grab)."""
-        self._check_open()
-        return self._lock_manager.release(client, page_id)
-
-    def unlock_all(self, client: str) -> int:
-        """Release a client's locks (transaction end)."""
-        self._check_open()
-        return self._lock_manager.release_all(client)
-
-    @property
-    def lock_manager(self) -> LockManager:
-        return self._lock_manager

@@ -4,11 +4,47 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import Sample
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+#: A LabBase stream that checkpoints once by hand, commits ``argv[2]``
+#: more units past that checkpoint, and dies without close().
+CRASH_PAST_THE_CHECKPOINT = """
+import os, sys
+from repro.labbase import LabBase
+from repro.server import bootstrap_schema
+from repro.storage import ObjectStoreSM
+
+db = LabBase(ObjectStoreSM(sys.argv[1], checkpoint_every=0))
+bootstrap_schema(db)
+db.storage.checkpoint()
+for unit in range(int(sys.argv[2])):
+    db.begin()
+    oid = db.create_material("clone", f"c{unit}", unit, state="active")
+    db.record_step("measure", unit, [oid], {"value": unit})
+    db.commit()
+os._exit(0)
+"""
+
+
+def _crashed_labbase_file(tmp_path, commits):
+    path = str(tmp_path / "crashed.pages")
+    done = subprocess.run(
+        [sys.executable, "-c", CRASH_PAST_THE_CHECKPOINT, path, str(commits)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return path
 
 
 def test_graph_prints_genome_workflow(capsys):
@@ -194,6 +230,32 @@ def test_verify_then_recover_crashed_database(tmp_path, capsys):
     assert main(["verify", db_path]) == 0
 
 
+def test_recover_gives_the_verdict_verify_gives(tmp_path, capsys):
+    """Storage recovery cannot mend a state set that names a record the
+    checkpoint never heard of: recover must say so, not call the store
+    consistent for verify to reject next."""
+    path = _crashed_labbase_file(tmp_path, commits=1)
+    assert main(["recover", path]) == 1
+    captured = capsys.readouterr()
+    assert "still inconsistent" in captured.err
+    assert "state:active" in captured.err
+    assert "store is consistent" not in captured.out
+    assert main(["verify", path]) == 1
+    assert "state sets: 1 problem(s) found" in capsys.readouterr().out
+
+
+def test_serve_refuses_a_store_with_crash_evidence(tmp_path, capsys):
+    path = _crashed_labbase_file(tmp_path, commits=8)
+    before = open(path, "rb").read(), open(path + ".meta", "rb").read()
+    assert main(["serve", path, "--smoke", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "serving" not in captured.out  # refused before it binds
+    assert "run 'repro recover'" in captured.err
+    assert "stamped commit epoch" in captured.err
+    after = open(path, "rb").read(), open(path + ".meta", "rb").read()
+    assert before == after
+
+
 def test_verify_missing_file_does_not_create_one(tmp_path, capsys):
     db_path = os.path.join(tmp_path, "nope.db")
     assert main(["verify", db_path]) == 2
@@ -289,7 +351,7 @@ def test_serve_trace_writes_one_event_per_line_for_every_unit(tmp_path, capsys):
     }
     events = [json.loads(line) for line in trace.read_text().splitlines()]
     units = sum(tally[n] for n in ("creates", "steps", "state_sets", "queries"))
-    assert units == 2 * (4 + 12) - tally["conflicts"]
+    assert units == 2 * (4 + 12)
     ends = [event for event in events if event["event"] == "unit_end"]
     assert len(ends) == units
     flushed = sum(event["units"] for event in events if event["event"] == "group_flush")

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import (
     ConcurrencyUnsupportedError,
     LabBaseError,
-    LockError,
-    StorageError,
+    SchemaError,
+    SessionError,
 )
 from repro.labbase import LabBase, LabClock
 from repro.labbase.sessions import SessionManager
@@ -53,33 +53,42 @@ def test_memory_store_has_no_session_support():
 
 
 def test_a_client_that_never_attached_gets_no_lock():
-    """``lock_object`` goes through the store's ``lock_page``, whose
-    attached-client check refuses a stranger; a call straight into the
-    lock manager would grant it."""
-    db, _clock, oid = _lab(ObjectStoreSM())
-    manager = SessionManager(db)
-    manager.open_session("alice")
-    for lock in (
-        lambda: manager.lock_object("stranger", oid),
-        lambda: manager.lock_objects("stranger", [oid]),
-        lambda: manager.check_object_shared("stranger", oid),
+    """A unit for a session the service never opened is refused before
+    its pages are looked up: no hold, no count."""
+    db, clock, oid = _lab(ObjectStoreSM())
+    service = LabFlowService(db)
+    LocalClient(service, "alice")
+    for op, args in (
+        ("set_state", {"material_oid": oid, "state": "busy", "valid_time": 9}),
+        ("record_step", {"class_name": "s", "valid_time": 9, "involves": [oid],
+                         "results": {"a": 1}}),
+        ("state_of", {"material_oid": oid}),
     ):
-        with pytest.raises(StorageError, match="not attached"):
-            lock()
+        with pytest.raises(SessionError, match="no open session"):
+            service.submit("stranger", op, args)
     assert db.storage.stats.lock_acquisitions == 0
-    assert db.storage.lock_manager.held_pages("stranger") == set()
+    assert service._locks.table() == {}
+    service.shutdown()
 
 
 def test_writer_blocks_reader_until_release():
+    """A writer's pending page stalls another session's read until the
+    group closes; after the close the same read runs without a stall."""
     db, clock, oid = _lab(ObjectStoreSM())
-    manager = SessionManager(db)
-    manager.open_session("writer")
-    manager.open_session("reader")
-    manager.lock_object("writer", oid)
-    with pytest.raises(LockError):
-        manager.check_object_shared("reader", oid)
-    manager.release("writer")
-    manager.check_object_shared("reader", oid)  # now fine
+    service = LabFlowService(db, group_cap=100)
+    writer = LocalClient(service, "writer")
+    reader = LocalClient(service, "reader")
+    writer.set_state(oid, "busy", clock.tick())
+    assert service._locks.table() == {
+        page: {"writer"} for page in db.storage.pages_of(oid)
+    }
+    stats = db.storage.stats
+    assert reader.state_of(oid) == "busy"  # the group closed first
+    assert stats.lock_waits == stats.commit_stalls == 1
+    assert service._locks.table() == {}
+    assert reader.state_of(oid) == "busy"  # now fine
+    assert stats.commit_stalls == 1
+    service.shutdown()
 
 
 def test_session_lifecycle_errors():
@@ -88,20 +97,19 @@ def test_session_lifecycle_errors():
     manager.open_session("s")
     with pytest.raises(LabBaseError, match="already open"):
         manager.open_session("s")
-    manager.lock_object("s", oid)
     manager.detach("s")
     manager.detach("s")  # idempotent
     assert not manager.is_open("s")
-    assert db.storage.lock_manager.held_pages("s") == set()
+    manager.open_session("s")  # the name is free again
 
 
 def _two_materials_on_distinct_pages(db, clock):
     """Create materials until two of them live on different pages.
 
-    These locking scenarios need record geometry that stays put: the
-    records must remain on the pages the sessions lock, so the stores
-    under test open with ``codec="pickle"`` (pickle's looser packing
-    leaves every page slack for in-place growth).
+    These scenarios need record geometry that stays put: the records
+    must remain on the pages the sessions hold, so the stores under
+    test open with ``codec="pickle"`` (pickle's looser packing leaves
+    every page slack for in-place growth).
     """
     sm = db.storage
     oids = [db.create_material("clone", f"m-{i}", clock.tick())
@@ -113,47 +121,37 @@ def _two_materials_on_distinct_pages(db, clock):
     raise AssertionError("expected materials to span at least two pages")
 
 
-def test_record_step_locks_in_oid_order_no_livelock():
-    """Regression: two sessions locking [A, B] vs [B, A] (a served
-    ``record_step``'s ``lock_objects``) used to grab their first
-    material each, fail on the second, and leak the first — a livelock
-    on retry.  Sorted acquisition makes the loser fail on its FIRST
-    lock, holding nothing, so the winner's retry succeeds."""
-    db, clock, _oid = _lab(ObjectStoreSM(codec="pickle"))
-    a, b = _two_materials_on_distinct_pages(db, clock)
-    manager = SessionManager(db)
-    manager.open_session("s1")
-    manager.open_session("s2")
-
-    manager.lock_objects("s1", [a, b])                # s1 holds both
-    with pytest.raises(LockError):
-        manager.lock_objects("s2", [b, a])            # reversed order
-    # the loser leaked nothing: it holds no pages at all
-    assert db.storage.lock_manager.held_pages("s2") == set()
-    # so the winner can keep going, and after release the loser's retry wins
-    assert manager.lock_objects("s1", [b, a]) == []   # already held
-    manager.release("s1")
-    assert len(manager.lock_objects("s2", [b, a])) == 2
-
-
 def test_failed_multi_lock_releases_only_newly_acquired():
-    """A partial acquisition must give back what it just took — but not
-    locks the session already held before the call."""
+    """A multi-material update that fails holds none of its pages, and
+    the session keeps the holds its pending unit took before."""
     db, clock, _oid = _lab(ObjectStoreSM(codec="pickle"))
     a, b = _two_materials_on_distinct_pages(db, clock)
-    manager = SessionManager(db)
-    manager.open_session("s1")
-    manager.open_session("s2")
+    service = LabFlowService(db, group_cap=100)
+    s1 = LocalClient(service, "s1")
+    s1.set_state(a, "busy", clock.tick())
+    held_before = service._locks.table()
+    with pytest.raises(SchemaError):
+        s1.record_step("s", clock.tick(), [a, b], {"no_such_attr": 1})
+    assert service._locks.table() == held_before
+    assert db.storage.pages_of(b)[0] not in held_before
+    service.shutdown()
 
-    manager.lock_object("s1", a)                  # s1 pre-holds material a
-    manager.lock_object("s2", b)                  # s2 pre-holds material b
-    held_before = db.storage.lock_manager.held_pages("s1")
-    with pytest.raises(LockError):
-        manager.lock_objects("s1", [a, b])         # blocked on b
-    # s1 keeps the lock it held before the failed call, gains nothing new
-    assert db.storage.lock_manager.held_pages("s1") == held_before
-    # and b's holder is untouched
-    assert "s2" in db.storage.lock_manager.holders(db.storage.pages_of(b)[0])
+
+def test_record_step_holds_every_involved_material():
+    """A step over two materials on two pages holds both until its
+    group closes: another session's query on the second one waits for
+    the close."""
+    db, clock, _oid = _lab(ObjectStoreSM(codec="pickle"))
+    a, b = _two_materials_on_distinct_pages(db, clock)
+    service = LabFlowService(db, group_cap=100)
+    s1 = LocalClient(service, "s1")
+    s2 = LocalClient(service, "s2")
+    s1.record_step("s", clock.tick(), [a, b], {"a": 1})
+    pages = db.storage.pages_of(a) + db.storage.pages_of(b)
+    assert service._locks.table() == {page: {"s1"} for page in pages}
+    assert s2.most_recent(b, "a") == 1
+    assert db.storage.stats.commit_stalls == 1
+    service.shutdown()
 
 
 def test_record_step_preserves_caller_involves_order():

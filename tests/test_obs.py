@@ -212,7 +212,7 @@ def _traced_jsonl():
     sink = io.StringIO()
     tracer = UnitTracer(clock=ManualClock(start=0.0, step=0.001), sink=sink)
     tracer.unit_begin("alice", "record_step")
-    tracer.lock_wait("alice", "record_step", attempt=1)
+    tracer.lock_wait("alice", "record_step")
     tracer.unit_end(
         "alice",
         "record_step",

@@ -1,7 +1,7 @@
 """Tests for the served session layer (repro.server).
 
 Covers the protocol codecs, the commit coordinator, the service core's
-unit-of-work / lock / retry semantics, the socket round trip with four
+unit-of-work and page-table semantics, the socket round trip with four
 concurrent clients, and the A6 acceptance property: four sessions
 through group commit cost strictly less I/O per committed step than the
 same work committed one unit at a time.
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.errors import (
     DuplicateKeyError,
     LabBaseError,
-    LockError,
     ProtocolError,
     SchemaError,
     ServerError,
@@ -553,7 +552,7 @@ def test_a_query_checks_the_page_and_takes_no_lock():
     assert client.history_len(oid) == 0
     delta = stats.delta(before)
     assert delta["lock_acquisitions"] == 0 and delta["lock_waits"] == 0
-    assert db.storage.lock_manager.held_pages("c") == set()
+    assert service._locks.table() == {}
     service.shutdown()
     db.storage.close()
 
@@ -569,15 +568,18 @@ def test_failed_unit_discards_writes_and_restores_locks():
         # invalid results attribute: validated before anything is written
         bob.record_step("measure", 2, [oid], {"no_such_attr": 1})
     assert db.cache.dirty_objects == 0
-    # the failed unit's locks were restored: alice can write immediately
+    # the failed unit holds nothing: alice writes, and reads, at once
     alice.set_state(oid, "busy", 3)
+    assert service._locks.table() == {
+        page: {"alice"} for page in db.storage.pages_of(oid)
+    }
     service.shutdown()
     db.storage.close()
 
 
 def test_unit_dying_of_a_bug_is_discarded_like_any_other(monkeypatch):
     """A unit that dies of a non-ReproError never happened either: the
-    cache leaves buffering mode and the unit's locks go back, so the
+    cache leaves buffering mode and the unit holds no page, so the
     other stations keep their server (they were refused forever with
     "a unit of work is already buffering")."""
     db = _served_db()
@@ -605,8 +607,7 @@ def test_unit_dying_of_a_bug_is_discarded_like_any_other(monkeypatch):
     assert b.state_of(oid) == "active"  # the next query ...
     b.set_state(oid, "done", 3)  # ... and the next update, on the same page
     service.drain()
-    for name in ("a", "b"):
-        assert db.storage.lock_manager.held_pages(name) == set()
+    assert service._locks.table() == {}
     assert db.verify_storage().ok
     assert [(s, op) for s, op, _args in service.completed_units()] == [
         ("a", "create_material"), ("b", "set_state"),
@@ -724,9 +725,9 @@ def _alice_pending_on_a_page_bob_wants():
 
 
 def test_pending_group_blocks_then_stall_flushes():
-    """Strict 2PL for whoever observes: a group-pending unit's X locks
+    """Strict 2PL for whoever observes: a group-pending unit's pages
     stall a conflicting query; the conflict force-closes the group (a
-    commit_stall) and the retry answers."""
+    commit_stall) and then the query runs, once."""
     db, service, _alice, bob, target, _page = _alice_pending_on_a_page_bob_wants()
     stats = db.storage.stats
     stalls_before, commits_before = stats.commit_stalls, stats.commits
@@ -752,12 +753,12 @@ def test_commit_mates_update_shares_the_page_without_a_stall():
     assert stats.delta(before)["lock_waits"] == 0
     assert stats.delta(before)["commits"] == 0
     assert service._coordinator.pending_units == 2
-    assert set(db.storage.lock_manager.holders(page)) == {"alice", "bob"}
+    assert service._locks.table()[page] == {"alice", "bob"}
     assert service.drain() == 2
     delta = stats.delta(before)
     assert delta["commits"] == delta["group_commits"] == 1
     assert delta["sessions_per_group"] == 2
-    assert db.storage.lock_manager.holders(page) == set()
+    assert service._locks.table() == {}
     assert db.verify_storage().ok
     assert bob.state_of(target) == "done"
     service.shutdown()
@@ -775,7 +776,7 @@ def test_co_holder_query_stalls_like_any_observer():
     delta = stats.delta(before)
     assert delta["commit_stalls"] == 1 and delta["commits"] == 1
     assert delta["sessions_per_group"] == 2
-    assert db.storage.lock_manager.holders(page) == set()
+    assert service._locks.table() == {}
     service.shutdown()
     db.storage.close()
 
@@ -786,35 +787,13 @@ def test_unit_dying_on_a_shared_page_gives_back_only_its_own_hold():
     with pytest.raises(SchemaError):
         bob.record_step("measure", 4, [target], {"no_such_attr": 1})
     assert db.storage.stats.commit_stalls == stalls_before
-    assert set(db.storage.lock_manager.holders(page)) == {"alice"}
-    assert db.storage.lock_manager.held_pages("bob") == set()
+    assert service._locks.table() == {page: {"alice"}}
     assert service._coordinator.pending_units == 1  # alice's, untouched
     alice.set_state(target, "done", 5)
     service.drain()
-    assert db.storage.lock_manager.holders(page) == set()
+    assert service._locks.table() == {}
     service.shutdown()
     db.storage.close()
-
-
-def test_retry_budget_exhausts_against_foreign_lock():
-    """A lock held outside any group (a foreign client on the same SM)
-    cannot be flushed away: the bounded retry gives up with LockError."""
-    db = _served_db()
-    service = LabFlowService(db)
-    alice = LocalClient(service, "alice")
-    oid = alice.create_material("clone", "a-0", 1, state="active")
-    alice.drain()
-    sm = db.storage
-    sm.attach_client("outsider")
-    page = sm.pages_of(oid)[0]
-    sm.lock_page("outsider", page)
-    with pytest.raises(LockError):
-        alice.set_state(oid, "busy", 2)
-    sm.unlock_all("outsider")
-    sm.detach_client("outsider")
-    alice.set_state(oid, "busy", 3)  # free again
-    service.shutdown()
-    sm.close()
 
 
 def test_completed_units_replay_in_completion_order():
@@ -890,7 +869,7 @@ def test_closing_a_session_commits_its_pending_units_before_its_locks_go():
     a.close()
     assert service._coordinator.pending_units == 0
     assert stats.commits == commits + 1
-    assert db.storage.lock_manager.held_pages("a") == set()
+    assert service._locks.table() == {}
     assert b.most_recent(m, "value") == 2
     assert stats.commit_stalls == stalls
     b.close()
@@ -1104,7 +1083,6 @@ def test_four_concurrent_socket_clients(served):
     summary = run_concurrent_clients(host, port, clients=4, units=16)
     assert summary["creates"] == 16  # 4 clients x 4 materials
     assert summary["steps"] + summary["state_sets"] + summary["queries"] > 0
-    assert summary["conflicts"] == 0  # retries absorbed every conflict
     _ask(host, port, "drain")
     assert _ask(host, port, "verify")["ok"]
     assert _ask(host, port, "sample")["open_sessions"] == 0  # all detached cleanly
@@ -1163,15 +1141,10 @@ _ENTRY_POINTS = {
 
 
 def _service_state(service, db):
-    lock_manager = db.storage.lock_manager
-    locks = {
-        page: lock_manager.holders(page)
-        for page in sorted(lock_manager.held_pages("alice"))
-    }
     return (
         service.open_sessions(),
         service.completed_units(),
-        locks,
+        service._locks.table(),
         service.stats_snapshot(),
     )
 

@@ -3,10 +3,10 @@
 Two families:
 
 * **Serializability as bit-identity** — a randomized interleaving of K
-  sessions' units (creates, steps, state transitions, queries, with
-  conflict/retry) must leave the database *bit-for-bit identical* to
-  replaying the same completed units through a single session, one
-  commit per unit.  Group commit defers only page flush / sync /
+  sessions' units (creates, steps, state transitions, queries, some
+  closing the group early) must leave the database *bit-for-bit
+  identical* to replaying the same completed units through a single
+  session, one commit per unit.  Group commit defers only page flush / sync /
   checkpoint; every unit's object writes drain at the unit's own end,
   in oid order, so grouping must not be observable in the file bytes.
   Runs for group commit on and off, on every persistent server version
@@ -25,7 +25,7 @@ Two families:
   determinism test pins that the served workload is replayable at all.
 
   A second, scripted group holds two sessions' updates to *one* page
-  (commit-mates sharing its lock): killed at every write point of its
+  (commit-mates both holding it): killed at every write point of its
   close, the page comes back with both updates or with neither.
 
 Set ``CRASH_MATRIX_STRIDE=k`` to test every k-th write point (CI smoke).
@@ -40,10 +40,15 @@ from hypothesis import strategies as st
 
 from repro.errors import InjectedCrashError, StorageError, UnknownOidError
 from repro.labbase import LabBase
+from repro.obs import ManualClock, UnitTracer
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
+from repro.server.communicator import DATA_OPS
 from repro.storage import SERVER_VERSIONS, FaultInjector, ObjectStoreSM
 
 STATES = ("active", "busy", "done")
+
+#: The data ops that read: the only units that may wait on a page.
+_QUERY_OPS = {row.name for row in DATA_OPS if not row.update}
 
 
 #: Every persistent version, each behind the service; the main-memory
@@ -124,11 +129,16 @@ def _drive_units(service, names, codes, hot_page=False):
 
 def _interleaved_run(cls, directory, codes, n_sessions, group, hot_page):
     """Run the interleaved mix; returns (completed units, file bytes,
-    commit groups closed early)."""
+    commit groups closed early).
+
+    Traced, it also checks the invariant the served page table rests
+    on: only a query ever waits (an update's page holders are all its
+    commit-mates), and each wait closes the group exactly once."""
     sm = cls(path=os.path.join(directory, "db.pages"), checkpoint_every=0)
     db = LabBase(sm)
     bootstrap_schema(db)
-    service = LabFlowService(db, group_cap=3 if group else 1)
+    tracer = UnitTracer(clock=ManualClock())
+    service = LabFlowService(db, group_cap=3 if group else 1, tracer=tracer)
     _drive_units(
         service, [f"s{i}" for i in range(n_sessions)], codes, hot_page
     )
@@ -136,6 +146,11 @@ def _interleaved_run(cls, directory, codes, n_sessions, group, hot_page):
     service.shutdown()
     assert db.verify_storage().ok
     stalls = sm.stats.commit_stalls
+    waits = [event for event in tracer.events if event["event"] == "lock_wait"]
+    assert all(event["op"] in _QUERY_OPS for event in waits)
+    by_event = tracer.summary()["by_event"]
+    assert by_event.get("lock_wait", 0) == len(waits)  # none fell off the tail
+    assert len(waits) == sm.stats.lock_waits == stalls
     sm.close()
     return completed, _file_bytes(directory), stalls
 
