@@ -19,7 +19,6 @@ from repro.benchmark import (
     SERVER_ORDER,
     render_comparison,
     render_stats,
-    render_workload,
     run_comparison,
     run_server,
     server_spec,
@@ -51,17 +50,12 @@ def test_e1_full_table(benchmark, tmp_path):
     )
 
     from repro.benchmark.analysis import check_shapes, failed_checks, render_checks
-    from repro.benchmark.figures import growth_chart, interval_series_chart
 
     checks = check_shapes(comparison)
     text = "\n\n".join(
         [
             render_comparison(comparison),
             render_stats(comparison),
-            render_workload(comparison.runs[0]),
-            interval_series_chart(comparison, "elapsed_sec",
-                                  "elapsed seconds per interval"),
-            growth_chart(comparison),
             "Reproduction claims:\n" + render_checks(checks),
         ]
     )

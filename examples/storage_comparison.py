@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from repro import BenchmarkConfig, render_comparison, run_comparison
-from repro.benchmark import render_stats, render_workload
+from repro.benchmark import render_stats
 
 
 def main(clones_per_interval: int = 15) -> None:
@@ -32,8 +32,6 @@ def main(clones_per_interval: int = 15) -> None:
         print(render_comparison(comparison))
         print()
         print(render_stats(comparison))
-        print()
-        print(render_workload(comparison.runs[0]))
 
         ostore = comparison.run_for("OStore").intervals[-1].usage.size_bytes
         texas = comparison.run_for("Texas").intervals[-1].usage.size_bytes

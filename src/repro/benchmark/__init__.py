@@ -10,7 +10,6 @@ Quick use::
 
 from repro.benchmark.analysis import ShapeCheck, check_shapes, failed_checks, render_checks
 from repro.benchmark.config import DEFAULT, SERVER_ORDER, TINY, BenchmarkConfig
-from repro.benchmark.figures import ascii_chart, growth_chart, interval_series_chart
 from repro.benchmark.harness import (
     ComparisonResult,
     IntervalResult,
@@ -25,12 +24,7 @@ from repro.benchmark.operations import (
     OperationTally,
     QueryRunner,
 )
-from repro.benchmark.report import (
-    render_comparison,
-    render_run,
-    render_stats,
-    render_workload,
-)
+from repro.benchmark.report import render_comparison, render_run, render_stats
 from repro.benchmark.servers import ServerSpec, all_servers, make_db, server_spec
 from repro.benchmark.trace import Trace, TracingServer, replay
 from repro.benchmark.workload import IntervalTally, LabFlowWorkload
@@ -64,10 +58,6 @@ __all__ = [
     "failed_checks",
     "render_checks",
     "ShapeCheck",
-    "ascii_chart",
-    "growth_chart",
-    "interval_series_chart",
     "render_run",
     "render_stats",
-    "render_workload",
 ]

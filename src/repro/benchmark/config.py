@@ -25,7 +25,13 @@ SERVER_ORDER: tuple[str, ...] = tuple(cls.name for cls in SERVER_VERSIONS)
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """All knobs of a LabFlow-1 run."""
+    """All knobs of a LabFlow-1 run.
+
+    LabBase's own knobs (the most-recent index, history chunking), the
+    query path and the BLAST hit-list sizing are fixed for the stream:
+    the ablations that vary them construct ``LabBase`` or
+    ``QueryRunner`` themselves.
+    """
 
     # scale: clones entering the lab per 0.5X interval
     clones_per_interval: int = 30
@@ -39,21 +45,11 @@ class BenchmarkConfig:
     pump_budget_per_intake: int = 36
     #: interactive queries interleaved after each intake+pump block
     queries_per_intake: int = 4
-    #: drive queries through the deductive language instead of the API
-    query_path: str = "api"  # "api" | "dql"
-
-    # LabBase knobs
-    use_most_recent_index: bool = True
-    history_chunk: int = 32
 
     # storage knobs
     buffer_pages: int = 256
     #: directory for database files; None = in-memory page files
     db_dir: str | None = None
-
-    # BLAST hit-list sizing (the large cold-data records)
-    blast_mean_hits: int = 20
-    blast_max_hits: int = 120
 
     def __post_init__(self) -> None:
         if self.clones_per_interval < 1:
@@ -62,14 +58,10 @@ class BenchmarkConfig:
             raise ConfigError("at least one interval required")
         if any(b <= a for a, b in zip(self.intervals, self.intervals[1:])):
             raise ConfigError("intervals must be strictly increasing")
-        if self.query_path not in ("api", "dql"):
-            raise ConfigError(f"unknown query path {self.query_path!r}")
         if self.pump_budget_per_intake < 0 or self.queries_per_intake < 0:
             raise ConfigError("mix knobs must be non-negative")
         if self.buffer_pages < 1:
             raise ConfigError("buffer_pages must be positive")
-        if self.blast_mean_hits < 0 or self.blast_max_hits < self.blast_mean_hits:
-            raise ConfigError("invalid BLAST hit-list sizing")
 
     # -- derived -----------------------------------------------------------
 

@@ -89,28 +89,3 @@ def render_stats(comparison: ComparisonResult) -> str:
         align_right=tuple(range(1, 1 + len(comparison.runs))),
     )
 
-
-def render_workload(run: RunResult) -> str:
-    """Operation mix actually executed (identical across servers)."""
-    all_ops: set[str] = set()
-    for interval in run.intervals:
-        all_ops.update(interval.tally.operations.counts)
-    headers = ["Intvl", "txns", "steps", "queries"] + sorted(all_ops)
-    rows = []
-    for interval in run.intervals:
-        tally = interval.tally
-        rows.append(
-            [
-                interval.label,
-                tally.transactions,
-                tally.steps_executed,
-                tally.queries_executed,
-            ]
-            + [tally.operations.counts.get(op, 0) for op in sorted(all_ops)]
-        )
-    return format_table(
-        headers,
-        rows,
-        title="Workload (identical for every server version)",
-        align_right=tuple(range(1, len(headers))),
-    )

@@ -46,19 +46,10 @@ class ServerSpec:
 
 
 def make_db(spec: "ServerSpec", config: BenchmarkConfig) -> tuple[StorageManager, LabBase]:
-    """Storage manager + LabBase wired per the benchmark config.
-
-    Threads every LabBase knob the config carries — most-recent index
-    (A1) and history chunking — so ablation benches construct servers
-    one way.
-    """
+    """Storage manager per the benchmark config, and a LabBase with its
+    default knobs over it."""
     sm = spec.make(config)
-    db = LabBase(
-        sm,
-        use_most_recent_index=config.use_most_recent_index,
-        history_chunk=config.history_chunk,
-    )
-    return sm, db
+    return sm, LabBase(sm)
 
 
 def server_spec(name: str) -> ServerSpec:

@@ -3,10 +3,8 @@
 The paper's methodology replays the identical stream against every
 server version.  Our generators guarantee that via seeding; traces make
 the guarantee *portable*: a recorded trace is a JSON-lines file of
-logical operations that replays bit-identically onto any
-:class:`~repro.arch.wrapper.WorkflowDataServer` — another storage
-manager, Architecture (A)'s DirectServer, or a future backend — without
-re-running the generator.
+logical operations that replays bit-identically onto a LabBase over
+any storage manager without re-running the generator.
 
 Materials are identified by ``(class, key)`` — never by oid, which is
 backend-specific — and step-class versions by their attribute set, the
@@ -61,7 +59,7 @@ class Trace:
 
 
 class TracingServer:
-    """A recording proxy around any workflow data server.
+    """A recording proxy around a LabBase.
 
     Delegates every call; records the update operations (U1-U4, state
     changes, transactions) into a :class:`Trace` in replayable, logical
@@ -173,10 +171,10 @@ class TracingServer:
 def replay(trace: Trace, server) -> dict[str, int]:
     """Apply a trace to a fresh server; returns operation counts.
 
-    The server must implement the
-    :class:`~repro.arch.wrapper.WorkflowDataServer` protocol.  Replay is
-    deterministic: logical names resolve through the server's own key
-    index, so backend oids never leak between runs.
+    The server is a :class:`~repro.labbase.LabBase` (replay reads its
+    ``catalog``).  Replay is deterministic: logical names resolve
+    through the server's own key index, so backend oids never leak
+    between runs.
     """
     counts: dict[str, int] = {}
     for event in trace.events:

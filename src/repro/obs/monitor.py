@@ -26,7 +26,7 @@ from typing import IO, Callable, Mapping, Sequence
 from repro.errors import ProtocolError, ServerError
 from repro.obs.clock import Clock, system_clock
 from repro.obs.registry import DERIVED_METRICS
-from repro.obs.sampler import IntervalSampler, Sample, sample_from_snapshots
+from repro.obs.sampler import IntervalSampler, Sample
 from repro.server.communicator import Channel, Request
 from repro.util.fmt import format_table
 
@@ -162,8 +162,9 @@ def monitor(
 ) -> list[Sample]:
     """Attach, poll ``samples`` observations, stream the table to ``out``.
 
-    Returns the collected samples (tests read them; the CLI reads the
-    rendered text).  ``clock`` and ``sleep`` are injectable so the
+    Returns every sample taken (tests read them; the CLI reads the
+    rendered text); the :class:`IntervalSampler` that takes them keeps
+    only its bounded tail.  ``clock`` and ``sleep`` are injectable so the
     deterministic tests replay a poll schedule without wall time.
     """
     channel = _connect(host, port)
@@ -174,26 +175,23 @@ def monitor(
         out.write(line + "\n")
     out.flush()
     trace_summary: dict[str, object] | None = None
+
+    def poll() -> dict[str, int]:
+        nonlocal trace_summary
+        payload = fetch(channel, "sample")
+        trace = payload.get("trace")
+        if isinstance(trace, dict):
+            trace_summary = trace
+        return _counters(payload.get("counters"))
+
+    sampler = IntervalSampler(poll, clock=clock)
     try:
-        previous: dict[str, int] | None = None
-        last_t: float | None = None
-        for _poll in range(samples):
-            payload = fetch(channel, "sample")
-            counters = _counters(payload.get("counters"))
-            t = clock()
-            dt = 0.0 if last_t is None else t - last_t
-            observation = sample_from_snapshots(
-                len(collected), t, dt, counters, previous
-            )
+        for taken in range(1, samples + 1):
+            observation = sampler.sample()
             collected.append(observation)
-            previous = observation.counters
-            last_t = t
             out.write(render_sample_table([observation]).splitlines()[-1] + "\n")
             out.flush()
-            trace = payload.get("trace")
-            if isinstance(trace, dict):
-                trace_summary = trace
-            if _poll + 1 < samples and interval > 0.0:
+            if taken < samples and interval > 0.0:
                 sleep(interval)
     finally:
         channel.close()

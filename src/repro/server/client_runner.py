@@ -37,6 +37,9 @@ DEFAULT_CLIENT_BACKOFF = 0.01
 #: The workflow states the scripted mix cycles materials through.
 MIX_STATES = ("active", "busy", "done")
 
+#: Materials each :class:`ClientRunner` creates and works on.
+MIX_MATERIALS = 4
+
 
 def bootstrap_schema(db: LabBase) -> None:
     """Register the minimal schema the scripted client mix uses.
@@ -252,24 +255,13 @@ class ClientRunner:
 
     Deterministic for a given ``(seed, units)``: the mix interleaves
     creates, step recordings, state transitions and queries over the
-    client's own materials (``<session>-<i>`` keys), plus optional
-    ``shared_oids`` that several runners contend over.
+    client's own :data:`MIX_MATERIALS` materials (``<session>-<i>``
+    keys).
     """
 
-    def __init__(
-        self,
-        client: _ClientOps,
-        *,
-        seed: int = 0,
-        materials: int = 4,
-        shared_oids: tuple[int, ...] = (),
-    ) -> None:
-        if materials < 1:
-            raise ValueError("the mix needs at least one material")
+    def __init__(self, client: _ClientOps, *, seed: int = 0) -> None:
         self._client = client
         self._seed = seed
-        self._materials = materials
-        self._shared = list(shared_oids)
 
     def run(self, units: int) -> dict[str, int]:
         """Drive ``units`` operations; returns an operation tally."""
@@ -290,7 +282,7 @@ class ClientRunner:
 
         own: list[int] = []
         stepped: list[int] = []
-        for i in range(self._materials):
+        for i in range(MIX_MATERIALS):
             own.append(
                 client.create_material(
                     "clone",
@@ -303,11 +295,10 @@ class ClientRunner:
 
         for _unit in range(units):
             roll = rng.random()
-            pool = own + self._shared
             if roll < 0.45:
-                involves = [rng.choice(pool)]
-                if len(pool) > 1 and rng.random() < 0.3:
-                    other = rng.choice(pool)
+                involves = [rng.choice(own)]
+                if rng.random() < 0.3:
+                    other = rng.choice(own)
                     if other != involves[0]:
                         involves.append(other)
                 client.call(
@@ -322,7 +313,7 @@ class ClientRunner:
             elif roll < 0.60:
                 client.call(
                     "set_state",
-                    material_oid=rng.choice(pool),
+                    material_oid=rng.choice(own),
                     state=rng.choice(MIX_STATES),
                     valid_time=next_tick(),
                 )

@@ -122,6 +122,9 @@ _OUT_OF_DESCRIPTORS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errn
 #: The units of work: each data op by name.
 _UNITS = {row.name: row for row in DATA_OPS}
 
+#: The largest frame a peer accepts: its 4-byte header, then the body.
+_MAX_FRAME = 4 + MAX_MESSAGE_BYTES
+
 
 class LabFlowService:
     """N named sessions running workflow units against one LabBase."""
@@ -614,7 +617,15 @@ class ServiceRunner:
                     conn.out += encode_response(_error_response(exc))
                     conn.finished = True
                     break
-                conn.out += encode_response(self._handle(conn, request, owners))
+                reply = encode_response(self._handle(conn, request, owners))
+                if len(reply) > _MAX_FRAME:
+                    # The peer would refuse the frame and lose its place
+                    # in the stream; refuse it here instead.
+                    reply = encode_response(_error_response(ProtocolError(
+                        f"a {len(reply) - 4}-byte reply exceeds the "
+                        f"{MAX_MESSAGE_BYTES}-byte bound"
+                    )))
+                conn.out += reply
                 if request.op == "bye":
                     conn.finished = True
             if conn.out:

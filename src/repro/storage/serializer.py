@@ -1,4 +1,4 @@
-"""Record (de)serialization for the storage managers.
+"""The plain-data grammar of stored records.
 
 Objects handed to a storage manager must be *plain data*: combinations of
 ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``, ``list``,
@@ -7,16 +7,12 @@ managers persisted (C structs plus collections) and keeps stored state
 independent of Python class definitions, which is what lets LabBase
 implement schema evolution *above* the storage layer.
 
-Pickle (protocol 4) is used as the wire format: it is deterministic for
-plain data, measures realistic byte sizes for the paper's ``size (bytes)``
-column, and round-trips exactly.  ``validate_plain_data`` rejects
-arbitrary objects up front so a class instance can never sneak into a
-page.
+``validate_plain_data`` rejects arbitrary objects up front so a class
+instance can never sneak into a page.  Turning records into bytes is
+:class:`repro.storage.codec.RecordCodec`'s job alone.
 """
 
 from __future__ import annotations
-
-import pickle
 
 from repro.errors import StorageError
 
@@ -84,33 +80,3 @@ def validate_plain_data(obj: object, _depth: int = 0) -> None:
             if type(item) not in exact:
                 validate_plain_data(item, _depth + 1)
 
-
-def serialize(obj: object) -> bytes:
-    """Encode a plain-data object to bytes."""
-    validate_plain_data(obj)
-    return pickle.dumps(obj, protocol=4)
-
-
-def deserialize(payload: "bytes | bytearray | memoryview") -> object:
-    """Decode bytes produced by :func:`serialize`.
-
-    Accepts any bytes-like payload, ``memoryview`` included.
-    """
-    try:
-        return pickle.loads(payload)
-    # Corrupt payloads raise whatever opcode pickle trips over
-    # (UnpicklingError, EOFError, ValueError, ...); catch them all and
-    # translate into the storage stack's own corruption error.
-    except Exception as exc:
-        raise StorageError(f"corrupt record payload: {exc}") from exc
-
-
-def record_size(obj: object) -> int:
-    """Serialized size of an object, in bytes.
-
-    Sizing is measurement, not admission: every caller sizes records it
-    already validated (or is about to store through :func:`serialize`),
-    so this deliberately skips the ``validate_plain_data`` walk rather
-    than paying it twice per record.
-    """
-    return len(pickle.dumps(obj, protocol=4))

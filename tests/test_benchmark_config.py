@@ -24,13 +24,9 @@ def test_invalid_configs_rejected():
     with pytest.raises(ConfigError):
         BenchmarkConfig(intervals=(1.0, 0.5))
     with pytest.raises(ConfigError):
-        BenchmarkConfig(query_path="sql")
-    with pytest.raises(ConfigError):
         BenchmarkConfig(queries_per_intake=-1)
     with pytest.raises(ConfigError):
         BenchmarkConfig(buffer_pages=0)
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(blast_mean_hits=10, blast_max_hits=5)
 
 
 def test_scaled_multiplies_clone_count():
@@ -39,7 +35,7 @@ def test_scaled_multiplies_clone_count():
 
 
 def test_with_overrides():
-    config = DEFAULT.with_(seed=7, query_path="dql")
+    config = DEFAULT.with_(seed=7, queries_per_intake=1)
     assert config.seed == 7
-    assert config.query_path == "dql"
+    assert config.queries_per_intake == 1
     assert config.clones_per_interval == DEFAULT.clones_per_interval

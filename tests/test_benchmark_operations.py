@@ -9,6 +9,7 @@ from repro.benchmark.operations import (
     OperationTally,
     QueryRunner,
 )
+from repro.errors import ConfigError
 from repro.labbase import LabBase, LabClock
 from repro.storage import OStoreMM
 from repro.util.rng import DeterministicRng
@@ -103,6 +104,8 @@ def test_dql_and_api_paths_agree(setup):
     db, registry, _runner, clone, tclone = setup
     api = QueryRunner(db, registry, DeterministicRng(9), query_path="api")
     dql = QueryRunner(db, registry, DeterministicRng(9), query_path="dql")
+    with pytest.raises(ConfigError):
+        QueryRunner(db, registry, DeterministicRng(9), query_path="sql")
     for _ in range(20):
         assert api.run_q1() == dql.run_q1()
         assert api.run_q2() == dql.run_q2()

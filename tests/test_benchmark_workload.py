@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.benchmark.config import TINY, BenchmarkConfig
-from repro.benchmark.workload import LabFlowWorkload, benchmark_value_factory
+from repro.benchmark.config import TINY
+from repro.benchmark.operations import QueryRunner
+from repro.benchmark.workload import (
+    BLAST_MAX_HITS,
+    BLAST_MEAN_HITS,
+    LabFlowWorkload,
+    benchmark_value_factory,
+)
 from repro.labbase import LabBase
 from repro.storage import OStoreMM, ObjectStoreSM
 from repro.util.rng import DeterministicRng
@@ -105,14 +111,12 @@ def test_drain_quiesces_workflow():
 
 
 def test_benchmark_value_factory_sizes_hit_lists():
-    config = BenchmarkConfig(blast_mean_hits=30, blast_max_hits=40)
-    factory = benchmark_value_factory(config)
     step = StepSpec("blast_search", (), ("clone",))
     attribute = AttributeSpec("hits", ValueKind.HIT_LIST)
     rng = DeterministicRng(3)
-    lists = [factory(step, attribute, "c-1", rng) for _ in range(50)]
-    assert all(len(hits) <= 40 for hits in lists)
-    assert any(len(hits) > 10 for hits in lists)
+    lists = [benchmark_value_factory(step, attribute, "c-1", rng) for _ in range(50)]
+    assert all(len(hits) <= BLAST_MAX_HITS for hits in lists)
+    assert any(len(hits) > BLAST_MEAN_HITS // 2 for hits in lists)
 
 
 def test_registry_tracks_created_materials():
@@ -123,6 +127,9 @@ def test_registry_tracks_created_materials():
 
 
 def test_dql_query_path_runs():
-    _db, workload = _workload(TINY.with_(query_path="dql", queries_per_intake=1))
-    tallies = workload.run_all()
-    assert all(t.queries_executed > 0 for t in tallies)
+    db, workload = _workload()
+    workload.run_all()
+    dql = QueryRunner(db, workload.registry, DeterministicRng(5), query_path="dql")
+    ops = [dql.run_random_query() for _ in range(20)]
+    assert dql.tally.total() == 20
+    assert {"Q1", "Q2", "Q3", "Q5"} & set(ops)  # the DQL-routed queries

@@ -5,7 +5,6 @@ import inspect
 import pytest
 
 from repro import errors
-from repro.arch.wrapper import WorkflowDataServer, is_benchmark_complete
 
 
 def _exception_classes():
@@ -57,15 +56,3 @@ def test_catching_the_base_class_catches_everything():
     with pytest.raises(errors.ReproError):
         raise errors.InstantiationError("length/2")
 
-
-# -- the wrapper contract is checkable, both ways ---------------------------
-
-
-class _NotAServer:
-    def lookup(self, class_name, key):
-        return 0
-
-
-def test_incomplete_server_fails_the_contract():
-    assert not is_benchmark_complete(_NotAServer())
-    assert not isinstance(object(), WorkflowDataServer)

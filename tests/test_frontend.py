@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.errors import ServerError, UnknownMaterialError
+from repro.errors import ProtocolError, ServerError, UnknownMaterialError
 from repro.labbase import LabBase
 from repro.obs import UnitTracer
 from repro.server import (
@@ -256,6 +256,30 @@ def test_bad_argument_is_a_typed_error_not_a_dead_connection(served, args):
         assert not reply.ok and reply.error_type == "ProtocolError"
     assert peer.reply().value == "pong"
     _still_served(healthy)
+
+
+def test_a_reply_over_the_bound_is_refused_and_the_connection_kept():
+    """A stored value too large for one frame: its query gets a typed
+    ``ProtocolError`` instead of a frame the client must refuse, and the
+    client's next call on the same connection is answered right."""
+    db = LabBase(ObjectStoreSM())
+    bootstrap_schema(db)
+    oid = db.create_material("clone", "big-0", 1, state="active")
+    huge = "x" * (communicator.MAX_MESSAGE_BYTES + 10)
+    db.record_step("measure", 2, [oid], {"value": huge})
+    runner = ServiceRunner(LabFlowService(db, group_cap=1))
+    host, port = runner.start()
+    client = ServiceClient(host, port, "big")
+    other = ServiceClient(host, port, "other")
+    try:
+        with pytest.raises(ProtocolError, match="exceeds"):
+            client.most_recent(oid, "value")
+        assert client.state_of(oid) == "active"
+        assert other.lookup("clone", "big-0") == oid
+    finally:
+        client.close()
+        other.close()
+        runner.stop()
 
 
 def test_a_missing_or_misspelt_argument_is_a_typed_error_not_a_guess(served):

@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InjectedCrashError, StorageError, UnknownOidError
 from repro.labbase import LabBase
+from repro.labbase.catalog import CATALOG_ROOT
 from repro.obs import ManualClock, UnitTracer
 from repro.server import LabFlowService, LocalClient, bootstrap_schema
 from repro.server.communicator import DATA_OPS
@@ -277,6 +278,19 @@ def test_served_write_points_and_bytes_are_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def _audit_labbase(sm):
+    """A store that reopened clean is a sound LabBase too: state sets,
+    history lengths and the key index agree with the material records.
+    (A recovered store is not yet held to this.)"""
+    if sm.get_root(CATALOG_ROOT) is None:
+        return  # crashed before the catalog: nothing LabBase to check
+    db = LabBase(sm)
+    assert db.check_state_sets() == []
+    assert db.check_history_lengths() == []
+    for oid, record in db.iter_materials():
+        assert db.lookup(record["class_name"], record["key"]) == oid
+
+
 def _audit_after_crash(path, cls=ObjectStoreSM):
     """The legal-outcome trichotomy, at the served-workload level."""
     try:
@@ -285,7 +299,9 @@ def _audit_after_crash(path, cls=ObjectStoreSM):
         return  # outcome 1: detectably damaged, refuses to open
     try:
         report = reopened.verify()
-        if not report.ok:  # outcome 3: damage reported, recovery repairs
+        if report.ok:  # outcome 2: clean, with no recovery
+            _audit_labbase(reopened)
+        else:  # outcome 3: damage reported, recovery repairs
             reopened.recover()
             reopened.verify().raise_if_bad()
         # either way: every surviving record must still deserialize

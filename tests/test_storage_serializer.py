@@ -1,10 +1,26 @@
-"""Unit + property tests for record serialization."""
+"""Unit + property tests for the plain-data grammar and for record
+round trips through :class:`RecordCodec` in both codec modes."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import serializer
+from repro.storage.codec import CODEC_NAMES, RecordCodec
+from repro.storage.stats import StorageStats
+
+_CODECS = [RecordCodec(mode, StorageStats()) for mode in CODEC_NAMES]
+
+
+def _round_trip(value, wrap=bytes):
+    """``value`` decoded from each mode's encoding, ``wrap``ped."""
+    return [codec.decode(wrap(codec.encode(value))) for codec in _CODECS]
+
+
+def _encode_raises(value, match=None):
+    for codec in _CODECS:
+        with pytest.raises(StorageError, match=match):
+            codec.encode(value)
 
 
 class _NotPlain:
@@ -13,27 +29,24 @@ class _NotPlain:
 
 def test_round_trip_scalars():
     for value in (None, True, False, 0, -5, 3.25, "text", b"bytes"):
-        assert serializer.deserialize(serializer.serialize(value)) == value
+        assert _round_trip(value) == [value, value]
 
 
 def test_round_trip_collections():
     value = {"a": [1, 2, (3, 4)], "b": {"nested": {5, 6}}, 7: "int key"}
-    assert serializer.deserialize(serializer.serialize(value)) == value
+    assert _round_trip(value) == [value, value]
 
 
 def test_rejects_class_instances():
-    with pytest.raises(StorageError, match="plain data"):
-        serializer.serialize(_NotPlain())
+    _encode_raises(_NotPlain(), match="plain data")
 
 
 def test_rejects_instances_nested_in_collections():
-    with pytest.raises(StorageError):
-        serializer.serialize({"ok": [1, 2, _NotPlain()]})
+    _encode_raises({"ok": [1, 2, _NotPlain()]})
 
 
 def test_rejects_instance_dict_keys():
-    with pytest.raises(StorageError):
-        serializer.serialize({(1, _NotPlain()): "x"})
+    _encode_raises({(1, _NotPlain()): "x"})
 
 
 def test_rejects_excessive_nesting():
@@ -43,18 +56,13 @@ def test_rejects_excessive_nesting():
         inner: list = []
         current.append(inner)
         current = inner
-    with pytest.raises(StorageError, match="100 levels"):
-        serializer.serialize(deep)
+    _encode_raises(deep, match="100 levels")
 
 
 def test_corrupt_payload_raises_storage_error():
-    with pytest.raises(StorageError, match="corrupt"):
-        serializer.deserialize(b"\x00not a pickle")
-
-
-def test_record_size_matches_serialized_length():
-    obj = {"k": "v" * 100}
-    assert serializer.record_size(obj) == len(serializer.serialize(obj))
+    for codec in _CODECS:
+        with pytest.raises(StorageError, match="corrupt"):
+            codec.decode(b"\x00not a pickle")
 
 
 _plain = st.recursive(
@@ -72,12 +80,13 @@ _plain = st.recursive(
 
 @given(_plain)
 def test_round_trip_property(obj):
-    assert serializer.deserialize(serializer.serialize(obj)) == obj
+    assert _round_trip(obj) == [obj, obj]
 
 
 @given(_plain)
 def test_serialization_is_deterministic(obj):
-    assert serializer.serialize(obj) == serializer.serialize(obj)
+    for codec in _CODECS:
+        assert codec.encode(obj) == codec.encode(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +107,12 @@ def test_accepts_scalar_subclasses():
     # all the storage contract promises.
     for value in (_IntSubclass(7), _StrSubclass("x"), True):
         serializer.validate_plain_data(value)
-        restored = serializer.deserialize(serializer.serialize(value))
-        assert restored == value
+        assert _round_trip(value) == [value, value]
 
 
 def test_accepts_frozenset_containers():
     value = {"tags": frozenset({"a", "b"}), "sets": [frozenset({1, 2})]}
-    assert serializer.deserialize(serializer.serialize(value)) == value
+    assert _round_trip(value) == [value, value]
 
 
 def test_accepts_container_dict_keys():
@@ -115,7 +123,7 @@ def test_accepts_container_dict_keys():
         frozenset({"a"}): "frozenset key",
         ((1, 2), (3,)): "nested tuple key",
     }
-    assert serializer.deserialize(serializer.serialize(value)) == value
+    assert _round_trip(value) == [value, value]
 
 
 _hashable_plain = st.recursive(
@@ -133,32 +141,22 @@ _hashable_plain = st.recursive(
 @given(st.dictionaries(_hashable_plain, _plain, max_size=4))
 def test_container_dict_keys_property(obj):
     """Any hashable-plain-data key round-trips, per the grammar."""
-    assert serializer.deserialize(serializer.serialize(obj)) == obj
+    assert _round_trip(obj) == [obj, obj]
 
 
 @given(_plain)
 def test_deserialize_accepts_memoryview_and_bytearray(obj):
-    payload = serializer.serialize(obj)
-    assert serializer.deserialize(memoryview(payload)) == obj
-    assert serializer.deserialize(bytearray(payload)) == obj
+    assert _round_trip(obj, memoryview) == [obj, obj]
+    assert _round_trip(obj, bytearray) == [obj, obj]
 
 
 def test_memoryview_deserialize_is_zero_copy_compatible():
     # A non-trivial offset view must decode without the caller
     # materializing bytes.
-    payload = serializer.serialize({"k": list(range(50))})
-    padded = b"\xff\xff" + payload
-    view = memoryview(padded)[2:]
-    assert serializer.deserialize(view) == {"k": list(range(50))}
-
-
-def test_record_size_skips_validation():
-    # Sizing is measurement, not admission: callers size records they
-    # already validated, so record_size must not re-walk the structure.
-    unvalidated = {"obj": _NotPlain()}
-    with pytest.raises(StorageError):
-        serializer.serialize(unvalidated)
-    assert serializer.record_size(unvalidated) > 0
+    value = {"k": list(range(50))}
+    assert _round_trip(value, lambda p: memoryview(b"\xff\xff" + p)[2:]) == [
+        value, value
+    ]
 
 
 # ---------------------------------------------------------------------------
